@@ -107,27 +107,6 @@ def _size_cap(args) -> int:
     return int(env) if env else 8
 
 
-def _parse_unary_tables(path: str, keyword: str, out: dict[int, tuple[int, ...]]):
-    current = None
-    pending: list[int] = []
-    for raw in Path(path).read_text().splitlines():
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if parts[0] == keyword:
-            if current is not None:
-                out[current] = tuple(pending)
-            current = int(parts[1])
-            pending = []
-        elif parts[0][0].isdigit():
-            if current is None:
-                raise ParseError(f"{path}: table entries before any {keyword} line")
-            pending.extend(int(p) for p in parts)
-    if current is not None:
-        out[current] = tuple(pending)
-
-
 def _parse_map_file(path: str, keywords) -> dict[str, dict[int, tuple[int, ...]]]:
     out: dict[str, dict[int, tuple[int, ...]]] = {k: {} for k in keywords}
     current: tuple[str, int] | None = None
@@ -140,20 +119,30 @@ def _parse_map_file(path: str, keywords) -> dict[str, dict[int, tuple[int, ...]]
         current = None
         pending = []
 
-    for raw in Path(path).read_text().splitlines():
+    for no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
         if parts[0] in keywords:
+            if len(parts) != 2:
+                raise ParseError(f"expected '{parts[0]} <element>'", path, no)
             flush()
             current = (parts[0], int(parts[1]))
         else:
             if current is None:
-                raise ParseError(f"{path}: table entries before any map header")
+                raise ParseError("table entries before any map header", path, no)
             pending.extend(int(p) for p in parts)
     flush()
     return out
+
+
+def _per_element(maps, keyword: str, size: int, path: str) -> tuple[tuple[int, ...], ...]:
+    """The `keyword` tables for elements 0..size-1; a missing block is malformed input."""
+    for x in range(size):
+        if x not in maps[keyword]:
+            raise ParseError(f"no '{keyword} {x}' table", path)
+    return tuple(maps[keyword][x] for x in range(size))
 
 
 def cmd_check(args, ws: Workspace) -> int:
@@ -212,9 +201,7 @@ def cmd_outer(args, ws: Workspace) -> int:
 def cmd_group_sdp(args, ws: Workspace) -> int:
     N = ws.algebra(args.N)
     B = ws.algebra(args.B)
-    tables: dict[int, tuple[int, ...]] = {}
-    _parse_unary_tables(args.phi, "phi", tables)
-    phi = tuple(tables[b] for b in range(B.size))
+    phi = _per_element(_parse_map_file(args.phi, ("phi",)), "phi", B.size, args.phi)
     G = groups.group_semidirect(N, B, phi)
     sys.stdout.write(emit_algebra(G))
     return 0
@@ -227,8 +214,8 @@ def cmd_ring_sdp(args, ws: Workspace) -> int:
     pair = groups.RingActionPair(
         K,
         S,
-        tuple(maps["lambda"][s] for s in range(S.size)),
-        tuple(maps["rho"][s] for s in range(S.size)),
+        _per_element(maps, "lambda", S.size, args.maps),
+        _per_element(maps, "rho", S.size, args.maps),
     )
     R = groups.ring_semidirect(pair)
     sys.stdout.write(emit_algebra(R))
@@ -242,9 +229,9 @@ def cmd_digroup_sdp(args, ws: Workspace) -> int:
     triple = digroups.DigroupActionTriple(
         Y,
         K,
-        tuple(maps["phistar"][y] for y in range(Y.n)),
-        tuple(maps["phicirc"][y] for y in range(Y.n)),
-        tuple(maps["lambda"][y] for y in range(Y.n)),
+        _per_element(maps, "phistar", Y.n, args.maps),
+        _per_element(maps, "phicirc", Y.n, args.maps),
+        _per_element(maps, "lambda", Y.n, args.maps),
     )
     D = digroups.digroup_outer(triple, name=args.name)
     sys.stdout.write(emit_algebra(D.algebra))

@@ -6,7 +6,7 @@ from itertools import product as iproduct
 
 from .algebras import FiniteAlgebra, Homomorphism, _pack
 from .errors import SizeLimitExceeded, SizeMismatch
-from .partitions import Partition
+from .partitions import Partition, UnionFind
 
 CONGRUENCE_ENUM_CAP = 8
 
@@ -42,21 +42,8 @@ def congruence_generated(A: FiniteAlgebra, pairs) -> Partition:
     the full compatibility condition follows from them by transitivity.
     """
     n = A.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[max(ra, rb)] = min(ra, rb)
-        return True
-
+    uf = UnionFind(n)
+    find, union = uf.find, uf.union
     for a, b in pairs:
         union(a, b)
     changed = True
@@ -78,7 +65,7 @@ def congruence_generated(A: FiniteAlgebra, pairs) -> Partition:
                         other = args[:j] + (b,) + args[j + 1 :]
                         if union(base, table[_pack(other, n)]):
                             changed = True
-    return Partition.from_pairs(n, [(x, find(x)) for x in range(n)])
+    return uf.partition()
 
 
 def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Partition:
@@ -119,13 +106,5 @@ def kernel(h: Homomorphism) -> Partition:
     first: dict[int, int] = {}
     rep = []
     for a, v in enumerate(h.map):
-        rep.append(first.setdefault(v, a))
-    return Partition(tuple(rep))
-
-
-def kernel_of_map(mapping) -> Partition:
-    first: dict[int, int] = {}
-    rep = []
-    for a, v in enumerate(mapping):
         rep.append(first.setdefault(v, a))
     return Partition(tuple(rep))

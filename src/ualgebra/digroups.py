@@ -1,6 +1,14 @@
 """Digroups (one carrier, two group structures, one identity) and left skew
 braces: inner/outer semidirect products, action extraction, brace predicates,
-ideals, commutators, center, and the brace reflection of a digroup."""
+ideals, commutators, center, and the brace reflection of a digroup.
+
+`digroup_outer` translates an action triple into a family (K over every y,
+marked at K's unit) and the star, circ and inverse action tables, and fills
+them with `outer.union_algebra`, the assembly behind
+`outer.assemble_union_algebra`. Products keep the union's own pair encoding
+y*|K| + k. Pointedness is not checked: a Lambda that moves K's unit can
+leave the family unpointed, and its tables still define a digroup on Y x K.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +27,7 @@ from .errors import (
     SignatureMismatch,
 )
 from .inner import idempotent_endomorphisms
+from .outer import ActionFamily, PointedFamily, union_algebra
 from .partitions import Partition
 from .varieties import DIGROUP_SIG, REGISTRY, check_identities
 
@@ -269,6 +278,10 @@ def _check_antihom(maps, Y_table, K_alg, what: str):
 def _validate_triple(t: DigroupActionTriple):
     if len(t.phi_star) != t.Y.n or len(t.phi_circ) != t.Y.n or len(t.Lambda) != t.Y.n:
         raise HypothesisViolation("one table per element of Y required")
+    for what, maps in (("phi_star", t.phi_star), ("phi_circ", t.phi_circ), ("Lambda", t.Lambda)):
+        for y, row in enumerate(maps):
+            if len(row) != t.K.n or any(not 0 <= k < t.K.n for k in row):
+                raise HypothesisViolation(f"{what}[{y}] is not a table on K")
     _check_antihom(t.phi_star, t.Y.algebra.tables[0], star_reduct(t.K), "phi_star")
     _check_antihom(t.phi_circ, t.Y.algebra.tables[2], circ_reduct(t.K), "phi_circ")
     for y, table in enumerate(t.Lambda):
@@ -291,50 +304,47 @@ def digroup_outer(triple: DigroupActionTriple, name: str = "outer_digroup") -> D
         (y,k) + (y',k') = (y * y', Lam_{y*y'}^-1(phi_*y'(Lam_y(k)) * Lam_y'(k')))
         (y,k) o (y',k') = (y o y', phi_oy'(k) o k')
 
-    encoded y*|K| + k. Hypotheses are validated up front; the construction is
-    then verified against the digroup axioms (a failure would contradict the
+    encoded y*|K| + k, which is the union's own encoding over Y. Hypotheses
+    are validated up front; the fibers are marked at K's unit, the inverse
+    tables come from the inverse formulas, and the construction is then
+    verified against the digroup axioms (a failure would contradict the
     construction theorem and raises AxiomFailure as a diagnostic).
     """
     _validate_triple(triple)
     Y, K = triple.Y, triple.K
-    lam_inv = [_inverse_perm(p) for p in triple.Lambda]
-    n = Y.n * K.n
-
-    def enc(y, k):
-        return y * K.n + k
-
-    star, circ = [], []
-    for x1 in range(n):
-        y1, k1 = divmod(x1, K.n)
-        for x2 in range(n):
-            y2, k2 = divmod(x2, K.n)
+    lam, phi_s, phi_c = triple.Lambda, triple.phi_star, triple.phi_circ
+    lam_inv = [_inverse_perm(p) for p in lam]
+    pairs = list(iproduct(range(K.n), repeat=2))
+    maps = {("one", ()): (K.one,)}
+    for y1 in range(Y.n):
+        # the star inverse of (y,k) is (y^-*, Lam_{y^-*}^-1(phi_{* y^-*}((Lam_y k)^-*)))
+        ys, yc = Y.sinv(y1), Y.cinv(y1)
+        maps[("star_inv", (y1,))] = tuple(
+            lam_inv[ys][phi_s[ys][K.sinv(lam[y1][k])]] for k in range(K.n)
+        )
+        # the circ inverse of (y,k) is (y^-o, phi_{o y^-o}(k^-o))
+        maps[("circ_inv", (y1,))] = tuple(phi_c[yc][K.cinv(k)] for k in range(K.n))
+        for y2 in range(Y.n):
             yy = Y.star(y1, y2)
-            star.append(
-                enc(
-                    yy,
-                    lam_inv[yy][
-                        K.star(triple.phi_star[y2][triple.Lambda[y1][k1]], triple.Lambda[y2][k2])
-                    ],
-                )
+            maps[("star", (y1, y2))] = tuple(
+                lam_inv[yy][K.star(phi_s[y2][lam[y1][k1]], lam[y2][k2])] for k1, k2 in pairs
             )
-            circ.append(enc(Y.circ(y1, y2), K.circ(triple.phi_circ[y2][k1], k2)))
+            maps[("circ", (y1, y2))] = tuple(K.circ(phi_c[y2][k1], k2) for k1, k2 in pairs)
+    # not `assemble_union_algebra`: pointedness is no digroup hypothesis, and a
+    # Lambda that moves K's unit breaks the section y -> (y, 1)
+    family = PointedFamily.constant(Y.algebra, K.n, K.one)
+    algebra = union_algebra(family, ActionFamily.from_dict(maps), name)
     try:
-        D = digroup_from_tables(tuple(star), tuple(circ), name)
+        D = Digroup(algebra).validate()
     except AxiomFailure as exc:
         raise AxiomFailure(f"construction violated the digroup axioms: {exc}") from exc
-    assert D.one == enc(Y.one, K.one)
+    # the tables' own check of the unit (1_Y, 1_K): two-sided for star and circ
+    e = D.one
+    assert all(D.star(x, e) == D.star(e, x) == x == D.circ(x, e) == D.circ(e, x) for x in range(D.n))
     # the first two pair identities hold unconditionally
-    for y in range(Y.n):
-        for k in range(K.n):
-            assert D.circ(enc(y, K.one), enc(Y.one, k)) == enc(y, k)
-            assert D.circ(enc(Y.one, k), enc(y, K.one)) == enc(y, triple.phi_circ[y][k])
-    if triple.lambda_fixes_unit():
-        for y in range(Y.n):
-            for k in range(K.n):
-                assert D.star(enc(y, K.one), enc(Y.one, k)) == enc(y, lam_inv[y][k])
-                assert D.star(enc(Y.one, k), enc(y, K.one)) == enc(
-                    y, lam_inv[y][triple.phi_star[y][k]]
-                )
+    flags = pair_identities(triple, D)
+    assert flags[:2] == (True, True)
+    assert all(flags) or not triple.lambda_fixes_unit()
     return D
 
 

@@ -10,10 +10,11 @@ a term to the composite of action tables it denotes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .algebras import FiniteAlgebra
 from .errors import EndpointMismatch, ShapeMismatch
-from .outer import OuterProduct, _mixed_pack, _mixed_unpack, _prod
+from .outer import OuterProduct, _mixed_pack, _mixed_unpack
 from .terms import Term, Var, eval_term, substitute, term_variables
 
 
@@ -79,7 +80,7 @@ class ProductPointedSet:
     basepoint: tuple[int, ...]
 
     def total(self) -> int:
-        return _prod(self.sizes)
+        return prod(self.sizes)
 
     def flat_basepoint(self) -> int:
         return _mixed_pack(self.basepoint, self.sizes)
@@ -173,7 +174,7 @@ def check_identity_law(F: OuterProduct, obj: TupleObject) -> bool:
     """G(id) must reassemble to the identity on the fiber product."""
     tables = functor_morphism(F, identity_morphism(obj))
     sizes = functor_object(F, obj).sizes
-    for idx in range(_prod(sizes)):
+    for idx in range(prod(sizes)):
         if tuple(t[idx] for t in tables) != _mixed_unpack(idx, sizes):
             return False
     return True

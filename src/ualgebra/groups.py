@@ -1,4 +1,12 @@
-"""Specialized semidirect-product machinery for groups and rings."""
+"""Specialized semidirect-product machinery for groups and rings.
+
+`group_semidirect` and `ring_semidirect` translate their action data into a
+pointed family (N or K over every base element, pointed at its identity or
+zero) and an action family, and build through `outer.assemble_union_algebra`
+like every outer product. Products are published in the pair encoding
+k*|B| + b, the pairing of `product(K, B)`, relabelled from the union's native
+b*|K| + k.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +25,7 @@ from .errors import (
     SignatureMismatch,
 )
 from .inner import idempotent_endomorphisms
-from .outer import ActionFamily, PointedFamily
+from .outer import ActionFamily, PointedFamily, assemble_union_algebra, fiber_major
 from .partitions import Partition
 from .varieties import GROUP_SIG, RING_SIG, REGISTRY, check_identities
 
@@ -77,13 +85,17 @@ def group_semidirect(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> FiniteAlgebra:
     """The group on N x B with (k, y)(k', y') = (k phi_y(k'), y y').
 
     `phi[y]` must be an automorphism table of N and y -> phi_y a homomorphism
-    from B into Aut(N). Pairs are encoded k*|B| + y; the inverse and identity
-    tables are derived and the result is verified against the group variety.
+    from B into Aut(N). The tables of `group_data_from_action` are assembled
+    over B and published in the pair encoding k*|B| + y; the result is
+    verified against the group variety.
     """
     _require_group(N)
     _require_group(B)
     if len(phi) != B.size:
         raise NotAnAction("one automorphism per element of B required")
+    for y, row in enumerate(phi):
+        if len(row) != N.size or any(not 0 <= k < N.size for k in row):
+            raise NotAutomorphism(f"phi[{y}] is not a table on N")
     for y in range(B.size):
         if len(set(phi[y])) != N.size or not is_homomorphism(phi[y], N, N):
             raise NotAutomorphism(f"phi[{y}] is not an automorphism of N")
@@ -92,24 +104,8 @@ def group_semidirect(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> FiniteAlgebra:
             composed = tuple(phi[y1][phi[y2][k]] for k in range(N.size))
             if composed != phi[group_mul(B, y1, y2)]:
                 raise NotAnAction("phi is not multiplicative")
-    n = N.size * B.size
-
-    def enc(k: int, y: int) -> int:
-        return k * B.size + y
-
-    mul = []
-    for x1 in range(n):
-        k1, y1 = divmod(x1, B.size)
-        for x2 in range(n):
-            k2, y2 = divmod(x2, B.size)
-            mul.append(enc(group_mul(N, k1, phi[y1][k2]), group_mul(B, y1, y2)))
-    inv = []
-    for x in range(n):
-        k, y = divmod(x, B.size)
-        yi = group_inv(B, y)
-        inv.append(enc(phi[yi][group_inv(N, k)], yi))
-    e = enc(group_identity(N), group_identity(B))
-    G = FiniteAlgebra(f"{N.name}_sdp_{B.name}", GROUP_SIG, n, (tuple(mul), tuple(inv), (e,)))
+    family, actions = group_data_to_family(_synthesize_group_data(N, B, phi))
+    G = fiber_major(assemble_union_algebra(family, actions, f"{N.name}_sdp_{B.name}"))
     report = check_identities(G, REGISTRY["group"])
     assert report.passes, "a valid action must produce a group"
     return G
@@ -262,11 +258,8 @@ def _check_51_conditions(data: GroupSDPData):
                 )
 
 
-def group_data_from_action(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> GroupSDPData:
-    """Synthesize the tables from an action: g(n1,n2) = n1 gamma_b1(n2) and
-    h_b(n) = gamma_{b^-1}(n^-1); conditions (1)-(3) are then verified."""
-    _require_group(N)
-    _require_group(B)
+def _synthesize_group_data(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> GroupSDPData:
+    """g_(b1,b2)(n1,n2) = n1 gamma_b1(n2) and h_b(n) = gamma_{b^-1}(n^-1)."""
     g = {}
     for b1 in range(B.size):
         for b2 in range(B.size):
@@ -279,7 +272,14 @@ def group_data_from_action(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> GroupSDPD
     for b in range(B.size):
         binv = group_inv(B, b)
         h.append(tuple(phi[binv][group_inv(N, n)] for n in range(N.size)))
-    data = GroupSDPData.build(N, B, g, h)
+    return GroupSDPData.build(N, B, g, h)
+
+
+def group_data_from_action(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> GroupSDPData:
+    """Synthesize the tables from an action, then verify conditions (1)-(3)."""
+    _require_group(N)
+    _require_group(B)
+    data = _synthesize_group_data(N, B, phi)
     _check_51_conditions(data)
     return data
 
@@ -414,41 +414,35 @@ def ring_semidirect(pair: RingActionPair) -> FiniteAlgebra:
     """Ring on K x S: componentwise addition and the twisted multiplication
     (k,s)(k',s') = (kk' + lambda_s(k') + rho_s'(k), ss').
 
-    All compatibility conditions are verified before construction and the
-    result is checked against the ring identities (associativity included).
+    All compatibility conditions are verified before construction. Over S,
+    add/neg/zero act by K's own tables and mul by the twisted formula; the
+    assembled ring is published in the pair encoding k*|S| + s and checked
+    against the ring identities (associativity included).
     """
     _require_ring(pair.K)
     _require_ring(pair.S)
     K, S = pair.K, pair.S
     if len(pair.lam) != S.size or len(pair.rho) != S.size:
         raise CompatibilityViolation("one table per element of S required", "shape", None)
+    for row in pair.lam + pair.rho:
+        if len(row) != K.size or any(not 0 <= k < K.size for k in row):
+            raise CompatibilityViolation("every action table must map K to K", "shape", None)
     _check_ring_pair(pair)
-    n = K.size * S.size
-    kadd, kneg, kmul = K.table("add"), K.table("neg"), K.table("mul")
-    sadd, sneg, smul = S.table("add"), S.table("neg"), S.table("mul")
-
-    def enc(k, s):
-        return k * S.size + s
-
-    add, neg, mul = [], [], []
-    for x1 in range(n):
-        k1, s1 = divmod(x1, S.size)
-        neg.append(enc(kneg[k1], sneg[s1]))
-        for x2 in range(n):
-            k2, s2 = divmod(x2, S.size)
-            add.append(enc(kadd[k1 * K.size + k2], sadd[s1 * S.size + s2]))
-            twisted = kadd[
-                kadd[kmul[k1 * K.size + k2] * K.size + pair.lam[s1][k2]] * K.size
-                + pair.rho[s2][k1]
-            ]
-            mul.append(enc(twisted, smul[s1 * S.size + s2]))
-    zero = enc(K.table("zero")[0], S.table("zero")[0])
-    R = FiniteAlgebra(
-        f"{pair.K.name}_rsdp_{pair.S.name}",
-        RING_SIG,
-        n,
-        (tuple(add), tuple(neg), (zero,), tuple(mul)),
-    )
+    kadd, kmul = K.table("add"), K.table("mul")
+    maps = {("zero", ()): K.table("zero")}
+    for s1 in range(S.size):
+        maps[("neg", (s1,))] = K.table("neg")
+        for s2 in range(S.size):
+            maps[("add", (s1, s2))] = kadd
+            maps[("mul", (s1, s2))] = tuple(
+                kadd[kadd[kmul[k1 * K.size + k2] * K.size + pair.lam[s1][k2]] * K.size
+                + pair.rho[s2][k1]]
+                for k1 in range(K.size)
+                for k2 in range(K.size)
+            )
+    family = PointedFamily.constant(S, K.size, K.table("zero")[0])
+    outer = assemble_union_algebra(family, ActionFamily.from_dict(maps), f"{K.name}_rsdp_{S.name}")
+    R = fiber_major(outer)
     report = check_identities(R, REGISTRY["ring"])
     assert report.passes, "compatible actions must produce a ring"
     return R

@@ -3,6 +3,11 @@
 Every nonempty heap is the heap of a group; decompositions mirror the general
 theory, with normal subheaps giving congruences and a conjugation-style
 action on the block of a chosen basepoint.
+
+`heap_outer` translates a heap action into a pointed family (K over every
+y, pointed at 0) and the action family t(k1, k2, k3) = [k1, a_w(k2), a_w(k3)],
+and builds through `outer.assemble_union_algebra`. Products are published in
+the pair encoding k*|Y| + y.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .errors import (
     SignatureMismatch,
 )
 from .inner import idempotent_endomorphisms
+from .outer import ActionFamily, PointedFamily, assemble_union_algebra, fiber_major
 from .partitions import Partition
 from .varieties import GROUP_SIG, HEAP_SIG, TRUSS_SIG, REGISTRY, check_identities
 
@@ -287,6 +293,11 @@ def _validate_heap_action(action: HeapAction):
     Y, K = action.Y, action.K
     if not is_heap(Y) or not is_heap(K):
         raise HypothesisViolation("both carriers must be heaps")
+    if not 0 <= action.y0 < Y.size:
+        raise HypothesisViolation("the distinguished element must lie in Y")
+    for y, row in enumerate(action.alpha):
+        if len(row) != K.size or any(not 0 <= k < K.size for k in row):
+            raise HypothesisViolation(f"alpha[{y}] is not a table on K")
     for y, row in enumerate(action.alpha):
         if len(set(row)) != K.size or not is_homomorphism(row, K, K):
             raise HypothesisViolation(f"alpha[{y}] is not a heap automorphism")
@@ -320,8 +331,9 @@ def heap_outer(action: HeapAction, name: str = "outer_heap") -> HeapOuterResult:
 
         [(k1,y1),(k2,y2),(k3,y3)] = ([k1, a_w(k2), a_w(k3)], [y1,y2,y3])
 
-    where w = [y1, y2, y0]. The axioms are verified (failure is a theorem
-    contradiction); K x {y0} is asserted to be a normal subheap isomorphic to
+    where w = [y1, y2, y0], assembled over Y with every fiber pointed at 0
+    (the fiber maps fix every point) and encoded k*|Y| + y. The axioms are
+    verified (failure is a theorem contradiction); K x {y0} is asserted to be a normal subheap isomorphic to
     K and each (a, b) -> (k, b) an idempotent endomorphism with {k} x Y a
     subheap isomorphic to Y.
     """
@@ -332,22 +344,14 @@ def heap_outer(action: HeapAction, name: str = "outer_heap") -> HeapOuterResult:
     def enc(k, y):
         return k * Y.size + y
 
-    table = []
-    for x1 in range(n):
-        k1, y1 = divmod(x1, Y.size)
-        for x2 in range(n):
-            k2, y2 = divmod(x2, Y.size)
-            w = heap_op(Y, y1, y2, action.y0)
-            row = action.alpha[w]
-            for x3 in range(n):
-                k3, y3 = divmod(x3, Y.size)
-                table.append(
-                    enc(
-                        heap_op(K, k1, row[k2], row[k3]),
-                        heap_op(Y, y1, y2, y3),
-                    )
-                )
-    X = FiniteAlgebra(name, HEAP_SIG, n, (tuple(table),))
+    maps = {}
+    for y1, y2, y3 in iproduct(range(Y.size), repeat=3):
+        row = action.alpha[heap_op(Y, y1, y2, action.y0)]
+        maps[("t", (y1, y2, y3))] = tuple(
+            heap_op(K, k1, row[k2], row[k3]) for k1, k2, k3 in iproduct(range(K.size), repeat=3)
+        )
+    family = PointedFamily.constant(Y, K.size, 0)
+    X = fiber_major(assemble_union_algebra(family, ActionFamily.from_dict(maps), name))
     if not is_heap(X):
         raise AxiomFailure("construction violated the heap axioms")
     fiber = frozenset(enc(k, action.y0) for k in range(K.size))

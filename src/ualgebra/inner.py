@@ -20,7 +20,7 @@ from .algebras import (
     quotient,
     subalgebra_as_algebra,
 )
-from .congruences import is_congruence, kernel, kernel_of_map
+from .congruences import is_congruence, kernel
 from .errors import NotIdempotent, SizeLimitExceeded
 from .partitions import Partition
 
@@ -228,7 +228,7 @@ def constant_endomorphisms(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
 
 def endo_leq(e: Homomorphism, f: Homomorphism) -> bool:
     """e <= f iff im(e) is inside im(f) and ker(f) refines ker(e)."""
-    return e.image() <= f.image() and kernel_of_map(f.map).refines(kernel_of_map(e.map))
+    return e.image() <= f.image() and kernel(f).refines(kernel(e))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ The data is a base algebra B, one pointed fiber per base element, and one
 pointed map per function symbol and base tuple. The product lives on the
 disjoint union of the fibers; a candidate is only a semidirect product when
 the assembled algebra satisfies its variety.
+
+Element i of the fiber over b is b's offset plus i; with a constant fiber K
+that is b*|K| + i. Group, ring, digroup and heap semidirect products are
+translated into this data and built by `assemble_union_algebra` as well.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
+from math import prod
 
 from .algebras import (
     FiniteAlgebra,
@@ -140,7 +145,7 @@ def _validate_family(family: PointedFamily, actions: ActionFamily):
             target = table[_pack(bs, base.size)]
             sizes = tuple(family.fibers[b][0] for b in bs)
             action = actions.table(sym, bs)
-            if len(action) != _prod(sizes):
+            if len(action) != prod(sizes):
                 raise ShapeMismatch(f"action table for {sym} at {bs} has wrong length")
             target_size, target_base = family.fibers[target]
             if any(not 0 <= v < target_size for v in action):
@@ -152,11 +157,34 @@ def _validate_family(family: PointedFamily, actions: ActionFamily):
                 )
 
 
-def _prod(sizes: tuple[int, ...]) -> int:
-    out = 1
-    for s in sizes:
-        out *= s
-    return out
+def union_algebra(family: PointedFamily, actions: ActionFamily, name: str) -> FiniteAlgebra:
+    """Fill the union's tables: position i of the fiber over b is element
+    offset(b) + i. Pointedness is not checked; a table of the wrong length
+    raises ValueError.
+
+    Each action table is looked up once per base tuple and written over the
+    product of the argument fibers; an argument tuple's flat index is the sum
+    of its coordinates, each pre-scaled by its place value n**(arity-1-j).
+    """
+    base = family.base
+    offsets = family.offsets()
+    n = family.total_size()
+    tables = []
+    for p, (sym, arity) in enumerate(base.signature.symbols):
+        base_table = base.tables[p]
+        weights = [n ** (arity - 1 - j) for j in range(arity)]
+        table = [0] * n**arity
+        for bs in iproduct(range(base.size), repeat=arity):
+            offset = offsets[base_table[_pack(bs, base.size)]]
+            columns = (
+                range(offsets[b] * w, (offsets[b] + family.fibers[b][0]) * w, w)
+                for b, w in zip(bs, weights)
+            )
+            action = actions.table(sym, bs)
+            for idx, value in zip(map(sum, iproduct(*columns)), action, strict=True):
+                table[idx] = offset + value
+        tables.append(tuple(table))
+    return FiniteAlgebra(name, base.signature, n, tuple(tables))
 
 
 def assemble_union_algebra(
@@ -164,27 +192,27 @@ def assemble_union_algebra(
 ) -> OuterProduct:
     """Build the disjoint-union algebra; pointedness is enforced, identities not."""
     _validate_family(family, actions)
-    base = family.base
-    offsets = family.offsets()
-    n = family.total_size()
-    labels = []
-    for b in range(base.size):
-        labels += [(i, b) for i in range(family.fibers[b][0])]
+    return OuterProduct(union_algebra(family, actions, name), family, actions)
+
+
+def fiber_major(F: OuterProduct) -> FiniteAlgebra:
+    """F's union relabelled from its native b*|K| + k to the pair encoding
+    k*|B| + b of `product(K, B)`, for a family whose fibers all have size |K|.
+
+    Group, ring and heap semidirect products are published in this encoding.
+    """
+    A, nb = F.algebra, F.family.base.size
+    nk = F.family.fibers[0][0]
+    # new element k*|B| + b is old element b*|K| + k
+    old = [b * nk + k for k in range(nk) for b in range(nb)]
+    new = [0] * A.size
+    for x, y in enumerate(old):
+        new[y] = x
     tables = []
-    for p, (sym, arity) in enumerate(base.signature.symbols):
-        base_table = base.tables[p]
-        table = []
-        for args in iproduct(range(n), repeat=arity):
-            parts = tuple(labels[x] for x in args)
-            bs = tuple(b for _, b in parts)
-            target = base_table[_pack(bs, base.size)]
-            sizes = tuple(family.fibers[b][0] for b in bs)
-            action = actions.table(sym, bs)
-            value = action[_mixed_pack(tuple(i for i, _ in parts), sizes)]
-            table.append(offsets[target] + value)
-        tables.append(tuple(table))
-    algebra = FiniteAlgebra(name, base.signature, n, tuple(tables))
-    return OuterProduct(algebra, family, actions)
+    for (_, arity), table in zip(A.signature.symbols, A.tables):
+        columns = [[old[x] * A.size ** (arity - 1 - j) for x in range(A.size)] for j in range(arity)]
+        tables.append(tuple(new[table[sum(args)]] for args in iproduct(*columns)))
+    return FiniteAlgebra(A.name, A.signature, A.size, tuple(tables))
 
 
 def build_outer_product(
@@ -211,6 +239,28 @@ def build_outer_product(
     return outer
 
 
+def _restrict_to_fibers(A: FiniteAlgebra, base: FiniteAlgebra, fibers, points):
+    """A's operations restricted to fibers given as element lists of A.
+
+    `fibers[b]` lists the elements over base element b and `points[b]` is the
+    one it is pointed at. Returns (family, actions, position), where
+    position[x] is x's index inside its fiber.
+    """
+    position = {x: i for fiber in fibers for i, x in enumerate(fiber)}
+    family = PointedFamily(
+        base, tuple((len(fiber), position[pt]) for fiber, pt in zip(fibers, points))
+    )
+    maps = {}
+    for p, (sym, arity) in enumerate(A.signature.symbols):
+        table = A.tables[p]
+        for bs in iproduct(range(base.size), repeat=arity):
+            maps[(sym, bs)] = tuple(
+                position[table[_pack(args, A.size)]]
+                for args in iproduct(*(fibers[b] for b in bs))
+            )
+    return family, ActionFamily.from_dict(maps), position
+
+
 def inner_to_outer(dec: InnerDecomposition):
     """Fibers = omega-classes pointed by their B-element; actions = restrictions.
 
@@ -220,30 +270,10 @@ def inner_to_outer(dec: InnerDecomposition):
     """
     A = dec.algebra
     base, members = subalgebra_as_algebra(A, dec.B, name=f"{A.name}_base")
-    blocks = {}
-    for block, basepoint in dec.pointed_partition:
-        blocks[basepoint] = block
-    fibers = []
-    for b in members:
-        block = blocks[b]
-        fibers.append((len(block), block.index(b)))
-    family = PointedFamily(base, tuple(fibers))
-    position = {}
-    for block, _ in dec.pointed_partition:
-        for i, x in enumerate(block):
-            position[x] = i
-    maps = {}
-    for p, (sym, arity) in enumerate(A.signature.symbols):
-        for bs in iproduct(range(base.size), repeat=arity):
-            sizes = tuple(family.fibers[b][0] for b in bs)
-            source_blocks = [blocks[members[b]] for b in bs]
-            table = []
-            for idx in range(_prod(sizes)):
-                local = _mixed_unpack(idx, sizes)
-                args = tuple(source_blocks[j][local[j]] for j in range(arity))
-                table.append(position[A.tables[p][_pack(args, A.size)]])
-            maps[(sym, bs)] = tuple(table)
-    actions = ActionFamily.from_dict(maps)
+    blocks = {basepoint: block for block, basepoint in dec.pointed_partition}
+    family, actions, position = _restrict_to_fibers(
+        A, base, [blocks[b] for b in members], members
+    )
     outer = assemble_union_algebra(family, actions, name=f"{A.name}_outer")
     base_index = {m: i for i, m in enumerate(members)}
     iso = tuple(
@@ -281,7 +311,7 @@ def sdp_morphism_check(F: OuterProduct, G: OuterProduct, maps) -> bool:
             tab_f = F.actions.table(sym, bs)
             tab_g = G.actions.table(sym, bs)
             sizes_g = tuple(G.family.fibers[b][0] for b in bs)
-            for idx in range(_prod(sizes_f)):
+            for idx in range(prod(sizes_f)):
                 local = _mixed_unpack(idx, sizes_f)
                 mapped = tuple(maps[b][i] for b, i in zip(bs, local))
                 lhs = tab_g[_mixed_pack(mapped, sizes_g)]
@@ -321,26 +351,10 @@ def pointed_object_to_sdp(
     B = alpha.source
     if any(beta(alpha(b)) != b for b in range(B.size)):
         raise SectionViolation("beta o alpha must be the identity on B")
-    fibers_elems = [sorted(x for x in range(A.size) if beta(x) == b) for b in range(B.size)]
-    if any(not fiber for fiber in fibers_elems):
+    fibers = [sorted(x for x in range(A.size) if beta(x) == b) for b in range(B.size)]
+    if any(not fiber for fiber in fibers):
         raise SectionViolation("beta must be surjective")
-    fibers = tuple(
-        (len(fiber), fiber.index(alpha(b))) for b, fiber in enumerate(fibers_elems)
-    )
-    family = PointedFamily(B, fibers)
-    position = {x: i for fiber in fibers_elems for i, x in enumerate(fiber)}
-    maps = {}
-    for p, (sym, arity) in enumerate(A.signature.symbols):
-        base_table = B.tables[p]
-        for bs in iproduct(range(B.size), repeat=arity):
-            sizes = tuple(fibers[b][0] for b in bs)
-            table = []
-            for idx in range(_prod(sizes)):
-                local = _mixed_unpack(idx, sizes)
-                args = tuple(fibers_elems[b][i] for b, i in zip(bs, local))
-                table.append(position[A.tables[p][_pack(args, A.size)]])
-            maps[(sym, bs)] = tuple(table)
-    actions = ActionFamily.from_dict(maps)
+    family, actions, position = _restrict_to_fibers(A, B, fibers, alpha.map)
     if V is not None:
         outer = build_outer_product(family, actions, V, name=f"{A.name}_split")
     else:

@@ -7,24 +7,6 @@ from dataclasses import dataclass
 from .errors import ParseError, SizeMismatch
 
 
-def _normalize(parent: list[int]) -> tuple[int, ...]:
-    # path-compress, then relabel every class by its least element
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    least: dict[int, int] = {}
-    for i in range(len(parent)):
-        r = find(i)
-        if r not in least or i < least[r]:
-            least[r] = i
-    return tuple(least[find(i)] for i in range(len(parent)))
-
-
 @dataclass(frozen=True)
 class Partition:
     """Equivalence relation; `rep[i]` is the least element of i's block."""
@@ -45,19 +27,10 @@ class Partition:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Partition":
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind(n)
         for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        return cls(_normalize(parent))
+            uf.union(a, b)
+        return uf.partition()
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Partition":
@@ -113,6 +86,32 @@ class Partition:
 
     def __str__(self) -> str:
         return "{" + ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks()) + "}"
+
+
+class UnionFind:
+    """Disjoint sets on {0..n-1}; a union hangs the larger root under the
+    smaller, so every root is the least element of its class."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of a and b; False when they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    def partition(self) -> Partition:
+        return Partition(tuple(self.find(x) for x in range(len(self.parent))))
 
 
 def parse_partition(text: str, n: int) -> Partition:

@@ -43,3 +43,112 @@ FROZEN_IDEMPOTENT_COUNTS = {
     "s3": 5,
     "klein": 8,
 }
+
+
+def transitive_closure_classes(n, pairs):
+    """Equivalence classes of the reflexive-symmetric-transitive closure of
+    `pairs`, by repeated relation squaring; each element maps to the least
+    member of its class."""
+    related = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        related[a][b] = related[b][a] = True
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if related[i][j]:
+                    continue
+                if any(related[i][k] and related[k][j] for k in range(n)):
+                    related[i][j] = True
+                    changed = True
+    return tuple(min(j for j in range(n) if related[i][j]) for i in range(n))
+
+
+# -- semidirect products straight from the textbook formulas ----------------
+#
+# Each oracle reads only the operation tables of its inputs and writes the
+# whole product table by one loop over the pair carrier; inverses are found
+# by scanning for the element that multiplies to the identity.
+
+
+def _inverse_by_scan(mul, n, one):
+    return tuple(next(b for b in range(n) if mul[a * n + b] == one) for a in range(n))
+
+
+def group_sdp_tables(N, B, phi):
+    """(k1,y1)(k2,y2) = (k1 phi_y1(k2), y1 y2), pairs encoded k*|B| + y."""
+    nm, bm = N.table("m"), B.table("m")
+    nn, nb = N.size, B.size
+    n = nn * nb
+    mul = tuple(
+        nm[k1 * nn + phi[y1][k2]] * nb + bm[y1 * nb + y2]
+        for k1 in range(nn)
+        for y1 in range(nb)
+        for k2 in range(nn)
+        for y2 in range(nb)
+    )
+    one = N.table("e")[0] * nb + B.table("e")[0]
+    return (mul, _inverse_by_scan(mul, n, one), (one,))
+
+
+def ring_sdp_tables(K, S, lam, rho):
+    """(k1,s1)+(k2,s2) componentwise and
+    (k1,s1)(k2,s2) = (k1k2 + lam_s1(k2) + rho_s2(k1), s1s2), encoded k*|S| + s."""
+    ka, kn, km = K.table("add"), K.table("neg"), K.table("mul")
+    sa, sn, sm = S.table("add"), S.table("neg"), S.table("mul")
+    nk, ns = K.size, S.size
+    pairs = [(k, s) for k in range(nk) for s in range(ns)]
+    add = tuple(
+        ka[k1 * nk + k2] * ns + sa[s1 * ns + s2] for k1, s1 in pairs for k2, s2 in pairs
+    )
+    neg = tuple(kn[k] * ns + sn[s] for k, s in pairs)
+    zero = (K.table("zero")[0] * ns + S.table("zero")[0],)
+    mul = tuple(
+        ka[ka[km[k1 * nk + k2] * nk + lam[s1][k2]] * nk + rho[s2][k1]] * ns + sm[s1 * ns + s2]
+        for k1, s1 in pairs
+        for k2, s2 in pairs
+    )
+    return (add, neg, zero, mul)
+
+
+def heap_outer_tables(Y, K, alpha, y0):
+    """[(k1,y1),(k2,y2),(k3,y3)] = ([k1, a_w(k2), a_w(k3)], [y1,y2,y3]) with
+    w = [y1,y2,y0], encoded k*|Y| + y."""
+    yt, kt = Y.tables[0], K.tables[0]
+    ny, nk = Y.size, K.size
+    pairs = [(k, y) for k in range(nk) for y in range(ny)]
+    table = []
+    for k1, y1 in pairs:
+        for k2, y2 in pairs:
+            for k3, y3 in pairs:
+                a = alpha[yt[(y1 * ny + y2) * ny + y0]]
+                k = kt[(k1 * nk + a[k2]) * nk + a[k3]]
+                table.append(k * ny + yt[(y1 * ny + y2) * ny + y3])
+    return (tuple(table),)
+
+
+def digroup_outer_tables(Y, K, phi_star, phi_circ, Lambda):
+    """(y,k) * (y',k') = (y*y', Lam_{y*y'}^-1(phi_*y'(Lam_y(k)) * Lam_y'(k')))
+    and (y,k) o (y',k') = (y o y', phi_oy'(k) o k'), encoded y*|K| + k."""
+    ys, yc = Y.table("star"), Y.table("circ")
+    ks, kc = K.table("star"), K.table("circ")
+    ny, nk = Y.size, K.size
+    n = ny * nk
+    lam_inv = []
+    for perm in Lambda:
+        inv = [0] * nk
+        for i, v in enumerate(perm):
+            inv[v] = i
+        lam_inv.append(inv)
+    pairs = [(y, k) for y in range(ny) for k in range(nk)]
+    star, circ = [], []
+    for y1, k1 in pairs:
+        for y2, k2 in pairs:
+            yy = ys[y1 * ny + y2]
+            kk = ks[phi_star[y2][Lambda[y1][k1]] * nk + Lambda[y2][k2]]
+            star.append(yy * nk + lam_inv[yy][kk])
+            circ.append(yc[y1 * ny + y2] * nk + kc[phi_circ[y2][k1] * nk + k2])
+    one = Y.table("one")[0] * nk + K.table("one")[0]
+    star, circ = tuple(star), tuple(circ)
+    return (star, _inverse_by_scan(star, n, one), circ, _inverse_by_scan(circ, n, one), (one,))

@@ -210,6 +210,47 @@ def test_ring_sdp(tmp_path, capsys):
     assert R.size == 4
 
 
+def ring_sdp_over_z2(tmp_path, maps_text):
+    from ualgebra.catalog import cyclic_ring
+
+    rings = tmp_path / "rings.alg"
+    rings.write_text(emit_algebra(cyclic_ring(2)))
+    maps = tmp_path / "maps.map"
+    maps.write_text(maps_text)
+    return main(
+        ["ring-sdp", "--K", f"{rings}#zring2", "--S", f"{rings}#zring2", "--maps", str(maps)]
+    )
+
+
+def test_ring_sdp_missing_lambda_block_is_input_error(tmp_path, capsys):
+    assert ring_sdp_over_z2(tmp_path, "lambda 0\n0 0\nrho 0\n0 0\nrho 1\n0 1\n") == 2
+    assert "no 'lambda 1' table" in capsys.readouterr().err
+
+
+def test_ring_sdp_out_of_range_entry_is_input_error(tmp_path, capsys):
+    maps = "lambda 0\n0 0\nlambda 1\n0 5\nrho 0\n0 0\nrho 1\n0 1\n"
+    assert ring_sdp_over_z2(tmp_path, maps) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_group_sdp_missing_phi_block_is_input_error(workspace, tmp_path, capsys):
+    phi = tmp_path / "phi.map"
+    phi.write_text("phi 0\n0 1 2\n")
+    code = main(
+        [
+            "group-sdp",
+            "--N",
+            f"{workspace['algs']}#z3",
+            "--B",
+            f"{workspace['algs']}#z2",
+            "--phi",
+            str(phi),
+        ]
+    )
+    assert code == 2
+    assert "no 'phi 1' table" in capsys.readouterr().err
+
+
 def test_brace_check(workspace, capsys):
     code = main(["brace", "check", f"{workspace['dg']}#dgs3"])
     assert code == 0

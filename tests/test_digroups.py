@@ -151,6 +151,15 @@ def test_outer_rejects_bad_hypotheses():
         digroup_outer(DigroupActionTriple(Y, K, (ident, ident), (ident, ident), ((0, 2, 1), ident)))
 
 
+def test_outer_rejects_out_of_range_lambda_entries():
+    # (0, 1, 5) has three distinct entries but is no permutation of K
+    Y = trivial_digroup(cyclic_group(2))
+    K = trivial_digroup(cyclic_group(3))
+    ident = (0, 1, 2)
+    with pytest.raises(HypothesisViolation):
+        digroup_outer(DigroupActionTriple(Y, K, (ident, ident), (ident, ident), (ident, (0, 1, 5))))
+
+
 def test_extract_actions_s3_sign_decomposition():
     D = trivial_digroup(symmetric_group_s3())
     triple, alpha = digroup_extract_actions(D, {0, 1}, {0, 3, 4})

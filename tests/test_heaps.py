@@ -206,6 +206,11 @@ def test_heap_outer_rejects_bad_distinguished_element():
     neg = (0, 2, 1)
     with pytest.raises(HypothesisViolation):
         heap_outer(HeapAction(Y, K, (ident, neg), 1))  # alpha[1] != id
+    for y0 in (-1, 2):  # outside Y
+        with pytest.raises(HypothesisViolation):
+            heap_outer(HeapAction(Y, K, (ident, ident), y0))
+    with pytest.raises(HypothesisViolation):
+        heap_outer(HeapAction(Y, K, (ident, (0, 1, 5)), 0))  # alpha[1] leaves K
 
 
 def test_heap_direct_criterion_abelian_case():

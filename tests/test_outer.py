@@ -24,6 +24,7 @@ from ualgebra.outer import (
     parse_action_file,
     pointed_object_to_sdp,
     sdp_morphism_check,
+    union_algebra,
 )
 from ualgebra.algebras import Homomorphism
 from ualgebra.varieties import REGISTRY
@@ -95,6 +96,8 @@ def test_wrong_length_action_table_is_a_shape_error():
     maps[("m", (0, 0))] = (0, 1)  # should have four entries
     with pytest.raises(ShapeMismatch):
         assemble_union_algebra(family, ActionFamily.from_dict(maps))
+    with pytest.raises(ValueError):  # the unchecked fill does not truncate
+        union_algebra(family, ActionFamily.from_dict(maps), "short")
 
 
 def test_pointedness_is_enforced():

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import transitive_closure_classes
 from ualgebra.errors import SizeMismatch
 from ualgebra.partitions import Partition, all_set_partitions, parse_partition
 
@@ -59,3 +61,16 @@ def test_all_set_partitions_counts_are_bell_numbers():
         parts = list(all_set_partitions(n))
         assert len(parts) == count
         assert len(set(parts)) == count
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)
+        )
+    )
+)
+def test_from_pairs_matches_brute_force_closure(data):
+    n, pairs = data
+    assert Partition.from_pairs(n, pairs).rep == transitive_closure_classes(n, pairs)
