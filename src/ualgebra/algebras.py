@@ -22,12 +22,20 @@ from .terms import Signature
 ISO_SIZE_CAP = 12
 
 
-def _pack(args: tuple[int, ...], n: int) -> int:
+def pack(args: tuple[int, ...], n: int) -> int:
     # row-major mixed radix: f(i1,..,ik) sits at i1*n^(k-1)+...+ik
     idx = 0
     for a in args:
         idx = idx * n + a
     return idx
+
+
+def inverse_permutation(p) -> tuple[int, ...]:
+    """The inverse of a permutation p of {0..len(p)-1}, as a tuple."""
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ class FiniteAlgebra:
         return self.tables[self.signature.position(symbol)]
 
     def apply(self, symbol: str, args: tuple[int, ...]) -> int:
-        return self.tables[self.signature.position(symbol)][_pack(args, self.size)]
+        return self.tables[self.signature.position(symbol)][pack(args, self.size)]
 
     def constants(self) -> dict[str, int]:
         return {
@@ -89,8 +97,8 @@ def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
     for p, (sym, arity) in enumerate(A.signature.symbols):
         ta, tb = A.tables[p], B.tables[p]
         for args in tuples(A.size, arity):
-            image = _pack(tuple(mapping[a] for a in args), B.size)
-            if mapping[ta[_pack(args, A.size)]] != tb[image]:
+            image = pack(tuple(mapping[a] for a in args), B.size)
+            if mapping[ta[pack(args, A.size)]] != tb[image]:
                 return False
     return True
 
@@ -145,7 +153,7 @@ def generated_subalgebra(A: FiniteAlgebra, seed) -> frozenset[int]:
                 continue
             table = A.tables[p]
             for args in iproduct(members, repeat=arity):
-                v = table[_pack(args, A.size)]
+                v = table[pack(args, A.size)]
                 if v not in current:
                     current.add(v)
                     changed = True
@@ -188,7 +196,7 @@ def subalgebra_as_algebra(A: FiniteAlgebra, subset, name: str | None = None):
         table = A.tables[p]
         tables.append(
             tuple(
-                pos[table[_pack(tuple(members[i] for i in args), A.size)]]
+                pos[table[pack(tuple(members[i] for i in args), A.size)]]
                 for args in tuples(k, arity)
             )
         )
@@ -213,8 +221,8 @@ def quotient(A: FiniteAlgebra, omega: Partition):
         table = A.tables[p]
         induced = [-1] * (k**arity)
         for args in tuples(A.size, arity):
-            slot = _pack(tuple(proj[a] for a in args), k)
-            value = proj[table[_pack(args, A.size)]]
+            slot = pack(tuple(proj[a] for a in args), k)
+            value = proj[table[pack(args, A.size)]]
             if induced[slot] == -1:
                 induced[slot] = value
             elif induced[slot] != value:
@@ -236,7 +244,7 @@ def product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
         for args in tuples(n, arity):
             aside = tuple(x // B.size for x in args)
             bside = tuple(x % B.size for x in args)
-            table.append(ta[_pack(aside, A.size)] * B.size + tb[_pack(bside, B.size)])
+            table.append(ta[pack(aside, A.size)] * B.size + tb[pack(bside, B.size)])
         tables.append(tuple(table))
     return FiniteAlgebra(f"{A.name}_x_{B.name}", A.signature, n, tuple(tables))
 
@@ -264,11 +272,11 @@ def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra, cap: int = ISO_SIZE_CAP
         for p, (_, arity) in enumerate(sig):
             ta, tb = A.tables[p], B.tables[p]
             for args in iproduct(assigned, repeat=arity):
-                out = ta[_pack(args, n)]
+                out = ta[pack(args, n)]
                 if out > upto:
                     continue
                 if any(a == upto for a in args) or out == upto or arity == 0:
-                    image = _pack(tuple(mapping[a] for a in args), n)
+                    image = pack(tuple(mapping[a] for a in args), n)
                     if tb[image] != mapping[out]:
                         return False
         return True

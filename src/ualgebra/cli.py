@@ -1,7 +1,9 @@
 """Deterministic command-line front end.
 
 Exit codes: 0 for a computed-true answer or successful construction, 1 for a
-computed-false answer (the report carries a witness), 2 for malformed input.
+computed-false answer (the report carries a witness), 2 for malformed input,
+3 for an internal error (a failed cross-check or any other unexpected
+exception), reported as one `internal error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -417,6 +419,9 @@ def main(argv=None) -> int:
     except (UAError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

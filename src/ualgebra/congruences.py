@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebras import FiniteAlgebra, Homomorphism, _pack
+from .algebras import FiniteAlgebra, Homomorphism, pack
 from .errors import SizeLimitExceeded, SizeMismatch
 from .partitions import Partition, UnionFind
 
@@ -29,7 +29,7 @@ def is_congruence(A: FiniteAlgebra, pi: Partition) -> bool:
             continue
         table = A.tables[p]
         for args, other in _related_tuples(A, pi, arity):
-            if not pi.same(table[_pack(args, A.size)], table[_pack(other, A.size)]):
+            if not pi.same(table[pack(args, A.size)], table[pack(other, A.size)]):
                 return False
     return True
 
@@ -57,13 +57,13 @@ def congruence_generated(A: FiniteAlgebra, pairs) -> Partition:
                 continue
             table = A.tables[p]
             for args in iproduct(range(n), repeat=arity):
-                base = table[_pack(args, n)]
+                base = table[pack(args, n)]
                 for j in range(arity):
                     for b in classes[find(args[j])]:
                         if b == args[j]:
                             continue
                         other = args[:j] + (b,) + args[j + 1 :]
-                        if union(base, table[_pack(other, n)]):
+                        if union(base, table[pack(other, n)]):
                             changed = True
     return uf.partition()
 

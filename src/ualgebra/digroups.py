@@ -8,6 +8,8 @@ them with `outer.union_algebra`, the assembly behind
 `outer.assemble_union_algebra`. Products keep the union's own pair encoding
 y*|K| + k. Pointedness is not checked: a Lambda that moves K's unit can
 leave the family unpointed, and its tables still define a digroup on Y x K.
+`digroup_inner_report` condition c7 is the general inner condition (b) on
+(B, ideal_partition(D, I)).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .algebras import FiniteAlgebra, is_homomorphism, product, quotient
+from .algebras import FiniteAlgebra, inverse_permutation, is_homomorphism, product, quotient
 from .congruences import is_congruence
 from .errors import (
     AxiomFailure,
@@ -26,7 +28,7 @@ from .errors import (
     NotSubdigroup,
     SignatureMismatch,
 )
-from .inner import idempotent_endomorphisms
+from .inner import endo_witness, unique_factorizations
 from .outer import ActionFamily, PointedFamily, union_algebra
 from .partitions import Partition
 from .varieties import DIGROUP_SIG, REGISTRY, check_identities
@@ -186,14 +188,6 @@ class DigroupInnerReport:
         return self.conditions[0]
 
 
-def _unique_factorizations(D: Digroup, B, I, op, left_from_b: bool) -> bool:
-    if left_from_b:
-        return all(
-            sum(1 for b in B for i in I if op(b, i) == a) == 1 for a in range(D.n)
-        )
-    return all(sum(1 for b in B for i in I if op(i, b) == a) == 1 for a in range(D.n))
-
-
 def digroup_inner_report(D: Digroup, B, I) -> DigroupInnerReport:
     """Evaluate the seven split conditions independently and, when they hold,
     verify that the four factorizations of every element are linked by the
@@ -203,21 +197,19 @@ def digroup_inner_report(D: Digroup, B, I) -> DigroupInnerReport:
         raise NotSubdigroup("B must be a subdigroup")
     if not is_ideal(D, I):
         raise NotIdeal("I must be an ideal")
-    one = D.one
 
     circ_set = {D.circ(b, i) for b in B for i in I}
     star_set = {D.star(b, i) for b in B for i in I}
-    trivial_meet = B & I == {one}
+    trivial_meet = B & I == {D.one}
     c1 = circ_set == set(range(D.n)) and trivial_meet
-    c2 = _unique_factorizations(D, B, I, D.circ, True)
-    c3 = _unique_factorizations(D, B, I, D.circ, False)
+    c2 = unique_factorizations(D.n, B, I, D.circ)
+    c3 = unique_factorizations(D.n, I, B, D.circ)
     c4 = star_set == set(range(D.n)) and trivial_meet
-    c5 = _unique_factorizations(D, B, I, D.star, True)
-    c6 = _unique_factorizations(D, B, I, D.star, False)
-    c7 = any(
-        e.image() == B and frozenset(x for x in range(D.n) if e(x) == one) == I
-        for e in idempotent_endomorphisms(D.algebra)
-    )
+    c5 = unique_factorizations(D.n, B, I, D.star)
+    c6 = unique_factorizations(D.n, I, B, D.star)
+    # kernel(e) is the ideal partition of e^-1(1), so it equals the ideal
+    # partition of I exactly when e^-1(1) = I
+    c7 = endo_witness(D.algebra, B, ideal_partition(D, I))
     conditions = (c1, c2, c3, c4, c5, c6, c7)
     assert len(set(conditions)) == 1, "the seven conditions must agree"
     formulas = None
@@ -291,13 +283,6 @@ def _validate_triple(t: DigroupActionTriple):
         raise HypothesisViolation("Lambda at the identity of Y must be id")
 
 
-def _inverse_perm(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def digroup_outer(triple: DigroupActionTriple, name: str = "outer_digroup") -> Digroup:
     """The digroup on Y x K with
 
@@ -313,7 +298,7 @@ def digroup_outer(triple: DigroupActionTriple, name: str = "outer_digroup") -> D
     _validate_triple(triple)
     Y, K = triple.Y, triple.K
     lam, phi_s, phi_c = triple.Lambda, triple.phi_star, triple.phi_circ
-    lam_inv = [_inverse_perm(p) for p in lam]
+    lam_inv = [inverse_permutation(p) for p in lam]
     pairs = list(iproduct(range(K.n), repeat=2))
     maps = {("one", ()): (K.one,)}
     for y1 in range(Y.n):
@@ -351,7 +336,7 @@ def digroup_outer(triple: DigroupActionTriple, name: str = "outer_digroup") -> D
 def pair_identities(triple: DigroupActionTriple, D: Digroup) -> tuple[bool, bool, bool, bool]:
     """Status of the four mixed-pair identities on a built outer digroup."""
     Y, K = triple.Y, triple.K
-    lam_inv = [_inverse_perm(p) for p in triple.Lambda]
+    lam_inv = [inverse_permutation(p) for p in triple.Lambda]
 
     def enc(y, k):
         return y * K.n + k
@@ -374,7 +359,6 @@ def sub_digroup(D: Digroup, S, name: str | None = None) -> tuple[Digroup, tuple[
     """Relabel a subdigroup on {0..k-1}; returns (digroup, sorted members)."""
     members = sorted(frozenset(S))
     pos = {x: i for i, x in enumerate(members)}
-    k = len(members)
     star = tuple(pos[D.star(a, b)] for a in members for b in members)
     circ = tuple(pos[D.circ(a, b)] for a in members for b in members)
     return digroup_from_tables(star, circ, name or f"{D.algebra.name}_sub"), tuple(members)
@@ -423,7 +407,7 @@ def digroup_extract_actions(D: Digroup, Y, K):
 def _assert_recovery_formulas(triple: DigroupActionTriple, D: Digroup):
     """The action maps must be recoverable from the product tables."""
     Y, K = triple.Y, triple.K
-    lam_inv = [_inverse_perm(p) for p in triple.Lambda]
+    lam_inv = [inverse_permutation(p) for p in triple.Lambda]
 
     def enc(y, k):
         return y * K.n + k
@@ -541,7 +525,7 @@ def skew_brace_outer_condition(triple: DigroupActionTriple) -> bool:
             )
             if composed != target:
                 raise HypothesisViolation("Lambda must be multiplicative over (Y, o)")
-    lam_inv = [_inverse_perm(p) for p in triple.Lambda]
+    lam_inv = [inverse_permutation(p) for p in triple.Lambda]
 
     def lam_y(y, ypp):  # y^-* * (y o y'') inside Y
         return Y.star(Y.sinv(y), Y.circ(y, ypp))
@@ -724,7 +708,7 @@ def _perms_fixing_zero(n: int):
 
 
 def _relabel(table: tuple[int, ...], p: tuple[int, ...], n: int) -> tuple[int, ...]:
-    inv = _inverse_perm(p)
+    inv = inverse_permutation(p)
     return tuple(p[table[inv[a] * n + inv[b]]] for a in range(n) for b in range(n))
 
 

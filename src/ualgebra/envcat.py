@@ -14,7 +14,7 @@ from math import prod
 
 from .algebras import FiniteAlgebra
 from .errors import EndpointMismatch, ShapeMismatch
-from .outer import OuterProduct, _mixed_pack, _mixed_unpack
+from .outer import OuterProduct, mixed_pack, mixed_unpack
 from .terms import Term, Var, eval_term, substitute, term_variables
 
 
@@ -83,7 +83,7 @@ class ProductPointedSet:
         return prod(self.sizes)
 
     def flat_basepoint(self) -> int:
-        return _mixed_pack(self.basepoint, self.sizes)
+        return mixed_pack(self.basepoint, self.sizes)
 
 
 def functor_object(F: OuterProduct, obj: TupleObject) -> ProductPointedSet:
@@ -101,27 +101,38 @@ def _term_table(F: OuterProduct, obj: TupleObject, t: Term) -> tuple[tuple[int, 
 
     Structural recursion: a variable is a projection, an application composes
     its symbol's action table (at the base values of the arguments) with the
-    argument tables. Returns (flat table, base value of t at obj).
+    argument tables. Returns (flat table, base value of t at obj). Tables are
+    built whole: a projection reads its coordinate off the row-major strides,
+    and argument tables are packed column by column in mixed radix.
     """
     base = F.family.base
-    src = functor_object(F, obj)
-    if isinstance(t, Var):
-        if t.index >= len(obj):
-            raise ShapeMismatch("term uses a missing coordinate")
-        table = tuple(
-            _mixed_unpack(idx, src.sizes)[t.index] for idx in range(src.total())
-        )
-        return table, obj.elements[t.index]
-    arg_results = [_term_table(F, obj, a) for a in t.args]
-    arg_values = tuple(v for _, v in arg_results)
-    value = base.apply(t.symbol, arg_values)
-    action = F.actions.table(t.symbol, arg_values)
-    arg_sizes = tuple(F.family.fibers[v][0] for v in arg_values)
-    table = tuple(
-        action[_mixed_pack(tuple(at[idx] for at, _ in arg_results), arg_sizes)]
-        for idx in range(src.total())
-    )
-    return table, value
+    sizes = functor_object(F, obj).sizes
+    total = prod(sizes)
+    strides = [prod(sizes[j + 1:]) for j in range(len(sizes))]
+
+    def table_of(t: Term) -> tuple[tuple[int, ...], int]:
+        if isinstance(t, Var):
+            if t.index >= len(obj):
+                raise ShapeMismatch("term uses a missing coordinate")
+            stride, m = strides[t.index], sizes[t.index]
+            return tuple(idx // stride % m for idx in range(total)), obj.elements[t.index]
+        arg_results = [table_of(a) for a in t.args]
+        arg_values = tuple(v for _, v in arg_results)
+        value = base.apply(t.symbol, arg_values)
+        action = F.actions.table(t.symbol, arg_values)
+        arg_sizes = [F.family.fibers[v][0] for v in arg_values]
+        packed = _pack_columns([at for at, _ in arg_results], arg_sizes, total)
+        return tuple(action[i] for i in packed), value
+
+    return table_of(t)
+
+
+def _pack_columns(columns, sizes, length: int) -> list[int]:
+    """mixed_pack of each row of the columns, for rows 0..length-1."""
+    packed = [0] * length
+    for column, m in zip(columns, sizes):
+        packed = [p * m + a for p, a in zip(packed, column)]
+    return packed
 
 
 def functor_morphism(F: OuterProduct, p: TermTupleMorphism) -> tuple[tuple[int, ...], ...]:
@@ -141,16 +152,8 @@ def tables_compose(
     mid_sizes: tuple[int, ...],
 ) -> tuple[tuple[int, ...], ...]:
     """Componentwise composition through the middle product."""
-    size = len(inner[0]) if inner else 1
-    out = []
-    for table in outer:
-        out.append(
-            tuple(
-                table[_mixed_pack(tuple(g[idx] for g in inner), mid_sizes)]
-                for idx in range(size)
-            )
-        )
-    return tuple(out)
+    packed = _pack_columns(inner, mid_sizes, len(inner[0]) if inner else 1)
+    return tuple(tuple(table[i] for i in packed) for table in outer)
 
 
 def check_functoriality(
@@ -175,7 +178,7 @@ def check_identity_law(F: OuterProduct, obj: TupleObject) -> bool:
     tables = functor_morphism(F, identity_morphism(obj))
     sizes = functor_object(F, obj).sizes
     for idx in range(prod(sizes)):
-        if tuple(t[idx] for t in tables) != _mixed_unpack(idx, sizes):
+        if tuple(t[idx] for t in tables) != mixed_unpack(idx, sizes):
             return False
     return True
 

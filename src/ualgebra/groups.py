@@ -5,15 +5,17 @@ pointed family (N or K over every base element, pointed at its identity or
 zero) and an action family, and build through `outer.assemble_union_algebra`
 like every outer product. Products are published in the pair encoding
 k*|B| + b, the pairing of `product(K, B)`, relabelled from the union's native
-b*|K| + k.
+b*|K| + k. `group_inner_equivalences` flags d, e and f are the general inner
+conditions (b), (c) and (d) on (Y, the coset partition of K).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as iproduct
 
-from .algebras import FiniteAlgebra, is_homomorphism, quotient, subalgebra_as_algebra
+from .algebras import FiniteAlgebra, is_homomorphism, subalgebra_as_algebra
 from .errors import (
     CompatibilityViolation,
     ConditionViolation,
@@ -24,7 +26,12 @@ from .errors import (
     PointednessViolation,
     SignatureMismatch,
 )
-from .inner import idempotent_endomorphisms
+from .inner import (
+    canonical_iso_witness,
+    endo_witness,
+    retraction_witness,
+    unique_factorizations,
+)
 from .outer import ActionFamily, PointedFamily, assemble_union_algebra, fiber_major
 from .partitions import Partition
 from .varieties import GROUP_SIG, RING_SIG, REGISTRY, check_identities
@@ -116,9 +123,9 @@ class GroupInnerReport:
     a: bool  # G = KY and K n Y = 1
     b: bool  # unique g = ky factorization
     c: bool  # unique g = yk factorization
-    d: bool  # idempotent endomorphism with kernel K and image Y
-    e: bool  # retraction onto Y with kernel K
-    f: bool  # y -> yK is an isomorphism Y -> G/K
+    d: bool  # idempotent endomorphism with kernel K and image Y: inner (b)
+    e: bool  # retraction onto Y with kernel K: inner (c)
+    f: bool  # y -> yK is an isomorphism Y -> G/K: inner (d)
 
     @property
     def holds(self) -> bool:
@@ -135,40 +142,18 @@ def group_inner_equivalences(G: FiniteAlgebra, K, Y) -> GroupInnerReport:
         raise NotSubgroup("Y must be a subgroup")
     one = group_identity(G)
 
-    products = {group_mul(G, k, y) for k in K for y in Y}
+    mul = partial(group_mul, G)
+    products = {mul(k, y) for k in K for y in Y}
     flag_a = products == set(G.elements) and K & Y == {one}
+    flag_b = unique_factorizations(G.size, K, Y, mul)
+    flag_c = unique_factorizations(G.size, Y, K, mul)
 
-    flag_b = all(
-        sum(1 for k in K for y in Y if group_mul(G, k, y) == g) == 1 for g in G.elements
-    )
-    flag_c = all(
-        sum(1 for k in K for y in Y if group_mul(G, y, k) == g) == 1 for g in G.elements
-    )
-
-    flag_d = any(
-        e.image() == Y and frozenset(x for x in G.elements if e(x) == one) == K
-        for e in idempotent_endomorphisms(G)
-    )
-
-    # kernel K forces constancy on K-cosets and injectivity across them
-    coset = Partition.from_pairs(
-        G.size, [(g, group_mul(G, g, k)) for g in G.elements for k in K]
-    )
-    flag_e = False
-    if all(len(Y.intersection(block)) == 1 for block in coset.blocks()):
-        retract = [0] * G.size
-        for block in coset.blocks():
-            rep = next(y for y in block if y in Y)
-            for x in block:
-                retract[x] = rep
-        flag_e = is_homomorphism(tuple(retract), G, G) and set(retract) == Y
-
-    Q, proj = quotient(G, coset)
-    subY, members_y = subalgebra_as_algebra(G, Y)
-    canonical = tuple(proj(y) for y in members_y)
-    flag_f = len(set(canonical)) == len(members_y) == Q.size and is_homomorphism(
-        canonical, subY, Q
-    )
+    # for an endomorphism e, kernel(e) is the coset partition of e^-1(1), so
+    # kernel(e) = the cosets of K exactly when e^-1(1) = K
+    coset = Partition.from_pairs(G.size, [(g, mul(g, k)) for g in G.elements for k in K])
+    flag_d = endo_witness(G, Y, coset)
+    flag_e = retraction_witness(G, Y, coset)
+    flag_f = canonical_iso_witness(G, Y, coset)
 
     report = GroupInnerReport(flag_a, flag_b, flag_c, flag_d, flag_e, flag_f)
     assert len({flag_a, flag_b, flag_c, flag_d, flag_e, flag_f}) == 1, (
@@ -325,12 +310,10 @@ def group_data_from_inner(G: FiniteAlgebra, K, Y) -> GroupSDPData:
     _require_group(G)
     report = group_inner_equivalences(G, K, Y)
     assert report.holds, "need a genuine decomposition"
-    members_k = sorted(frozenset(K))
-    members_y = sorted(frozenset(Y))
+    N, members_k = subalgebra_as_algebra(G, frozenset(K), name=f"{G.name}_K")
+    B, members_y = subalgebra_as_algebra(G, frozenset(Y), name=f"{G.name}_Y")
     pos_k = {k: i for i, k in enumerate(members_k)}
     pos_y = {y: i for i, y in enumerate(members_y)}
-    N, _ = subalgebra_as_algebra(G, frozenset(K), name=f"{G.name}_K")
-    B, _ = subalgebra_as_algebra(G, frozenset(Y), name=f"{G.name}_Y")
     g = {}
     for b1 in members_y:
         for b2 in members_y:

@@ -7,24 +7,28 @@ action on the block of a chosen basepoint.
 `heap_outer` translates a heap action into a pointed family (K over every
 y, pointed at 0) and the action family t(k1, k2, k3) = [k1, a_w(k2), a_w(k3)],
 and builds through `outer.assemble_union_algebra`. Products are published in
-the pair encoding k*|Y| + y.
+the pair encoding k*|Y| + y. `heap_inner_report` flags a, b and e and
+`near_truss_report` flags a, b and d are the general inner conditions (a),
+(b) and (d) on (Y, omega); the bracket factorizations are heap-specific.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as iproduct
 
 from .algebras import (
     FiniteAlgebra,
     Homomorphism,
     find_isomorphism,
+    inverse_permutation,
     is_homomorphism,
+    is_subalgebra,
     product,
-    quotient,
     subalgebra_as_algebra,
 )
-from .congruences import all_congruences, congruence_generated, is_congruence, kernel
+from .congruences import all_congruences, congruence_generated, is_congruence
 from .errors import (
     AxiomFailure,
     DecompositionInvalid,
@@ -33,8 +37,15 @@ from .errors import (
     NotACongruence,
     NotASubheap,
     SignatureMismatch,
+    SizeMismatch,
 )
-from .inner import idempotent_endomorphisms
+from .inner import (
+    canonical_iso_witness,
+    endo_witness,
+    idempotent_endomorphisms,
+    is_transversal,
+    unique_factorizations,
+)
 from .outer import ActionFamily, PointedFamily, assemble_union_algebra, fiber_major
 from .partitions import Partition
 from .varieties import GROUP_SIG, HEAP_SIG, TRUSS_SIG, REGISTRY, check_identities
@@ -84,6 +95,8 @@ def group_from_heap(X: FiniteAlgebra, e: int) -> FiniteAlgebra:
 
 def is_subheap(X: FiniteAlgebra, S) -> bool:
     S = frozenset(S)
+    if any(not 0 <= x < X.size for x in S):
+        raise SizeMismatch("subset outside the carrier")
     return all(heap_op(X, a, b, c) in S for a in S for b in S for c in S)
 
 
@@ -175,17 +188,41 @@ def heap_congruence_correspondence(X: FiniteAlgebra) -> HeapCorrespondenceReport
 
 @dataclass(frozen=True)
 class HeapInnerReport:
-    a: bool  # Y is a transversal of the omega-classes
-    b: bool  # an idempotent heap endomorphism has image Y and kernel omega
+    a: bool  # Y is a transversal of the omega-classes: inner (a)
+    b: bool  # an idempotent heap endomorphism has image Y and kernel omega: inner (b)
     c: bool  # unique a = [b,c,d] with b omega c, d in Y
     d: bool  # unique a = [d,c,b] with b omega c, d in Y
-    e: bool  # y -> [y] is an isomorphism Y -> X/omega
+    e: bool  # y -> [y] is an isomorphism Y -> X/omega: inner (d)
     action: tuple[tuple[int, ...], ...] | None
     block: tuple[int, ...] | None
 
     @property
     def holds(self) -> bool:
         return self.a
+
+
+def _unique_brackets(X: FiniteAlgebra, Y: frozenset[int], omega: Partition, swap: bool) -> bool:
+    """For every c in Y, each a is [b, c, d] (or [d, c, b] with `swap`) for
+    exactly one b in the omega-class of c and one d in Y."""
+
+    def bracket(b, c, d):
+        return heap_op(X, d, c, b) if swap else heap_op(X, b, c, d)
+
+    return all(
+        unique_factorizations(X.size, omega.block_of(c), Y, lambda b, d: bracket(b, c, d))
+        for c in Y
+    )
+
+
+def _is_aut_heap_morphism(members, alpha, t) -> bool:
+    """Is y -> alpha[y] a heap morphism into the automorphisms under
+    [f, g, h] = f o g^-1 o h, i.e. alpha[t(y1, y2, y3)] is
+    alpha[y1] o alpha[y2]^-1 o alpha[y3] for all y1, y2, y3 in members?"""
+    inv = {y: inverse_permutation(alpha[y]) for y in members}
+    return all(
+        alpha[t(y1, y2, y3)] == tuple(alpha[y1][inv[y2][v]] for v in alpha[y3])
+        for y1, y2, y3 in iproduct(members, repeat=3)
+    )
 
 
 def heap_inner_report(
@@ -200,39 +237,11 @@ def heap_inner_report(
     if not is_congruence(X, omega):
         raise NotACongruence("omega must be a congruence")
 
-    flag_a = all(len(Y.intersection(block)) == 1 for block in omega.blocks())
-
-    flag_b = any(
-        e_.image() == Y and kernel(e_) == omega for e_ in idempotent_endomorphisms(X)
-    )
-
-    def unique_pairs(swap: bool) -> bool:
-        for a in range(X.size):
-            for c in sorted(Y):
-                count = 0
-                for b in range(X.size):
-                    if not omega.same(b, c):
-                        continue
-                    for d in sorted(Y):
-                        value = (
-                            heap_op(X, d, c, b) if swap else heap_op(X, b, c, d)
-                        )
-                        if value == a:
-                            count += 1
-                if count != 1:
-                    return False
-        return True
-
-    flag_c = unique_pairs(False)
-    flag_d = unique_pairs(True)
-
-    Q, proj = quotient(X, omega)
-    subY, members_y = subalgebra_as_algebra(X, Y)
-    canonical = tuple(proj(y) for y in members_y)
-    flag_e = len(set(canonical)) == len(members_y) == Q.size and is_homomorphism(
-        canonical, subY, Q
-    )
-
+    flag_a = is_transversal(Y, omega)
+    flag_b = endo_witness(X, Y, omega)
+    flag_c = _unique_brackets(X, Y, omega, swap=False)
+    flag_d = _unique_brackets(X, Y, omega, swap=True)
+    flag_e = canonical_iso_witness(X, Y, omega)
     assert flag_a == flag_b == flag_c == flag_d == flag_e, "the five conditions must agree"
 
     action = None
@@ -244,34 +253,19 @@ def heap_inner_report(
             raise DecompositionInvalid("the basepoint must lie in Y")
         block = omega.block_of(e)
         pos = {x: i for i, x in enumerate(block)}
-        action_rows = []
-        for y in sorted(Y):
-            row = tuple(
-                pos[heap_op(X, y, e, heap_op(X, k, y, e))] for k in block
-            )
-            action_rows.append(row)
-        action = tuple(action_rows)
         members = sorted(Y)
+        action = tuple(
+            tuple(pos[heap_op(X, y, e, heap_op(X, k, y, e))] for k in block) for y in members
+        )
         # every congruence block is a subheap: t maps a block cube into the block
         block_heap, _ = subalgebra_as_algebra(X, block)
         for row in action:
             assert len(set(row)) == len(block), "each alpha_y must permute the block"
             assert is_homomorphism(row, block_heap, block_heap)
-        # alpha is a heap morphism into Aut under [f,g,h] = f o g^-1 o h
-        index_of = {y: i for i, y in enumerate(members)}
-        for y1 in members:
-            for y2 in members:
-                inv2 = [0] * len(block)
-                for i, v in enumerate(action[index_of[y2]]):
-                    inv2[v] = i
-                for y3 in members:
-                    target = action[index_of[heap_op(X, y1, y2, y3)]]
-                    composed = tuple(
-                        action[index_of[y1]][inv2[action[index_of[y3]][k]]]
-                        for k in range(len(block))
-                    )
-                    assert composed == target, "alpha must respect the heap operation"
-        assert action[index_of[e]] == tuple(range(len(block))), "alpha_e must be id"
+        assert _is_aut_heap_morphism(members, dict(zip(members, action)), partial(heap_op, X)), (
+            "alpha must respect the heap operation"
+        )
+        assert action[members.index(e)] == tuple(range(len(block))), "alpha_e must be id"
     return HeapInnerReport(flag_a, flag_b, flag_c, flag_d, flag_e, action, block)
 
 
@@ -303,14 +297,8 @@ def _validate_heap_action(action: HeapAction):
             raise HypothesisViolation(f"alpha[{y}] is not a heap automorphism")
     if action.alpha[action.y0] != tuple(range(K.size)):
         raise HypothesisViolation("alpha at the distinguished element must be id")
-    for y1, y2, y3 in iproduct(range(Y.size), repeat=3):
-        inv2 = [0] * K.size
-        for i, v in enumerate(action.alpha[y2]):
-            inv2[v] = i
-        target = action.alpha[heap_op(Y, y1, y2, y3)]
-        composed = tuple(action.alpha[y1][inv2[action.alpha[y3][k]]] for k in range(K.size))
-        if composed != target:
-            raise HypothesisViolation("alpha must be a heap morphism into Aut(K)")
+    if not _is_aut_heap_morphism(range(Y.size), action.alpha, partial(heap_op, Y)):
+        raise HypothesisViolation("alpha must be a heap morphism into Aut(K)")
 
 
 @dataclass(frozen=True)
@@ -477,10 +465,10 @@ def truss_from_ring(R: FiniteAlgebra) -> FiniteAlgebra:
 
 @dataclass(frozen=True)
 class NearTrussReport:
-    a: bool  # Y is a transversal of the omega-classes
-    b: bool  # an idempotent endomorphism has image Y and kernel omega
+    a: bool  # Y is a transversal of the omega-classes: inner (a)
+    b: bool  # an idempotent endomorphism has image Y and kernel omega: inner (b)
     c: bool  # unique a = [d,c,b] with b omega c, d in Y
-    d: bool  # y -> [y] is an isomorphism Y -> X/omega
+    d: bool  # y -> [y] is an isomorphism Y -> X/omega: inner (d)
 
     @property
     def holds(self) -> bool:
@@ -494,44 +482,15 @@ def near_truss_report(
     if not is_near_truss(X, side):
         raise AxiomFailure(f"X is not a {side} near-truss")
     Y = frozenset(Y)
-    if not Y or not all(
-        heap_op(X, a, b, c) in Y and truss_mul(X, a, b) in Y
-        for a in Y
-        for b in Y
-        for c in Y
-    ):
+    if not is_subalgebra(X, Y):  # closed under both t and m
         raise NotASubheap("Y must be a nonempty sub-near-truss")
     if not is_congruence(X, omega):
         raise NotACongruence("omega must be a congruence of both operations")
 
-    flag_a = all(len(Y.intersection(block)) == 1 for block in omega.blocks())
-    flag_b = any(
-        endo.image() == Y and kernel(endo) == omega
-        for endo in idempotent_endomorphisms(X)
-    )
-
-    flag_c = True
-    for a in range(X.size):
-        for c in sorted(Y):
-            count = sum(
-                1
-                for b in range(X.size)
-                if omega.same(b, c)
-                for d in sorted(Y)
-                if heap_op(X, d, c, b) == a
-            )
-            if count != 1:
-                flag_c = False
-                break
-        if not flag_c:
-            break
-
-    Q, proj = quotient(X, omega)
-    sub_y, members_y = subalgebra_as_algebra(X, Y)
-    canonical = tuple(proj(y) for y in members_y)
-    flag_d = len(set(canonical)) == len(members_y) == Q.size and is_homomorphism(
-        canonical, sub_y, Q
-    )
+    flag_a = is_transversal(Y, omega)
+    flag_b = endo_witness(X, Y, omega)
+    flag_c = _unique_brackets(X, Y, omega, swap=True)
+    flag_d = canonical_iso_witness(X, Y, omega)
 
     report = NearTrussReport(flag_a, flag_b, flag_c, flag_d)
     assert len({flag_a, flag_b, flag_c, flag_d}) == 1, "the four conditions must agree"

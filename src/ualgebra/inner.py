@@ -3,6 +3,11 @@
 A decomposition of A consists of a subalgebra B and a congruence omega such
 that B meets every omega-class in exactly one point. Decompositions biject
 with idempotent endomorphisms, and every carrier splits into pointed blocks.
+Each of the four equivalent conditions of `verify_inner_sdp` is one public
+function: (a) `is_transversal`, (b) `endo_witness`, (c) `retraction_witness`,
+(d) `canonical_iso_witness`. The group, digroup, heap and near-truss reports
+evaluate them on their own (B, omega), and count their class-specific
+factorizations with `unique_factorizations`.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from itertools import product as iproduct
 from .algebras import (
     FiniteAlgebra,
     Homomorphism,
-    _pack,
     is_homomorphism,
     is_subalgebra,
+    pack,
     quotient,
     subalgebra_as_algebra,
 )
@@ -54,10 +59,10 @@ def _enumerate_idempotents(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
         for p, (_, arity) in enumerate(sig):
             table = A.tables[p]
             for args in iproduct(decided, repeat=arity):
-                out = table[_pack(args, n)]
+                out = table[pack(args, n)]
                 if image[out] < 0:
                     continue
-                if table[_pack(tuple(image[a] for a in args), n)] != image[out]:
+                if table[pack(tuple(image[a] for a in args), n)] != image[out]:
                     return False
         return True
 
@@ -136,39 +141,52 @@ class InnerSdpReport:
         return self.a
 
 
-def _transversal(A: FiniteAlgebra, B: frozenset[int], omega: Partition) -> bool:
+def is_transversal(B: frozenset[int], omega: Partition) -> bool:
+    """(a): B meets every omega-class in exactly one element."""
     return all(len(B.intersection(block)) == 1 for block in omega.blocks())
 
 
-def _endo_witness(A: FiniteAlgebra, B: frozenset[int], omega: Partition, cap: int) -> bool:
-    for e in idempotent_endomorphisms(A, cap):
-        if e.image() == B and kernel(e) == omega:
-            return True
-    return False
+def endo_witness(
+    A: FiniteAlgebra, B: frozenset[int], omega: Partition, cap: int = ENDO_ENUM_CAP
+) -> bool:
+    """(b): some idempotent endomorphism has image B and kernel omega."""
+    return any(e.image() == B and kernel(e) == omega for e in idempotent_endomorphisms(A, cap))
 
 
-def _retraction_witness(A: FiniteAlgebra, B: frozenset[int], omega: Partition) -> bool:
-    # a map with kernel exactly omega is constant on classes and injective
-    # across them, and the identity on B pins the classes that meet B
-    sub, members = subalgebra_as_algebra(A, B)
-    pos = {x: i for i, x in enumerate(members)}
+def _retraction(A: FiniteAlgebra, B: frozenset[int], omega: Partition) -> tuple[int, ...] | None:
+    """x -> the element of B in its omega-class; None unless B is a transversal."""
     mapping = [-1] * A.size
     for block in omega.blocks():
         inside = [x for x in block if x in B]
         if len(inside) != 1:
-            return False
+            return None
         for x in block:
-            mapping[x] = pos[inside[0]]
-    return is_homomorphism(tuple(mapping), A, sub)
+            mapping[x] = inside[0]
+    return tuple(mapping)
 
 
-def _canonical_iso_witness(A: FiniteAlgebra, B: frozenset[int], omega: Partition) -> bool:
+def retraction_witness(A: FiniteAlgebra, B: frozenset[int], omega: Partition) -> bool:
+    """(c): a homomorphism A -> B restricting to the identity has kernel omega."""
+    # a map with kernel exactly omega is constant on classes and injective
+    # across them, and the identity on B pins the classes that meet B; its
+    # image is B, so it is a homomorphism onto B exactly when it is one A -> A
+    r = _retraction(A, B, omega)
+    return r is not None and is_homomorphism(r, A, A)
+
+
+def canonical_iso_witness(A: FiniteAlgebra, B: frozenset[int], omega: Partition) -> bool:
+    """(d): the canonical map B -> A/omega, b -> [b], is an isomorphism."""
     Q, proj = quotient(A, omega)
     sub, members = subalgebra_as_algebra(A, B)
     canonical = tuple(proj(b) for b in members)
     if len(set(canonical)) != len(members) or len(members) != Q.size:
         return False
     return is_homomorphism(canonical, sub, Q)
+
+
+def unique_factorizations(n: int, left, right, op) -> bool:
+    """Every element of {0..n-1} is op(l, r) for exactly one pair in left x right."""
+    return sorted(op(l, r) for l in left for r in right) == list(range(n))
 
 
 def verify_inner_sdp(A: FiniteAlgebra, B, omega: Partition, cap: int = ENDO_ENUM_CAP) -> InnerSdpReport:
@@ -182,19 +200,13 @@ def verify_inner_sdp(A: FiniteAlgebra, B, omega: Partition, cap: int = ENDO_ENUM
     cong_ok = is_congruence(A, omega)
     if not (sub_ok and cong_ok):
         return InnerSdpReport(sub_ok, cong_ok, False, False, False, False, None)
-    flag_a = _transversal(A, B, omega)
-    flag_b = _endo_witness(A, B, omega, cap)
-    flag_c = _retraction_witness(A, B, omega)
-    flag_d = _canonical_iso_witness(A, B, omega)
+    flag_a = is_transversal(B, omega)
+    flag_b = endo_witness(A, B, omega, cap)
+    flag_c = retraction_witness(A, B, omega)
+    flag_d = canonical_iso_witness(A, B, omega)
     assert flag_a == flag_b == flag_c == flag_d, "the four conditions must agree"
-    dec = None
-    if flag_a:
-        mapping = [-1] * A.size
-        for block in omega.blocks():
-            rep = next(x for x in block if x in B)
-            for x in block:
-                mapping[x] = rep
-        dec = decomposition_from_idempotent(A, Homomorphism(A, A, tuple(mapping)))
+    r = _retraction(A, B, omega)
+    dec = decomposition_from_idempotent(A, Homomorphism(A, A, r)) if flag_a else None
     return InnerSdpReport(sub_ok, cong_ok, flag_a, flag_b, flag_c, flag_d, dec)
 
 
@@ -203,7 +215,7 @@ def totally_idempotent_elements(A: FiniteAlgebra) -> frozenset[int]:
     out = []
     for a in range(A.size):
         if all(
-            A.tables[p][_pack((a,) * arity, A.size)] == a
+            A.tables[p][pack((a,) * arity, A.size)] == a
             for p, (_, arity) in enumerate(A.signature.symbols)
         ):
             out.append(a)
@@ -292,6 +304,6 @@ def count_transversal_pairs(A: FiniteAlgebra, subalgebras, congruences) -> int:
     for B in subalgebras:
         members = frozenset(B)
         for omega in congruences:
-            if _transversal(A, members, omega):
+            if is_transversal(members, omega):
                 count += 1
     return count

@@ -12,16 +12,18 @@ translated into this data and built by `assemble_union_algebra` as well.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 from math import prod
 
 from .algebras import (
     FiniteAlgebra,
     Homomorphism,
-    _pack,
+    inverse_permutation,
     is_homomorphism,
+    pack,
     subalgebra_as_algebra,
 )
 from .errors import (
@@ -54,12 +56,10 @@ class PointedFamily:
     def constant(cls, base: FiniteAlgebra, size: int, basepoint: int) -> "PointedFamily":
         return cls(base, ((size, basepoint),) * base.size)
 
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out, total = [], 0
-        for size, _ in self.fibers:
-            out.append(total)
-            total += size
-        return tuple(out)
+        """offsets[b] is the global index of position 0 of the fiber over b."""
+        return tuple(accumulate((size for size, _ in self.fibers), initial=0))[:-1]
 
     def total_size(self) -> int:
         return sum(size for size, _ in self.fibers)
@@ -93,14 +93,14 @@ class ActionFamily:
         return dict(self.maps)
 
 
-def _mixed_pack(indices: tuple[int, ...], sizes: tuple[int, ...]) -> int:
+def mixed_pack(indices: tuple[int, ...], sizes: tuple[int, ...]) -> int:
     idx = 0
     for i, m in zip(indices, sizes):
         idx = idx * m + i
     return idx
 
 
-def _mixed_unpack(idx: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
+def mixed_unpack(idx: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(sizes)
     for j in range(len(sizes) - 1, -1, -1):
         idx, out[j] = divmod(idx, sizes[j])
@@ -116,15 +116,14 @@ class OuterProduct:
     actions: ActionFamily
 
     def encode(self, b: int, i: int) -> int:
-        return self.family.offsets()[b] + i
+        return self.family.offsets[b] + i
 
     def decode(self, x: int) -> tuple[int, int]:
         """Global element -> (fiber index within its block, base element)."""
-        offsets = self.family.offsets()
-        for b in range(self.family.base.size - 1, -1, -1):
-            if x >= offsets[b]:
-                return x - offsets[b], b
-        raise ShapeMismatch(f"element {x} outside the disjoint union")
+        if not 0 <= x < self.algebra.size:
+            raise ShapeMismatch(f"element {x} outside the disjoint union")
+        b = bisect_right(self.family.offsets, x) - 1
+        return x - self.family.offsets[b], b
 
     def fiber(self, b: int) -> tuple[int, int]:
         return self.family.fibers[b]
@@ -142,7 +141,7 @@ def _validate_family(family: PointedFamily, actions: ActionFamily):
     for p, (sym, arity) in enumerate(base.signature.symbols):
         table = base.tables[p]
         for bs in iproduct(range(base.size), repeat=arity):
-            target = table[_pack(bs, base.size)]
+            target = table[pack(bs, base.size)]
             sizes = tuple(family.fibers[b][0] for b in bs)
             action = actions.table(sym, bs)
             if len(action) != prod(sizes):
@@ -151,7 +150,7 @@ def _validate_family(family: PointedFamily, actions: ActionFamily):
             if any(not 0 <= v < target_size for v in action):
                 raise ShapeMismatch(f"action table for {sym} at {bs} leaves its fiber")
             basepoints = tuple(family.fibers[b][1] for b in bs)
-            if action[_mixed_pack(basepoints, sizes)] != target_base:
+            if action[mixed_pack(basepoints, sizes)] != target_base:
                 raise PointednessViolation(
                     f"action for {sym} at {bs} does not send basepoints to the basepoint"
                 )
@@ -167,7 +166,7 @@ def union_algebra(family: PointedFamily, actions: ActionFamily, name: str) -> Fi
     of its coordinates, each pre-scaled by its place value n**(arity-1-j).
     """
     base = family.base
-    offsets = family.offsets()
+    offsets = family.offsets
     n = family.total_size()
     tables = []
     for p, (sym, arity) in enumerate(base.signature.symbols):
@@ -175,7 +174,7 @@ def union_algebra(family: PointedFamily, actions: ActionFamily, name: str) -> Fi
         weights = [n ** (arity - 1 - j) for j in range(arity)]
         table = [0] * n**arity
         for bs in iproduct(range(base.size), repeat=arity):
-            offset = offsets[base_table[_pack(bs, base.size)]]
+            offset = offsets[base_table[pack(bs, base.size)]]
             columns = (
                 range(offsets[b] * w, (offsets[b] + family.fibers[b][0]) * w, w)
                 for b, w in zip(bs, weights)
@@ -205,9 +204,7 @@ def fiber_major(F: OuterProduct) -> FiniteAlgebra:
     nk = F.family.fibers[0][0]
     # new element k*|B| + b is old element b*|K| + k
     old = [b * nk + k for k in range(nk) for b in range(nb)]
-    new = [0] * A.size
-    for x, y in enumerate(old):
-        new[y] = x
+    new = inverse_permutation(old)
     tables = []
     for (_, arity), table in zip(A.signature.symbols, A.tables):
         columns = [[old[x] * A.size ** (arity - 1 - j) for x in range(A.size)] for j in range(arity)]
@@ -255,7 +252,7 @@ def _restrict_to_fibers(A: FiniteAlgebra, base: FiniteAlgebra, fibers, points):
         table = A.tables[p]
         for bs in iproduct(range(base.size), repeat=arity):
             maps[(sym, bs)] = tuple(
-                position[table[_pack(args, A.size)]]
+                position[table[pack(args, A.size)]]
                 for args in iproduct(*(fibers[b] for b in bs))
             )
     return family, ActionFamily.from_dict(maps), position
@@ -306,15 +303,15 @@ def sdp_morphism_check(F: OuterProduct, G: OuterProduct, maps) -> bool:
     for p, (sym, arity) in enumerate(base.signature.symbols):
         base_table = base.tables[p]
         for bs in iproduct(range(base.size), repeat=arity):
-            target = base_table[_pack(bs, base.size)]
+            target = base_table[pack(bs, base.size)]
             sizes_f = tuple(F.family.fibers[b][0] for b in bs)
             tab_f = F.actions.table(sym, bs)
             tab_g = G.actions.table(sym, bs)
             sizes_g = tuple(G.family.fibers[b][0] for b in bs)
             for idx in range(prod(sizes_f)):
-                local = _mixed_unpack(idx, sizes_f)
+                local = mixed_unpack(idx, sizes_f)
                 mapped = tuple(maps[b][i] for b, i in zip(bs, local))
-                lhs = tab_g[_mixed_pack(mapped, sizes_g)]
+                lhs = tab_g[mixed_pack(mapped, sizes_g)]
                 rhs = maps[target][tab_f[idx]]
                 if lhs != rhs:
                     squares = False

@@ -20,6 +20,9 @@ if TYPE_CHECKING:
 
 _VAR_RE = re.compile(r"x(\d+)")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Deeper terms are rejected at parse time: evaluation, substitution and
+# printing recurse once or twice per level, within Python's default limit.
+MAX_TERM_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,7 @@ class _Parser:
         self.text = text
         self.sig = sig
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -141,6 +145,9 @@ class _Parser:
         arity = self.sig.arity(name)
         self.skip_ws()
         if self.pos < len(self.text) and self.text[self.pos] == "(":
+            self.depth += 1
+            if self.depth > MAX_TERM_DEPTH:
+                self.fail(f"term nested deeper than {MAX_TERM_DEPTH} levels")
             self.pos += 1
             args: list[Term] = []
             self.skip_ws()
@@ -162,6 +169,7 @@ class _Parser:
                     self.fail("expected ',' or ')'")
             if len(args) != arity:
                 raise ArityMismatch(f"{name!r} takes {arity} arguments, got {len(args)}")
+            self.depth -= 1
             return App(name, tuple(args))
         # bare symbol: only constants may omit the argument list
         if arity != 0:
@@ -173,7 +181,8 @@ def parse_term(text: str, sig: Signature) -> Term:
     """Parse `text` into a term over `sig`.
 
     Grammar: variables `x0,x1,...`; applications `name(t1,...,tk)`; arity-0
-    symbols may be written bare. Whitespace-insensitive.
+    symbols may be written bare. Whitespace-insensitive. Terms nested deeper
+    than MAX_TERM_DEPTH raise TermSyntaxError.
     """
     return _Parser(text, sig).parse()
 

@@ -1,5 +1,6 @@
 import pytest
 
+from ualgebra import heaps
 from ualgebra.algebras import emit_algebra, parse_algebras
 from ualgebra.catalog import cyclic_group, subtraction_algebra, symmetric_group_s3
 from ualgebra.cli import load_workspace, main
@@ -350,6 +351,49 @@ def test_envcat_prints_table(workspace, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "m(x0,x1):" in out
+
+
+def test_deep_term_is_input_error(workspace, capsys):
+    code = main(
+        [
+            "envcat",
+            "--action",
+            str(workspace["act"]),
+            "--variety",
+            "group",
+            "--object",
+            "0",
+            "--terms",
+            "i(" * 3000 + "x0" + ")" * 3000,
+        ]
+    )
+    assert code == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
+def test_failed_cross_check_is_internal_error(workspace, monkeypatch, capsys):
+    def failing_report(*args):
+        raise AssertionError("the five conditions must agree")
+
+    monkeypatch.setattr(heaps, "heap_inner_report", failing_report)
+    argv = ["heap", "decompose", f"{workspace['heap']}#hz4", "--Y", "0", "--omega", "{{0,1,2,3}}"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: AssertionError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("Y", ["9", "0,9", "-1"])
+def test_decompose_element_outside_carrier_is_input_error(workspace, tmp_path, capsys, Y):
+    from ualgebra.catalog import cyclic_ring
+    from ualgebra.heaps import truss_from_ring
+
+    tfile = tmp_path / "truss.alg"
+    tfile.write_text(emit_algebra(truss_from_ring(cyclic_ring(4)).rename("t4")))
+    omega = "{{0,1,2,3}}"
+    assert main(["heap", "decompose", f"{workspace['heap']}#hz4", "--Y", Y, "--omega", omega]) == 2
+    assert "outside the carrier" in capsys.readouterr().err
+    assert main(["truss", "decompose", f"{tfile}#t4", "--Y", Y, "--omega", omega]) == 2
+    assert "outside the carrier" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(capsys):

@@ -9,7 +9,7 @@ from ualgebra.catalog import (
     standard_corpus,
     symmetric_group_s3,
 )
-from ualgebra.errors import IdentityFailure, PointednessViolation, SectionViolation
+from ualgebra.errors import IdentityFailure, PointednessViolation, SectionViolation, ShapeMismatch
 from ualgebra.groups import group_data_from_action, group_data_to_family
 from ualgebra.inner import decomposition_from_idempotent, idempotent_endomorphisms
 from ualgebra.outer import (
@@ -56,11 +56,11 @@ def test_trivial_actions_build_the_direct_product():
     assert find_isomorphism(built.algebra, cyclic_group(6)) is not None
 
 
-def test_unequal_fibers_cannot_build_a_group():
+def unequal_fiber_data():
+    """Fibers of sizes 2 and 3 over Z2 with pointed tables of the right shapes."""
     z2 = cyclic_group(2)
     family = PointedFamily(z2, ((2, 0), (3, 0)))
     maps = {}
-    # pointed but otherwise arbitrary tables of the right shapes
     maps[("m", (0, 0))] = (0, 1, 1, 0)
     maps[("m", (0, 1))] = (0, 1, 2, 1, 2, 0)
     maps[("m", (1, 0))] = (0, 1, 1, 2, 2, 0)
@@ -68,8 +68,27 @@ def test_unequal_fibers_cannot_build_a_group():
     maps[("i", (0,))] = (0, 1)
     maps[("i", (1,))] = (0, 2, 1)
     maps[("e", ())] = (0,)
+    return family, ActionFamily.from_dict(maps)
+
+
+def test_unequal_fibers_cannot_build_a_group():
+    family, actions = unequal_fiber_data()
     with pytest.raises(IdentityFailure):
-        build_outer_product(family, ActionFamily.from_dict(maps), REGISTRY["group"])
+        build_outer_product(family, actions, REGISTRY["group"])
+
+
+def test_encode_decode_roundtrip_over_unequal_fibers():
+    built = assemble_union_algebra(*unequal_fiber_data())
+    pairs = [(i, b) for b, (size, _) in enumerate(built.family.fibers) for i in range(size)]
+    assert [built.decode(x) for x in range(built.algebra.size)] == pairs
+    assert [built.encode(b, i) for i, b in pairs] == list(range(built.algebra.size))
+
+
+@pytest.mark.parametrize("x", [-1, 5])
+def test_decode_rejects_elements_outside_the_union(x):
+    built = assemble_union_algebra(*unequal_fiber_data())
+    with pytest.raises(ShapeMismatch):
+        built.decode(x)
 
 
 def test_missing_action_table_is_a_shape_error():

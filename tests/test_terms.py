@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from ualgebra.catalog import cyclic_group
 from ualgebra.errors import ArityMismatch, MissingAssignment, TermSyntaxError, UnknownSymbol
 from ualgebra.terms import (
+    MAX_TERM_DEPTH,
     App,
     Identity,
     Signature,
@@ -12,7 +13,9 @@ from ualgebra.terms import (
     parse_identity,
     parse_term,
     substitute,
+    term_depth,
     term_to_str,
+    term_variables,
 )
 from ualgebra.varieties import DIGROUP_SIG, GROUP_SIG, HEAP_SIG, REGISTRY
 
@@ -47,6 +50,22 @@ def test_parse_arity_mismatch():
         parse_term("m(x0)", GROUP_SIG)
     with pytest.raises(ArityMismatch):
         parse_term("i", GROUP_SIG)
+
+
+def test_parse_caps_the_nesting_depth():
+    def nested(depth, var="x0"):
+        return "i(" * depth + var + ")" * depth
+
+    deepest = parse_term(nested(MAX_TERM_DEPTH), GROUP_SIG)
+    assert term_depth(deepest) == MAX_TERM_DEPTH
+    # the deepest accepted term stays within the default recursion limit
+    assert eval_term(deepest, cyclic_group(4), (1,)) == (1, 3)[MAX_TERM_DEPTH % 2]
+    assert term_variables(deepest) == {0}
+    assert substitute(deepest, (Var(1),)) == parse_term(nested(MAX_TERM_DEPTH, "x1"), GROUP_SIG)
+    assert term_to_str(deepest) == nested(MAX_TERM_DEPTH)
+    for depth in (MAX_TERM_DEPTH + 1, 3000):
+        with pytest.raises(TermSyntaxError):
+            parse_term(nested(depth), GROUP_SIG)
 
 
 def test_signature_rejects_variable_like_names():
