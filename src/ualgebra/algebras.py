@@ -350,7 +350,7 @@ def parse_algebras(text: str, source: str = "<input>") -> dict[str, FiniteAlgebr
                 continue
             parts = stripped.split()
             if parts[0] == "size":
-                if size is not None or len(parts) != 2 or not parts[1].isdigit():
+                if size is not None or len(parts) != 2 or not parts[1].isdecimal():
                     err("bad size line", i)
                 size = int(parts[1])
             elif parts[0] == "op":
@@ -363,7 +363,7 @@ def parse_algebras(text: str, source: str = "<input>") -> dict[str, FiniteAlgebr
                 if len(parts) != 2 or "/" not in parts[1]:
                     err("expected 'op <name>/<arity>'", i)
                 sym, _, ar = parts[1].partition("/")
-                if not ar.isdigit():
+                if not ar.isdecimal():
                     err("arity must be an integer", i)
                 current = (sym, int(ar))
                 symbols.append(current)

@@ -30,6 +30,10 @@ from .errors import NotIdempotent, SizeLimitExceeded
 from .partitions import Partition
 
 ENDO_ENUM_CAP = 8
+# Enumerations kept, least recently used dropped first: a heap census asks
+# for the same algebra once per (Y, omega) pair, and a few hundred distinct
+# algebras of order <= ENDO_ENUM_CAP stay warm.
+IDEMPOTENT_CACHE_SIZE = 256
 
 
 def idempotent_endomorphisms(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> tuple[Homomorphism, ...]:
@@ -45,7 +49,7 @@ def idempotent_endomorphisms(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> tupl
     return _enumerate_idempotents(A)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=IDEMPOTENT_CACHE_SIZE)
 def _enumerate_idempotents(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     n = A.size
     sig = A.signature.symbols

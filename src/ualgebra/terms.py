@@ -187,17 +187,44 @@ def parse_term(text: str, sig: Signature) -> Term:
     return _Parser(text, sig).parse()
 
 
-def eval_term(t: Term, algebra: "FiniteAlgebra", assignment) -> int:
-    """Evaluate `t` bottom-up against `algebra`'s tables under `assignment`."""
+def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int) -> list[int]:
+    """The values of `t` over a block of `length` assignments.
+
+    `columns[j]` holds x_j's value in each assignment of the block. A
+    variable is its column (the same object, not a copy), a constant its
+    table entry repeated, and an application packs its argument columns
+    row-major, as its table is laid out, and reads the table once per row;
+    unary and binary symbols index the table directly. Symbol and arity are
+    checked once per node, before its arguments are evaluated, so the
+    errors are those of a tree walk.
+    """
     if isinstance(t, Var):
-        if t.index >= len(assignment):
+        if t.index >= len(columns):
             raise MissingAssignment(f"no value for variable x{t.index}")
-        return assignment[t.index]
-    if t.symbol not in algebra.signature:
+        return columns[t.index]
+    sig = algebra.signature
+    p = sig._index.get(t.symbol)
+    if p is None:
         raise SignatureMismatch(f"symbol {t.symbol!r} not in the algebra's signature")
-    if algebra.signature.arity(t.symbol) != len(t.args):
+    args = t.args
+    if sig.symbols[p][1] != len(args):
         raise SignatureMismatch(f"arity mismatch for {t.symbol!r}")
-    return algebra.apply(t.symbol, tuple(eval_term(a, algebra, assignment) for a in t.args))
+    table = algebra.tables[p]
+    if not args:
+        return [table[0]] * length
+    packed = eval_block(args[0], algebra, columns, length)
+    if len(args) == 1:
+        return [table[a] for a in packed]
+    n = algebra.size
+    for arg in args[1:-1]:
+        packed = [i * n + a for i, a in zip(packed, eval_block(arg, algebra, columns, length))]
+    last = eval_block(args[-1], algebra, columns, length)
+    return [table[i * n + a] for i, a in zip(packed, last)]
+
+
+def eval_term(t: Term, algebra: "FiniteAlgebra", assignment) -> int:
+    """The value of `t` under one assignment: a block of length 1."""
+    return eval_block(t, algebra, [(a,) for a in assignment], 1)[0]
 
 
 def substitute(t: Term, replacements: tuple[Term, ...]) -> Term:

@@ -1,4 +1,15 @@
-"""Equationally defined classes of algebras and the exhaustive identity check."""
+"""Equationally defined classes of algebras and the exhaustive identity check.
+
+`check_identities` scans the n^k assignments of a k-variable identity in
+row-major (lexicographic) order, in blocks of at most BLOCK_SIZE: the
+leading variables are fixed per block and the trailing ones, as many as fit,
+run through every value as projection columns. `terms.eval_block` evaluates
+both sides over the whole block at once. Within a block the rows follow the
+lexicographic order and the blocks follow each other in it, so the first row
+where the two value columns differ, in the first block where they differ at
+all, is the lexicographically first failing assignment: the witness the
+one-assignment-at-a-time scan reports.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +18,10 @@ from itertools import product as iproduct
 
 from .algebras import FiniteAlgebra
 from .errors import DuplicateName, ParseError, SignatureMismatch
-from .terms import Identity, Signature, eval_term, parse_identity
+from .terms import Identity, Signature, eval_block, parse_identity
+
+# Assignments are scanned in row-major blocks of at most this many.
+BLOCK_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -45,14 +59,28 @@ def check_identities(A: FiniteAlgebra, V: VarietySpec) -> IdentityReport:
     for sym, arity in V.signature.symbols:
         if sym not in A.signature or A.signature.arity(sym) != arity:
             raise SignatureMismatch(f"algebra lacks {sym}/{arity}")
+    n = A.size
     for quasi, ident in [(False, i) for i in V.identities] + [
         (True, i) for i in V.quasi_conditions
     ]:
-        for assignment in iproduct(range(A.size), repeat=ident.var_count):
-            left = eval_term(ident.lhs, A, assignment)
-            right = eval_term(ident.rhs, A, assignment)
+        trailing = 0
+        while trailing < ident.var_count and n ** (trailing + 1) <= BLOCK_SIZE:
+            trailing += 1
+        length = n**trailing
+        # x_(k-trailing+j) runs through 0..n-1, each value held for
+        # n^(trailing-1-j) rows, and the run repeats n^j times
+        tail = [
+            [v for v in range(n) for _ in range(n ** (trailing - 1 - j))] * n**j
+            for j in range(trailing)
+        ]
+        for lead in iproduct(range(n), repeat=ident.var_count - trailing):
+            columns = [[v] * length for v in lead] + tail
+            left = eval_block(ident.lhs, A, columns, length)
+            right = eval_block(ident.rhs, A, columns, length)
             if left != right:
-                return IdentityReport(False, Witness(ident, assignment, left, right, quasi))
+                i = next(i for i in range(length) if left[i] != right[i])
+                assignment = lead + tuple(column[i] for column in tail)
+                return IdentityReport(False, Witness(ident, assignment, left[i], right[i], quasi))
     return IdentityReport(True)
 
 
@@ -213,7 +241,7 @@ def parse_varieties(text: str, source: str = "<input>") -> dict[str, VarietySpec
             word, _, rest = stripped.partition(" ")
             if word == "op":
                 sym, _, ar = rest.strip().partition("/")
-                if not ar.isdigit():
+                if not ar.isdecimal():
                     raise ParseError("expected 'op <name>/<arity>'", source, i)
                 symbols.append((sym, int(ar)))
             elif word == "id":

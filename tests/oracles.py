@@ -152,3 +152,39 @@ def digroup_outer_tables(Y, K, phi_star, phi_circ, Lambda):
     one = Y.table("one")[0] * nk + K.table("one")[0]
     star, circ = tuple(star), tuple(circ)
     return (star, _inverse_by_scan(star, n, one), circ, _inverse_by_scan(circ, n, one), (one,))
+
+
+# -- identity checking, one assignment at a time ------------------------------
+#
+# Reads terms structurally (a variable has `index`, an application has
+# `symbol` and `args`) and evaluates them by recursion over one assignment,
+# with its own packing; nothing of the library's evaluator is used.
+
+
+def _oracle_eval(t, ops, n, assignment):
+    if hasattr(t, "index"):
+        return assignment[t.index]
+    arity, table = ops[t.symbol]
+    assert arity == len(t.args)
+    idx = 0
+    for a in t.args:
+        idx = idx * n + _oracle_eval(a, ops, n, assignment)
+    return table[idx]
+
+
+def first_identity_failure(A, V):
+    """None if A satisfies every identity and quasi condition of V, else
+    (identity, assignment, lhs value, rhs value, quasi) for the first failure:
+    identities in definition order, then quasi conditions, each over its
+    assignments in lexicographic order."""
+    ops = {
+        sym: (arity, table) for (sym, arity), table in zip(A.signature.symbols, A.tables)
+    }
+    for quasi, identities in ((False, V.identities), (True, V.quasi_conditions)):
+        for ident in identities:
+            for assignment in product(range(A.size), repeat=ident.var_count):
+                left = _oracle_eval(ident.lhs, ops, A.size, assignment)
+                right = _oracle_eval(ident.rhs, ops, A.size, assignment)
+                if left != right:
+                    return ident, assignment, left, right, quasi
+    return None

@@ -14,7 +14,10 @@ from ualgebra.catalog import (
 )
 from ualgebra.congruences import all_congruences
 from ualgebra.errors import NotIdempotent, SizeLimitExceeded
+from ualgebra.heaps import heap_from_group, heap_inner_report
 from ualgebra.inner import (
+    IDEMPOTENT_CACHE_SIZE,
+    _enumerate_idempotents,
     constant_endomorphisms,
     count_transversal_pairs,
     decomposition_from_idempotent,
@@ -224,3 +227,15 @@ def test_theorem_agreement_across_exhaustive_sweep():
             for omega in all_congruences(A):
                 report = verify_inner_sdp(A, B, omega)
                 assert report.a == report.b == report.c == report.d
+
+
+def test_idempotent_cache_is_bounded_and_serves_a_whole_heap_census():
+    assert _enumerate_idempotents.cache_info().maxsize == IDEMPOTENT_CACHE_SIZE
+    X = heap_from_group(klein_group())
+    pairs = [(Y, omega) for Y in all_subalgebras(X) for omega in all_congruences(X)]
+    _enumerate_idempotents.cache_clear()
+    holds = sum(heap_inner_report(X, Y, omega).holds for Y, omega in pairs)
+    info = _enumerate_idempotents.cache_info()
+    # one enumeration for the whole census, every later pair a hit
+    assert (info.misses, info.hits) == (1, len(pairs) - 1)
+    assert holds == len(idempotent_endomorphisms(X))

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ualgebra.catalog import cyclic_group
-from ualgebra.errors import ArityMismatch, MissingAssignment, TermSyntaxError, UnknownSymbol
+from ualgebra.errors import (
+    ArityMismatch,
+    MissingAssignment,
+    SignatureMismatch,
+    TermSyntaxError,
+    UnknownSymbol,
+)
 from ualgebra.terms import (
     MAX_TERM_DEPTH,
     App,
@@ -85,6 +91,16 @@ def test_eval_missing_assignment():
     z4 = cyclic_group(4)
     with pytest.raises(MissingAssignment):
         eval_term(Var(2), z4, (0, 1))
+
+
+def test_eval_rejects_terms_outside_the_algebras_signature():
+    # built with App directly, as the parser would reject both terms itself;
+    # a node is checked before its arguments, so the outer fault is reported
+    z4 = cyclic_group(4)
+    with pytest.raises(SignatureMismatch, match="'f' not in the algebra's signature"):
+        eval_term(App("f", (Var(5),)), z4, (0,))
+    with pytest.raises(SignatureMismatch, match="arity mismatch for 'm'"):
+        eval_term(App("m", (App("f", (Var(0),)),)), z4, (0,))
 
 
 def test_eval_single_application_is_table_lookup():
