@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import prod
 
 from .errors import (
     DuplicateName,
@@ -28,6 +29,26 @@ def pack(args: tuple[int, ...], n: int) -> int:
     for a in args:
         idx = idx * n + a
     return idx
+
+
+# Unequal radices (fibers, assignment blocks) take the column helpers below;
+# `pack` keeps one radix for the per-operation-instance loops that call it.
+def pack_columns(columns, sizes, length: int) -> list[int]:
+    """The row-major index of each of the first `length` rows of `columns`,
+    place j in radix sizes[j]; no columns pack every row to 0."""
+    packed = [0] * length
+    for column, m in zip(columns, sizes):
+        packed = [p * m + a for p, a in zip(packed, column)]
+    return packed
+
+
+def row_major_columns(sizes) -> list[list[int]]:
+    """The rows of range(sizes[0]) x ... x range(sizes[-1]), one column per
+    place, in row-major order: `pack_columns` of them is 0, 1, 2, ...."""
+    return [
+        [v for v in range(m) for _ in range(prod(sizes[j + 1 :]))] * prod(sizes[:j])
+        for j, m in enumerate(sizes)
+    ]
 
 
 def inverse_permutation(p) -> tuple[int, ...]:
@@ -324,6 +345,15 @@ def parse_algebras(text: str, source: str = "<input>") -> dict[str, FiniteAlgebr
     def err(msg: str, line_no: int, col: int = 1):
         raise ParseError(msg, source, line_no, col)
 
+    def decimal(token: str, msg: str, line_no: int) -> int:
+        # isdecimal() refuses signs, '_' and '²'; int() refuses over 4,300 digits
+        if token.isdecimal():
+            try:
+                return int(token)
+            except ValueError:
+                pass
+        err(msg, line_no)
+
     while i < len(lines):
         raw = lines[i]
         stripped = raw.strip()
@@ -350,9 +380,9 @@ def parse_algebras(text: str, source: str = "<input>") -> dict[str, FiniteAlgebr
                 continue
             parts = stripped.split()
             if parts[0] == "size":
-                if size is not None or len(parts) != 2 or not parts[1].isdecimal():
+                if size is not None or len(parts) != 2:
                     err("bad size line", i)
-                size = int(parts[1])
+                size = decimal(parts[1], "bad size line", i)
             elif parts[0] == "op":
                 if size is None:
                     err("size must precede op lines", i)
@@ -363,12 +393,14 @@ def parse_algebras(text: str, source: str = "<input>") -> dict[str, FiniteAlgebr
                 if len(parts) != 2 or "/" not in parts[1]:
                     err("expected 'op <name>/<arity>'", i)
                 sym, _, ar = parts[1].partition("/")
-                if not ar.isdecimal():
-                    err("arity must be an integer", i)
-                current = (sym, int(ar))
+                arity = decimal(ar, "arity must be an integer", i)
+                # size**arity >= 2**(arity*(size.bit_length()-1)) entries, 1 char each
+                if arity * (size.bit_length() - 1) >= len(text).bit_length():
+                    err(f"table for {sym!r} cannot fit in the input", i)
+                current = (sym, arity)
                 symbols.append(current)
                 pending = []
-                needed = size ** int(ar)
+                needed = size**arity
             elif parts[0] == "end":
                 if current is not None:
                     if len(pending) != needed:

@@ -4,7 +4,9 @@ induces on them.
 Objects are tuples over an algebra; a morphism (a1..an) -> (b1..bm) is an
 m-tuple of n-ary terms evaluating componentwise to the target. A semidirect
 product extends to these by sending a tuple to the product of its fibers and
-a term to the composite of action tables it denotes.
+a term t to its term function on the union algebra, restricted to the fibers
+over a1..an; it lands in the fiber over t(a1..an), since the fiber projection
+is a homomorphism. Tables list the fiber product in row-major order.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .algebras import FiniteAlgebra
+from .algebras import FiniteAlgebra, pack_columns, row_major_columns
 from .errors import EndpointMismatch, ShapeMismatch
-from .outer import OuterProduct, mixed_pack, mixed_unpack
-from .terms import Term, Var, eval_term, substitute, term_variables
+from .outer import OuterProduct
+from .terms import Term, Var, eval_block, eval_term, substitute, term_variables
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class ProductPointedSet:
         return prod(self.sizes)
 
     def flat_basepoint(self) -> int:
-        return mixed_pack(self.basepoint, self.sizes)
+        return pack_columns([(i,) for i in self.basepoint], self.sizes, 1)[0]
 
 
 def functor_object(F: OuterProduct, obj: TupleObject) -> ProductPointedSet:
@@ -99,40 +101,19 @@ def functor_object(F: OuterProduct, obj: TupleObject) -> ProductPointedSet:
 def _term_table(F: OuterProduct, obj: TupleObject, t: Term) -> tuple[tuple[int, ...], int]:
     """The map F(t): product of fibers over obj -> fiber over t's value.
 
-    Structural recursion: a variable is a projection, an application composes
-    its symbol's action table (at the base values of the arguments) with the
-    argument tables. Returns (flat table, base value of t at obj). Tables are
-    built whole: a projection reads its coordinate off the row-major strides,
-    and argument tables are packed column by column in mixed radix.
+    The rows of the fiber product, shifted by their fibers' offsets, are one
+    block of assignments in the union algebra. Returns (flat table, base
+    value of t at obj).
     """
-    base = F.family.base
+    offsets = F.family.offsets
     sizes = functor_object(F, obj).sizes
-    total = prod(sizes)
-    strides = [prod(sizes[j + 1:]) for j in range(len(sizes))]
-
-    def table_of(t: Term) -> tuple[tuple[int, ...], int]:
-        if isinstance(t, Var):
-            if t.index >= len(obj):
-                raise ShapeMismatch("term uses a missing coordinate")
-            stride, m = strides[t.index], sizes[t.index]
-            return tuple(idx // stride % m for idx in range(total)), obj.elements[t.index]
-        arg_results = [table_of(a) for a in t.args]
-        arg_values = tuple(v for _, v in arg_results)
-        value = base.apply(t.symbol, arg_values)
-        action = F.actions.table(t.symbol, arg_values)
-        arg_sizes = [F.family.fibers[v][0] for v in arg_values]
-        packed = _pack_columns([at for at, _ in arg_results], arg_sizes, total)
-        return tuple(action[i] for i in packed), value
-
-    return table_of(t)
-
-
-def _pack_columns(columns, sizes, length: int) -> list[int]:
-    """mixed_pack of each row of the columns, for rows 0..length-1."""
-    packed = [0] * length
-    for column, m in zip(columns, sizes):
-        packed = [p * m + a for p, a in zip(packed, column)]
-    return packed
+    columns = [
+        [offsets[a] + i for i in column]
+        for a, column in zip(obj.elements, row_major_columns(sizes))
+    ]
+    value = eval_term(t, F.family.base, obj.elements)
+    shift = offsets[value]
+    return tuple(x - shift for x in eval_block(t, F.algebra, columns, prod(sizes))), value
 
 
 def functor_morphism(F: OuterProduct, p: TermTupleMorphism) -> tuple[tuple[int, ...], ...]:
@@ -152,7 +133,7 @@ def tables_compose(
     mid_sizes: tuple[int, ...],
 ) -> tuple[tuple[int, ...], ...]:
     """Componentwise composition through the middle product."""
-    packed = _pack_columns(inner, mid_sizes, len(inner[0]) if inner else 1)
+    packed = pack_columns(inner, mid_sizes, len(inner[0]) if inner else 1)
     return tuple(tuple(table[i] for i in packed) for table in outer)
 
 
@@ -160,16 +141,14 @@ def check_functoriality(
     F: OuterProduct, p: TermTupleMorphism, q: TermTupleMorphism
 ) -> bool:
     """G(q o p) == G(q) o G(p) as exact tables."""
-    composed = compose_morphisms(q, p)
-    direct = functor_morphism(F, composed)
+    direct = functor_morphism(F, compose_morphisms(q, p))
     gp = functor_morphism(F, p)
     gq = functor_morphism(F, q)
-    mid_sizes = functor_object(F, p.target).sizes
     if not gp:
         # empty middle tuple: G(q) is a point evaluation at the empty index
         staged = tuple((t[0],) * functor_object(F, p.source).total() for t in gq)
     else:
-        staged = tables_compose(gq, gp, mid_sizes)
+        staged = tables_compose(gq, gp, functor_object(F, p.target).sizes)
     return direct == staged
 
 
@@ -177,10 +156,7 @@ def check_identity_law(F: OuterProduct, obj: TupleObject) -> bool:
     """G(id) must reassemble to the identity on the fiber product."""
     tables = functor_morphism(F, identity_morphism(obj))
     sizes = functor_object(F, obj).sizes
-    for idx in range(prod(sizes)):
-        if tuple(t[idx] for t in tables) != mixed_unpack(idx, sizes):
-            return False
-    return True
+    return tables == tuple(map(tuple, row_major_columns(sizes)))
 
 
 def basepoint_preserved(F: OuterProduct, p: TermTupleMorphism) -> bool:

@@ -24,6 +24,8 @@ from .algebras import (
     inverse_permutation,
     is_homomorphism,
     pack,
+    pack_columns,
+    row_major_columns,
     subalgebra_as_algebra,
 )
 from .errors import (
@@ -93,20 +95,6 @@ class ActionFamily:
         return dict(self.maps)
 
 
-def mixed_pack(indices: tuple[int, ...], sizes: tuple[int, ...]) -> int:
-    idx = 0
-    for i, m in zip(indices, sizes):
-        idx = idx * m + i
-    return idx
-
-
-def mixed_unpack(idx: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(sizes)
-    for j in range(len(sizes) - 1, -1, -1):
-        idx, out[j] = divmod(idx, sizes[j])
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class OuterProduct:
     """The assembled algebra on the disjoint union, with its fiber labeling."""
@@ -149,8 +137,8 @@ def _validate_family(family: PointedFamily, actions: ActionFamily):
             target_size, target_base = family.fibers[target]
             if any(not 0 <= v < target_size for v in action):
                 raise ShapeMismatch(f"action table for {sym} at {bs} leaves its fiber")
-            basepoints = tuple(family.fibers[b][1] for b in bs)
-            if action[mixed_pack(basepoints, sizes)] != target_base:
+            basepoints = [(family.fibers[b][1],) for b in bs]
+            if action[pack_columns(basepoints, sizes, 1)[0]] != target_base:
                 raise PointednessViolation(
                     f"action for {sym} at {bs} does not send basepoints to the basepoint"
                 )
@@ -299,27 +287,24 @@ def sdp_morphism_check(F: OuterProduct, G: OuterProduct, maps) -> bool:
             raise ShapeMismatch(f"map at base element {b} has the wrong shape")
         if maps[b][base_f] != base_g:
             return False
-    squares = True
-    for p, (sym, arity) in enumerate(base.signature.symbols):
-        base_table = base.tables[p]
-        for bs in iproduct(range(base.size), repeat=arity):
-            target = base_table[pack(bs, base.size)]
-            sizes_f = tuple(F.family.fibers[b][0] for b in bs)
-            tab_f = F.actions.table(sym, bs)
-            tab_g = G.actions.table(sym, bs)
-            sizes_g = tuple(G.family.fibers[b][0] for b in bs)
-            for idx in range(prod(sizes_f)):
-                local = mixed_unpack(idx, sizes_f)
-                mapped = tuple(maps[b][i] for b, i in zip(bs, local))
-                lhs = tab_g[mixed_pack(mapped, sizes_g)]
-                rhs = maps[target][tab_f[idx]]
-                if lhs != rhs:
-                    squares = False
-                    break
-            if not squares:
-                break
-        if not squares:
-            break
+
+    def commutes(p: int, sym: str, bs: tuple[int, ...]) -> bool:
+        # both sides of the square, over the whole fiber product at once
+        target = base.tables[p][pack(bs, base.size)]
+        sizes_f = [F.family.fibers[b][0] for b in bs]
+        sizes_g = [G.family.fibers[b][0] for b in bs]
+        mapped = [
+            [maps[b][i] for i in column] for b, column in zip(bs, row_major_columns(sizes_f))
+        ]
+        tab_f, tab_g = F.actions.table(sym, bs), G.actions.table(sym, bs)
+        lhs = [tab_g[i] for i in pack_columns(mapped, sizes_g, prod(sizes_f))]
+        return lhs == [maps[target][v] for v in tab_f]
+
+    squares = all(
+        commutes(p, sym, bs)
+        for p, (sym, arity) in enumerate(base.signature.symbols)
+        for bs in iproduct(range(base.size), repeat=arity)
+    )
     total = tuple(
         G.encode(b, maps[b][i])
         for x in range(F.algebra.size)
@@ -430,14 +415,21 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
     """Parse an action file; `resolve` maps a base reference to its algebra."""
     lines = text.splitlines()
     base = None
-    fibers: dict[int, tuple[int, int]] = {}
+    fibers: dict[int, tuple[int, int, int]] = {}  # b -> size, basepoint, line
     constant_fiber = None
     maps: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}
     current: tuple[str, tuple[int, ...]] | None = None
     pending: list[int] = []
     opened = False
     closed = False
-    for no, raw in enumerate(text.splitlines(), start=1):
+
+    def number(token: str, no: int) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"bad integer {token!r}", source, no) from None
+
+    for no, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -454,11 +446,11 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
         elif parts[0] == "fiber":
             if len(parts) != 4:
                 raise ParseError("expected 'fiber <b|*> <size> <basepoint>'", source, no)
-            size, basepoint = int(parts[2]), int(parts[3])
+            size, basepoint = number(parts[2], no), number(parts[3], no)
             if parts[1] == "*":
                 constant_fiber = (size, basepoint)
             else:
-                fibers[int(parts[1])] = (size, basepoint)
+                fibers[number(parts[1], no)] = (size, basepoint, no)
         elif parts[0] == "map":
             if current is not None:
                 maps[current] = tuple(pending)
@@ -466,7 +458,7 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
             sym, _, tup = body.partition("(")
             sym = sym.strip()
             tup = tup.rstrip(")")
-            bs = tuple(int(x) for x in tup.split(",") if x.strip() != "")
+            bs = tuple(number(x, no) for x in tup.split(",") if x.strip() != "")
             current = (sym, bs)
             pending = []
         elif parts[0] == "end":
@@ -477,15 +469,18 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
         else:
             if current is None:
                 raise ParseError("table entries before any map line", source, no)
-            pending.extend(int(p) for p in parts)
+            pending.extend(number(p, no) for p in parts)
     if not closed:
         raise ParseError("missing 'end'", source, len(lines))
     if base is None:
         raise ParseError("missing base", source, len(lines))
+    for b, (_, _, no) in fibers.items():
+        if not 0 <= b < base.size:
+            raise ParseError(f"fiber for {b} outside the base", source, no)
     fiber_list = []
     for b in range(base.size):
         if b in fibers:
-            fiber_list.append(fibers[b])
+            fiber_list.append(fibers[b][:2])
         elif constant_fiber is not None:
             fiber_list.append(constant_fiber)
         else:

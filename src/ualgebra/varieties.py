@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .algebras import FiniteAlgebra
+from .algebras import FiniteAlgebra, row_major_columns
 from .errors import DuplicateName, ParseError, SignatureMismatch
 from .terms import Identity, Signature, eval_block, parse_identity
 
@@ -67,12 +67,7 @@ def check_identities(A: FiniteAlgebra, V: VarietySpec) -> IdentityReport:
         while trailing < ident.var_count and n ** (trailing + 1) <= BLOCK_SIZE:
             trailing += 1
         length = n**trailing
-        # x_(k-trailing+j) runs through 0..n-1, each value held for
-        # n^(trailing-1-j) rows, and the run repeats n^j times
-        tail = [
-            [v for v in range(n) for _ in range(n ** (trailing - 1 - j))] * n**j
-            for j in range(trailing)
-        ]
+        tail = row_major_columns((n,) * trailing)
         for lead in iproduct(range(n), repeat=ident.var_count - trailing):
             columns = [[v] * length for v in lead] + tail
             left = eval_block(ident.lhs, A, columns, length)

@@ -188,3 +188,60 @@ def first_identity_failure(A, V):
                 if left != right:
                     return ident, assignment, left, right, quasi
     return None
+
+
+# -- the functor of an outer product, one point at a time ---------------------
+#
+# Reads an outer product only through its base tables, its fibers and its
+# action tables (`F.family.base`, `F.family.fibers`, `F.actions.maps`), and
+# composes action tables pointwise by recursion over the term. Points of a
+# fiber product are enumerated by `itertools.product`, in the row-major order
+# the library's flat tables use; nothing of the library's evaluator or
+# packers is used.
+
+
+def fiber_points(F, elements):
+    """The points of the product of the fibers over `elements`, in order."""
+    return list(product(*(range(F.family.fibers[a][0]) for a in elements)))
+
+
+def functor_table(F, elements, t):
+    """(table, base value) of F(t) on the fiber product over `elements`:
+    entry j is the position, in the fiber over t's base value, of the
+    composite of action tables at the j-th point."""
+    base, fibers = F.family.base, F.family.fibers
+    ops = {sym: table for (sym, _), table in zip(base.signature.symbols, base.tables)}
+    actions = dict(F.actions.maps)
+
+    def at(t, point):
+        if hasattr(t, "index"):
+            return elements[t.index], point[t.index]
+        args = [at(a, point) for a in t.args]
+        idx = jdx = 0
+        for b, i in args:
+            idx = idx * base.size + b
+            jdx = jdx * fibers[b][0] + i
+        return ops[t.symbol][idx], actions[(t.symbol, tuple(b for b, _ in args))][jdx]
+
+    values = [at(t, point) for point in fiber_points(F, elements)]
+    return tuple(i for _, i in values), values[0][0]
+
+
+def commuting_squares(F, G, maps):
+    """Does G's action after the fiber maps equal the fiber map after F's
+    action, for every symbol, base tuple and point of its fiber product?"""
+    base = F.family.base
+    f_actions, g_actions = dict(F.actions.maps), dict(G.actions.maps)
+    for (sym, arity), table in zip(base.signature.symbols, base.tables):
+        for bs in product(range(base.size), repeat=arity):
+            idx = 0
+            for b in bs:
+                idx = idx * base.size + b
+            target = table[idx]
+            for j, point in enumerate(fiber_points(F, bs)):
+                k = 0
+                for b, i in zip(bs, point):
+                    k = k * G.family.fibers[b][0] + maps[b][i]
+                if g_actions[(sym, bs)][k] != maps[target][f_actions[(sym, bs)][j]]:
+                    return False
+    return True

@@ -1,6 +1,15 @@
+import random
+
 import pytest
 
-from ualgebra.catalog import cyclic_group
+from oracles import fiber_points, functor_table
+from ualgebra.catalog import (
+    chain_lattice,
+    cyclic_group,
+    diamond_lattice,
+    left_zero_semigroup,
+    mult_semigroup,
+)
 from ualgebra.envcat import (
     ProductPointedSet,
     TermTupleMorphism,
@@ -16,8 +25,9 @@ from ualgebra.envcat import (
 )
 from ualgebra.errors import EndpointMismatch
 from ualgebra.groups import group_data_from_action, group_data_to_family
-from ualgebra.outer import build_outer_product
-from ualgebra.terms import parse_term
+from ualgebra.inner import decomposition_from_idempotent, idempotent_endomorphisms
+from ualgebra.outer import assemble_union_algebra, build_outer_product, inner_to_outer
+from ualgebra.terms import App, Var, parse_term
 from ualgebra.varieties import GROUP_SIG, REGISTRY
 
 
@@ -144,3 +154,99 @@ def test_functoriality_through_the_empty_object(s3_product):
     p = TermTupleMorphism(src, empty, ())
     q = TermTupleMorphism(empty, dst, (term("e"),))
     assert check_functoriality(s3_product, p, q)
+
+
+# -- the functor tables against the pointwise oracle -------------------------
+
+
+def _twisted_group_products():
+    z2, z3, z4, z5 = (cyclic_group(n) for n in (2, 3, 4, 5))
+    negate3, negate4 = ((0, 1, 2), (0, 2, 1)), ((0, 1, 2, 3), (0, 3, 2, 1))
+    double5 = tuple(tuple(k * 2**y % 5 for k in range(5)) for y in range(4))
+    for N, B, phi in [
+        (z3, z2, negate3),
+        (z4, z2, negate4),
+        (z5, z4, double5),
+        (z3, z4, negate3 * 2),
+    ]:
+        family, actions = group_data_to_family(group_data_from_action(N, B, phi))
+        yield build_outer_product(family, actions, REGISTRY["group"])
+
+
+def _decomposed_products():
+    """Products with unequal fibers and basepoints other than 0: the outer
+    form of every inner decomposition of some non-group algebras."""
+    algebras = (chain_lattice(3), chain_lattice(4), left_zero_semigroup(3), mult_semigroup(4))
+    for A in algebras + (diamond_lattice(),):
+        for e in idempotent_endomorphisms(A):
+            family, actions, _ = inner_to_outer(decomposition_from_idempotent(A, e))
+            yield assemble_union_algebra(family, actions)
+
+
+def _random_term(rng, signature, variables, depth):
+    leaves = [Var(j) for j in range(variables)]
+    leaves += [App(sym) for sym, arity in signature.symbols if arity == 0]
+    applications = [(sym, arity) for sym, arity in signature.symbols if arity > 0]
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)
+    sym, arity = rng.choice(applications)
+    return App(sym, tuple(_random_term(rng, signature, variables, depth - 1) for _ in range(arity)))
+
+
+def _random_morphism(rng, F, source):
+    """A morphism from `source` with up to two random terms of depth <= 3;
+    its target is read off the oracle."""
+    base = F.family.base
+    has_leaves = len(source) > 0 or any(arity == 0 for _, arity in base.signature.symbols)
+    terms = tuple(
+        _random_term(rng, base.signature, len(source), 3)
+        for _ in range(rng.randrange(3) if has_leaves else 0)
+    )
+    target = tuple(functor_table(F, source.elements, t)[1] for t in terms)
+    return TermTupleMorphism(source, TupleObject(base, target), terms)
+
+
+def _oracle_tables(F, p):
+    return tuple(functor_table(F, p.source.elements, t)[0] for t in p.terms)
+
+
+@pytest.mark.parametrize(
+    "products", [_twisted_group_products, _decomposed_products], ids=["twisted", "decomposed"]
+)
+def test_functor_tables_match_the_pointwise_oracle(products):
+    rng = random.Random(5)
+    fibers_seen = set()
+    for F in products():
+        base = F.family.base
+        fibers_seen.update(F.family.fibers)
+        for _ in range(25):
+            elements = tuple(rng.randrange(base.size) for _ in range(rng.randrange(3)))
+            source = TupleObject(base, elements)
+            p = _random_morphism(rng, F, source)
+            q = _random_morphism(rng, F, p.target)
+            gp, gq = _oracle_tables(F, p), _oracle_tables(F, q)
+            assert functor_morphism(F, p) == gp
+            assert functor_morphism(F, q) == gq
+
+            points = fiber_points(F, source.elements)
+            projections = tuple(
+                functor_table(F, source.elements, Var(j))[0] for j in range(len(source))
+            )
+            assert check_identity_law(F, source) == (projections == tuple(zip(*points)))
+
+            flat = points.index(tuple(F.family.fibers[a][1] for a in source.elements))
+            preserved = all(
+                table[flat] == F.family.fibers[b][1] for table, b in zip(gp, p.target.elements)
+            )
+            assert basepoint_preserved(F, p) == preserved
+
+            mid_points = fiber_points(F, p.target.elements)
+            staged = tuple(
+                tuple(table[mid_points.index(tuple(g[j] for g in gp))] for j in range(len(points)))
+                for table in gq
+            )
+            direct = _oracle_tables(F, compose_morphisms(q, p))
+            assert check_functoriality(F, p, q) == (direct == staged)
+    if products is _decomposed_products:
+        assert len({size for size, _ in fibers_seen}) > 1
+        assert any(basepoint != 0 for _, basepoint in fibers_seen)

@@ -39,3 +39,15 @@ def test_no_unused_top_level_imports(path):
 def test_no_private_helper_imported_from_another_module(path):
     tree = ast.parse(path.read_text())
     assert [name for _, name in _top_level_imports(tree) if name.startswith("_")] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_algebras_defines_packers(path):
+    # the row-major layout of tables and fiber products lives in `algebras`
+    tree = ast.parse(path.read_text())
+    packers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and "pack" in node.name
+    ]
+    assert path.name == "algebras.py" or packers == []

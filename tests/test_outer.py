@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from oracles import commuting_squares
 from ualgebra.algebras import find_isomorphism, is_homomorphism
 from ualgebra.catalog import (
     chain_lattice,
@@ -212,6 +215,30 @@ def test_sdp_morphism_collapse_onto_trivial_fibers():
     T = build_outer_product(singleton, ActionFamily.from_dict(trivial_maps), REGISTRY["group"])
     collapse = tuple((0,) * size for size, _ in family.fibers)
     assert sdp_morphism_check(F, T, collapse)
+
+
+@pytest.mark.parametrize("A", [chain_lattice(4), chain_lattice(5)], ids=lambda a: a.name)
+def test_sdp_morphism_check_across_unequal_fibers(A):
+    # every pointed map between two outer forms of A's decompositions over
+    # one base whose fiber sizes differ, at some base element, from each other
+    products = []
+    for e in idempotent_endomorphisms(A):
+        family, actions, _ = inner_to_outer(decomposition_from_idempotent(A, e))
+        products.append(assemble_union_algebra(family, actions))
+    verdicts = []
+    for F, G in product(products, repeat=2):
+        sizes_f = [size for size, _ in F.family.fibers]
+        sizes_g = [size for size, _ in G.family.fibers]
+        if F.family.base != G.family.base or sizes_f == sizes_g:
+            continue
+        pointed = [
+            [m for m in product(range(size_g), repeat=size_f) if m[point_f] == point_g]
+            for (size_f, point_f), (size_g, point_g) in zip(F.family.fibers, G.family.fibers)
+        ]
+        for maps in product(*pointed):
+            verdicts.append(sdp_morphism_check(F, G, maps))
+            assert verdicts[-1] == commuting_squares(F, G, maps)
+    assert True in verdicts and False in verdicts
 
 
 def test_pointed_object_to_sdp_s3():
