@@ -206,22 +206,27 @@ def subalgebra_as_algebra(A: FiniteAlgebra, subset, name: str | None = None):
     """Relabel a closed subset as an algebra on {0..k-1}; returns (algebra, inclusion).
 
     Elements keep their relative order: inclusion[i] is the i-th smallest member.
+    The relabelling reads f at every tuple of members, which is the closure
+    check: a value outside the subset raises NotASubalgebra.
     """
     members = sorted(subset)
-    if not is_subalgebra(A, members):
+    if any(not 0 <= x < A.size for x in members):
+        raise SizeMismatch("subset outside the carrier")
+    if not members:
         raise NotASubalgebra("subset is not closed under the operations")
     pos = {x: i for i, x in enumerate(members)}
     k = len(members)
-    tables = []
-    for p, (_, arity) in enumerate(A.signature.symbols):
-        table = A.tables[p]
-        tables.append(
+    try:
+        tables = tuple(
             tuple(
                 pos[table[pack(tuple(members[i] for i in args), A.size)]]
                 for args in tuples(k, arity)
             )
+            for (_, arity), table in zip(A.signature.symbols, A.tables)
         )
-    sub = FiniteAlgebra(name or f"{A.name}_sub", A.signature, k, tuple(tables))
+    except KeyError:
+        raise NotASubalgebra("subset is not closed under the operations") from None
+    sub = FiniteAlgebra(name or f"{A.name}_sub", A.signature, k, tables)
     return sub, tuple(members)
 
 

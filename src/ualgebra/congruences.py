@@ -1,70 +1,98 @@
-"""Congruence testing, generation and full enumeration at desk scale."""
+"""Congruence testing, generation and full enumeration at desk scale.
+
+All three work on the row-major operation tables, one argument place at a
+time: a partition is compatible with an operation as soon as it is
+compatible with every one-place translation x -> f(c1, .., x, .., ck), by
+transitivity. The entries whose place j holds the value a form a `_section`
+of the table; the sections of two values line up entry by entry.
+
+- `is_congruence` compares, per place, the section of each element with the
+  section of its class representative: O(k * n^k) per operation.
+- `congruence_generated` is the worklist method of R. Freese, "Computing
+  congruences efficiently", Algebra Universalis 59 (2008): every pair that
+  merges two classes is pushed once, and each popped pair is propagated once
+  through every one-place translation.
+- `all_congruences` joins from the identity with the distinct principal
+  congruences only, skipping a join when the principal one is already below.
+"""
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-
-from .algebras import FiniteAlgebra, Homomorphism, pack
+from .algebras import FiniteAlgebra, Homomorphism
 from .errors import SizeLimitExceeded, SizeMismatch
 from .partitions import Partition, UnionFind
 
 CONGRUENCE_ENUM_CAP = 8
 
 
-def _related_tuples(A: FiniteAlgebra, pi: Partition, arity: int):
-    """Yield pairs of componentwise pi-related argument tuples."""
-    blocks = {r: pi.block_of(r) for r in set(pi.rep)}
-    for args in iproduct(range(A.size), repeat=arity):
-        choices = [blocks[pi.rep[a]] for a in args]
-        for other in iproduct(*choices):
-            yield args, other
+def _section(table, n: int, stride: int, a: int) -> list[int]:
+    """The entries of a row-major table over {0..n-1} whose argument is a
+    at the place of weight `stride` (n^(k-1-j) for place j). The other
+    places run in an order fixed by (len(table), n, stride), so the sections
+    of two values at one place line up."""
+    step = n * stride
+    start = a * stride
+    out: list[int] = []
+    if stride <= len(table) // step:
+        for lo in range(start, start + stride):
+            out += table[lo::step]
+    else:
+        for hi in range(start, len(table), step):
+            out += table[hi : hi + stride]
+    return out
 
 
 def is_congruence(A: FiniteAlgebra, pi: Partition) -> bool:
-    """Exhaustive compatibility check of `pi` with every operation of A."""
+    """Is `pi` compatible with every operation of A?
+
+    One place at a time: for every place and every element a off its class
+    representative r, the section of a and the section of r must agree class
+    by class. That covers every pair of related argument tuples, changing
+    one place at a time and going through the representatives.
+    """
     if pi.n != A.size:
         raise SizeMismatch("partition size differs from carrier size")
-    for p, (_, arity) in enumerate(A.signature.symbols):
-        if arity == 0:
-            continue
-        table = A.tables[p]
-        for args, other in _related_tuples(A, pi, arity):
-            if not pi.same(table[pack(args, A.size)], table[pack(other, A.size)]):
-                return False
+    n, rep = A.size, pi.rep
+    moved = [a for a in range(n) if rep[a] != a]
+    if not moved:
+        return True
+    for (_, arity), table in zip(A.signature.symbols, A.tables):
+        classes = [rep[v] for v in table]
+        for j in range(arity):
+            stride = n ** (arity - 1 - j)
+            for a in moved:
+                if _section(classes, n, stride, a) != _section(classes, n, stride, rep[a]):
+                    return False
     return True
 
 
 def congruence_generated(A: FiniteAlgebra, pairs) -> Partition:
-    """Least congruence containing `pairs`.
+    """Least congruence containing `pairs`, by a worklist of merged pairs.
 
-    Alternates union-find merging with one-coordinate propagation through all
-    operation tables until a fixpoint; one-coordinate steps suffice because
-    the full compatibility condition follows from them by transitivity.
+    Each pair whose union merges two classes is pushed once. A popped pair
+    (a, b) is propagated through every one-place translation: the sections
+    of a and b at every place are paired up entry by entry, each distinct
+    pair is merged, and the merging ones are pushed in turn. The pushed
+    pairs connect every class and each is respected by every translation,
+    so the result is compatible; every merge is forced, so it is least.
     """
     n = A.size
     uf = UnionFind(n)
-    find, union = uf.find, uf.union
-    for a, b in pairs:
-        union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        classes: dict[int, list[int]] = {}
-        for x in range(n):
-            classes.setdefault(find(x), []).append(x)
-        for p, (_, arity) in enumerate(A.signature.symbols):
-            if arity == 0:
-                continue
-            table = A.tables[p]
-            for args in iproduct(range(n), repeat=arity):
-                base = table[pack(args, n)]
-                for j in range(arity):
-                    for b in classes[find(args[j])]:
-                        if b == args[j]:
-                            continue
-                        other = args[:j] + (b,) + args[j + 1 :]
-                        if union(base, table[pack(other, n)]):
-                            changed = True
+    union = uf.union
+    pending = [(a, b) for a, b in pairs if union(a, b)]
+    places = [
+        (table, n ** (arity - 1 - j))
+        for (_, arity), table in zip(A.signature.symbols, A.tables)
+        for j in range(arity)
+    ]
+    while pending:
+        a, b = pending.pop()
+        images: set[tuple[int, int]] = set()
+        for table, stride in places:
+            images.update(zip(_section(table, n, stride, a), _section(table, n, stride, b)))
+        for x, y in images:
+            if x != y and union(x, y):
+                pending.append((x, y))
     return uf.partition()
 
 
@@ -73,27 +101,32 @@ def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Partition:
 
 
 def all_congruences(A: FiniteAlgebra, cap: int = CONGRUENCE_ENUM_CAP) -> list[Partition]:
-    """Every congruence of A, as the join closure of the principal ones.
+    """Every congruence of A, as the joins of its principal congruences.
 
-    Each congruence is the join of the principal congruences of its pairs, so
-    closing the principal ones (plus the identity) under binary join finds
-    them all without scanning the Bell-number space of partitions.
+    Each congruence is the join of the principal congruences Cg(a, b) of its
+    pairs. A breadth-first search from the identity joins each congruence
+    found with each of the at most n(n-1)/2 distinct principal ones; the
+    join is skipped when Cg(a, b) already lies below, that is when a and b
+    are related. Sorted by block count descending, then by representatives.
     """
     if A.size > cap:
         raise SizeLimitExceeded(f"congruence enumeration capped at {cap}")
-    found: set[Partition] = {Partition.identity(A.size)}
-    frontier = []
-    for a in range(A.size):
-        for b in range(a + 1, A.size):
-            c = principal_congruence(A, a, b)
-            if c not in found:
-                found.add(c)
-                frontier.append(c)
+    n = A.size
+    principals: dict[Partition, tuple[int, int]] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            principals.setdefault(principal_congruence(A, a, b), (a, b))
+    identity = Partition.identity(n)
+    found = {identity}
+    frontier = [identity]
     while frontier:
         fresh: list[Partition] = []
         for c in frontier:
-            for d in list(found):
-                j = c.join(d)
+            rep = c.rep
+            for p, (a, b) in principals.items():
+                if rep[a] == rep[b]:
+                    continue
+                j = c.join(p)
                 if j not in found:
                     found.add(j)
                     fresh.append(j)

@@ -27,6 +27,7 @@ from .errors import (
     NotIdeal,
     NotSubdigroup,
     SignatureMismatch,
+    SizeMismatch,
 )
 from .inner import endo_witness, unique_factorizations
 from .outer import ActionFamily, PointedFamily, union_algebra
@@ -123,6 +124,8 @@ def circ_reduct(D: Digroup) -> FiniteAlgebra:
 
 def is_subdigroup(D: Digroup, S) -> bool:
     S = frozenset(S)
+    if any(not 0 <= x < D.n for x in S):
+        raise SizeMismatch("subset outside the carrier")
     if not S or D.one not in S:
         return False
     return all(

@@ -131,9 +131,11 @@ def tables_compose(
     outer: tuple[tuple[int, ...], ...],
     inner: tuple[tuple[int, ...], ...],
     mid_sizes: tuple[int, ...],
+    length: int,
 ) -> tuple[tuple[int, ...], ...]:
-    """Componentwise composition through the middle product."""
-    packed = pack_columns(inner, mid_sizes, len(inner[0]) if inner else 1)
+    """Componentwise composition through the middle product, over a source
+    product of `length` points; an empty middle repeats each point value."""
+    packed = pack_columns(inner, mid_sizes, length)
     return tuple(tuple(table[i] for i in packed) for table in outer)
 
 
@@ -142,13 +144,12 @@ def check_functoriality(
 ) -> bool:
     """G(q o p) == G(q) o G(p) as exact tables."""
     direct = functor_morphism(F, compose_morphisms(q, p))
-    gp = functor_morphism(F, p)
-    gq = functor_morphism(F, q)
-    if not gp:
-        # empty middle tuple: G(q) is a point evaluation at the empty index
-        staged = tuple((t[0],) * functor_object(F, p.source).total() for t in gq)
-    else:
-        staged = tables_compose(gq, gp, functor_object(F, p.target).sizes)
+    staged = tables_compose(
+        functor_morphism(F, q),
+        functor_morphism(F, p),
+        functor_object(F, p.target).sizes,
+        functor_object(F, p.source).total(),
+    )
     return direct == staged
 
 

@@ -25,6 +25,7 @@ from .errors import (
     NotSubgroup,
     PointednessViolation,
     SignatureMismatch,
+    SizeMismatch,
 )
 from .inner import (
     canonical_iso_witness,
@@ -58,6 +59,8 @@ def _require_group(G: FiniteAlgebra):
 
 def is_subgroup(G: FiniteAlgebra, S) -> bool:
     S = frozenset(S)
+    if any(not 0 <= x < G.size for x in S):
+        raise SizeMismatch("subset outside the carrier")
     if not S or group_identity(G) not in S:
         return False
     return all(group_mul(G, a, b) in S for a in S for b in S) and all(

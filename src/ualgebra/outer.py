@@ -418,6 +418,7 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
     fibers: dict[int, tuple[int, int, int]] = {}  # b -> size, basepoint, line
     constant_fiber = None
     maps: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}
+    map_lines: dict[tuple[str, tuple[int, ...]], int] = {}
     current: tuple[str, tuple[int, ...]] | None = None
     pending: list[int] = []
     opened = False
@@ -448,9 +449,14 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
                 raise ParseError("expected 'fiber <b|*> <size> <basepoint>'", source, no)
             size, basepoint = number(parts[2], no), number(parts[3], no)
             if parts[1] == "*":
+                if constant_fiber is not None:
+                    raise ParseError("repeated 'fiber *' line", source, no)
                 constant_fiber = (size, basepoint)
             else:
-                fibers[number(parts[1], no)] = (size, basepoint, no)
+                b = number(parts[1], no)
+                if b in fibers:
+                    raise ParseError(f"repeated fiber for {b}", source, no)
+                fibers[b] = (size, basepoint, no)
         elif parts[0] == "map":
             if current is not None:
                 maps[current] = tuple(pending)
@@ -460,6 +466,9 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
             tup = tup.rstrip(")")
             bs = tuple(number(x, no) for x in tup.split(",") if x.strip() != "")
             current = (sym, bs)
+            if current in map_lines:
+                raise ParseError(f"repeated map for {sym} {bs}", source, no)
+            map_lines[current] = no
             pending = []
         elif parts[0] == "end":
             if current is not None:
@@ -477,6 +486,14 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
     for b, (_, _, no) in fibers.items():
         if not 0 <= b < base.size:
             raise ParseError(f"fiber for {b} outside the base", source, no)
+    arities = dict(base.signature.symbols)
+    for (sym, bs), no in map_lines.items():
+        if sym not in arities:
+            raise ParseError(f"map for {sym!r}, which is not in the signature", source, no)
+        if len(bs) != arities[sym]:
+            raise ParseError(f"map for {sym} needs {arities[sym]} base elements", source, no)
+        if any(not 0 <= b < base.size for b in bs):
+            raise ParseError(f"map for {sym} {bs} outside the base", source, no)
     fiber_list = []
     for b in range(base.size):
         if b in fibers:

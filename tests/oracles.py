@@ -65,6 +65,77 @@ def transitive_closure_classes(n, pairs):
     return tuple(min(j for j in range(n) if related[i][j]) for i in range(n))
 
 
+# -- congruences by exhaustive pair comparison --------------------------------
+#
+# A partition is a tuple `rep` naming each element's class by its least
+# member (the library's `Partition.rep` passes as is). Partitions come from
+# their own restricted-growth enumeration; nothing of the library's
+# congruence or partition code is used.
+
+
+def _flat(args, n):
+    idx = 0
+    for a in args:
+        idx = idx * n + a
+    return idx
+
+
+def brute_force_is_congruence(A, rep):
+    """Compare f at every pair of componentwise related argument tuples."""
+    n = A.size
+    blocks = {r: [x for x in range(n) if rep[x] == r] for r in set(rep)}
+    for (_, arity), table in zip(A.signature.symbols, A.tables):
+        for args in product(range(n), repeat=arity):
+            value = rep[table[_flat(args, n)]]
+            for other in product(*(blocks[rep[a]] for a in args)):
+                if rep[table[_flat(other, n)]] != value:
+                    return False
+    return True
+
+
+def _set_partitions(n):
+    """Every partition of {0..n-1} as a least-member tuple, from the
+    restricted growth strings (each label at most one above all before)."""
+    def grow(code):
+        if len(code) == n:
+            first = {}
+            yield tuple(first.setdefault(c, i) for i, c in enumerate(code))
+            return
+        for c in range(max(code, default=-1) + 2):
+            yield from grow(code + [c])
+
+    yield from grow([])
+
+
+def brute_force_congruences(A):
+    """Every congruence of A by filtering all Bell(n) partitions (n <= 7),
+    sorted by block count descending, then by representatives."""
+    assert A.size <= 7, "the Bell-number scan is meant for n <= 7"
+    found = [rep for rep in _set_partitions(A.size) if brute_force_is_congruence(A, rep)]
+    return sorted(found, key=lambda rep: (-len(set(rep)), rep))
+
+
+def fixpoint_congruence_generated(A, pairs):
+    """Least congruence containing `pairs`: add f(.., a, ..) ~ f(.., b, ..)
+    for every related a, b at every place, and close transitively, until
+    nothing changes."""
+    n = A.size
+    relation = set(pairs)
+    rep = transitive_closure_classes(n, relation)
+    while True:
+        for (_, arity), table in zip(A.signature.symbols, A.tables):
+            for args in product(range(n), repeat=arity):
+                for j in range(arity):
+                    for b in range(n):
+                        if rep[b] == rep[args[j]]:
+                            other = args[:j] + (b,) + args[j + 1 :]
+                            relation.add((table[_flat(args, n)], table[_flat(other, n)]))
+        closed = transitive_closure_classes(n, relation)
+        if closed == rep:
+            return rep
+        rep = closed
+
+
 # -- semidirect products straight from the textbook formulas ----------------
 #
 # Each oracle reads only the operation tables of its inputs and writes the

@@ -7,18 +7,27 @@ from ualgebra.algebras import (
     find_isomorphism,
     generated_subalgebra,
     is_homomorphism,
+    is_subalgebra,
     parse_algebras,
     product,
     quotient,
     subalgebra_as_algebra,
 )
-from ualgebra.catalog import cyclic_group, klein_group, symmetric_group_s3
+from ualgebra.catalog import (
+    chain_lattice,
+    cyclic_group,
+    klein_group,
+    mult_semigroup,
+    symmetric_group_s3,
+)
 from ualgebra.congruences import kernel
 from ualgebra.errors import (
     DuplicateName,
     NotACongruence,
     NotAHomomorphism,
+    NotASubalgebra,
     SizeLimitExceeded,
+    SizeMismatch,
     TableRangeError,
 )
 from ualgebra.partitions import Partition
@@ -83,6 +92,20 @@ def test_subalgebra_as_algebra_relabels():
     assert members == (0, 2, 4)
     assert sub.size == 3
     assert find_isomorphism(sub, cyclic_group(3)) is not None
+
+
+def test_subalgebra_as_algebra_rejects_exactly_the_non_subalgebras():
+    for A in [cyclic_group(6), symmetric_group_s3(), chain_lattice(4), mult_semigroup(5)]:
+        for mask in range(2**A.size):
+            subset = {x for x in range(A.size) if mask >> x & 1}
+            if is_subalgebra(A, subset):
+                sub, members = subalgebra_as_algebra(A, subset)
+                assert members == tuple(sorted(subset)) and sub.size == len(subset)
+            else:
+                with pytest.raises(NotASubalgebra):
+                    subalgebra_as_algebra(A, subset)
+    with pytest.raises(SizeMismatch, match="outside the carrier"):
+        subalgebra_as_algebra(cyclic_group(6), {0, 9})
 
 
 def test_quotient_of_z4():

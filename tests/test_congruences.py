@@ -1,11 +1,13 @@
 from hypothesis import given, settings, strategies as st
 
-from ualgebra.algebras import Homomorphism, quotient
+from ualgebra.algebras import FiniteAlgebra, Homomorphism, quotient
 from ualgebra.catalog import (
     chain_lattice,
     cyclic_group,
     cyclic_heap,
+    groups_up_to_8,
     klein_group,
+    left_zero_semigroup,
     mult_semigroup,
     symmetric_group_s3,
 )
@@ -16,9 +18,36 @@ from ualgebra.congruences import (
     kernel,
 )
 from ualgebra.errors import NotACongruence, SizeLimitExceeded
+from ualgebra.heaps import heap_from_group
 from ualgebra.partitions import Partition, all_set_partitions
+from ualgebra.terms import Signature
 
 import pytest
+
+from oracles import (
+    brute_force_congruences,
+    brute_force_is_congruence,
+    fixpoint_congruence_generated,
+)
+
+
+ORACLE_CORPUS = [heap_from_group(G) for G in groups_up_to_8() if G.size <= 6] + [
+    left_zero_semigroup(5),
+    chain_lattice(6),
+    mult_semigroup(6),
+]
+
+
+@st.composite
+def random_tables(draw):
+    """A random algebra of order <= 5 with one binary or one ternary
+    operation; small value ranges make nontrivial congruences likely."""
+    n = draw(st.integers(1, 5))
+    arity = draw(st.sampled_from([2, 3]))
+    top = draw(st.integers(0, n - 1))
+    table = draw(st.lists(st.integers(0, top), min_size=n**arity, max_size=n**arity))
+    symbol = ("m", 2) if arity == 2 else ("t", 3)
+    return FiniteAlgebra("random", Signature((symbol,)), n, (tuple(table),))
 
 
 def test_trivial_partitions_are_congruences():
@@ -47,10 +76,34 @@ def test_all_congruences_counts():
 
 
 def test_all_congruences_matches_partition_scan():
-    # independent oracle: filter every partition of the carrier
-    for A in [cyclic_group(4), chain_lattice(3), mult_semigroup(4), cyclic_heap(4)]:
-        scanned = {p for p in all_set_partitions(A.size) if is_congruence(A, p)}
-        assert set(all_congruences(A)) == scanned
+    # independent oracle: the exhaustive pairwise check over every partition
+    for A in [cyclic_group(4), chain_lattice(3), mult_semigroup(4), cyclic_heap(4)] + ORACLE_CORPUS:
+        assert [p.rep for p in all_congruences(A)] == brute_force_congruences(A), A.name
+
+
+def test_is_congruence_matches_pairwise_oracle():
+    for A in ORACLE_CORPUS:
+        for p in all_set_partitions(A.size):
+            assert is_congruence(A, p) == brute_force_is_congruence(A, p.rep), (A.name, p)
+
+
+def test_congruence_generated_matches_fixpoint_oracle():
+    for A in ORACLE_CORPUS:
+        for a in range(A.size):
+            for b in range(a + 1, A.size):
+                got = congruence_generated(A, [(a, b)]).rep
+                assert got == fixpoint_congruence_generated(A, [(a, b)]), (A.name, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=random_tables(), data=st.data())
+def test_congruence_kernel_matches_oracles_on_random_tables(A, data):
+    assert [p.rep for p in all_congruences(A)] == brute_force_congruences(A)
+    for p in all_set_partitions(A.size):
+        assert is_congruence(A, p) == brute_force_is_congruence(A, p.rep)
+    element = st.integers(0, A.size - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), max_size=3))
+    assert congruence_generated(A, pairs).rep == fixpoint_congruence_generated(A, pairs)
 
 
 def test_all_congruences_closed_under_join_and_meet():

@@ -27,7 +27,7 @@ from ualgebra.digroups import (
     trivial_digroup,
     trivial_triple,
 )
-from ualgebra.errors import AxiomFailure, HypothesisViolation, NotIdeal
+from ualgebra.errors import AxiomFailure, HypothesisViolation, NotIdeal, SizeMismatch
 from ualgebra.varieties import REGISTRY, check_identities
 
 def klein_z4_digroup() -> Digroup:
@@ -53,6 +53,14 @@ def test_trivial_digroup_on_s3():
     assert is_subdigroup(D, {0, 1})
     assert is_ideal(D, {0, 3, 4})
     assert not is_ideal(D, {0, 1})
+
+
+def test_digroup_inner_report_rejects_subsets_outside_the_carrier():
+    D = trivial_digroup(symmetric_group_s3())
+    with pytest.raises(SizeMismatch, match="outside the carrier"):
+        digroup_inner_report(D, (0, 9), (0,))
+    with pytest.raises(SizeMismatch, match="outside the carrier"):
+        digroup_inner_report(D, (0,), (0, 6))
 
 
 def test_ideal_partition_matches_cosets():

@@ -22,6 +22,7 @@ from ualgebra.envcat import (
     functor_object,
     identity_morphism,
     is_cat_morphism,
+    tables_compose,
 )
 from ualgebra.errors import EndpointMismatch
 from ualgebra.groups import group_data_from_action, group_data_to_family
@@ -154,6 +155,14 @@ def test_functoriality_through_the_empty_object(s3_product):
     p = TermTupleMorphism(src, empty, ())
     q = TermTupleMorphism(empty, dst, (term("e"),))
     assert check_functoriality(s3_product, p, q)
+
+
+def test_tables_compose_through_an_empty_middle_repeats_the_point_value():
+    assert tables_compose(((5,),), (), (), 3) == ((5, 5, 5),)
+    assert tables_compose(((5,), (2,)), (), (), 1) == ((5,), (2,))
+    # a non-empty middle: (x, y) -> (y, x) over 2 x 3, then the middle's flat index
+    swap = ((0, 1, 2, 0, 1, 2), (0, 0, 0, 1, 1, 1))
+    assert tables_compose((tuple(range(6)),), swap, (3, 2), 6) == ((0, 2, 4, 1, 3, 5),)
 
 
 # -- the functor tables against the pointwise oracle -------------------------

@@ -14,6 +14,7 @@ from ualgebra.errors import (
     NotAnAction,
     NotAutomorphism,
     NotNormal,
+    SizeMismatch,
 )
 from ualgebra.groups import (
     RingActionPair,
@@ -90,6 +91,13 @@ def test_group_inner_equivalences_requires_normality():
     s3 = symmetric_group_s3()
     with pytest.raises(NotNormal):
         group_inner_equivalences(s3, {0, 1}, {0, 3, 4})
+
+
+def test_group_inner_equivalences_rejects_subsets_outside_the_carrier():
+    with pytest.raises(SizeMismatch, match="outside the carrier"):
+        group_inner_equivalences(cyclic_group(5), (0, 9), (0,))
+    with pytest.raises(SizeMismatch, match="outside the carrier"):
+        group_inner_equivalences(cyclic_group(5), (0,), (0, -1))
 
 
 def test_every_inner_group_decomposition_passes_the_six_conditions():

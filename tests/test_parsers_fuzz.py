@@ -98,11 +98,20 @@ def test_non_ascii_digits_are_parse_errors(parse, text):
 
 
 @pytest.mark.parametrize(
-    "line", ["fiber * x 0", "fiber * \u00b2 0", "fiber 7 2 0", "fiber -1 2 0", "map m (0,q)", "0 a 1 0"]
+    "line",
+    ["fiber * x 0", "fiber * \u00b2 0", "fiber 7 2 0", "fiber -1 2 0", "map m (0,q)", "0 a 1 0"]
+    # map lines the base cannot use, and repeated lines
+    + ["map zz (0)", "map m (5,5,5)", "map m (0,5)", "map i (-1)", "map m (0,0)", "fiber * 3 0"],
 )
 def test_bad_action_file_numbers_are_parse_errors_at_their_line(line):
     lines = ["action", "base z2", "fiber * 2 0", "map m (0,0)", "0 1 1 0", line, "end"]
     with pytest.raises(ParseError, match=r"^<input>:6:"):
+        parse_action_file("\n".join(lines), _resolve)
+
+
+def test_repeated_fiber_line_is_a_parse_error_at_its_line():
+    lines = ["action", "base z2", "fiber 0 2 0", "fiber 1 2 0", "fiber 0 3 0", "end"]
+    with pytest.raises(ParseError, match=r"^<input>:5:0: repeated fiber for 0"):
         parse_action_file("\n".join(lines), _resolve)
 
 
