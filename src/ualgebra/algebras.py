@@ -1,4 +1,8 @@
-"""Finite algebras as flat operation tables, and the maps between them."""
+"""Finite algebras as flat operation tables, and the maps between them.
+
+`is_subalgebra` is the one closure test: subgroups, subdigroups and subheaps
+are subalgebras, and normal subheaps and ideals are filtered from
+`all_subalgebras`."""
 
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .partitions import Partition
 from .terms import Signature
 
 ISO_SIZE_CAP = 12
+SUBALGEBRA_ENUM_CAP = 12
 
 
 def pack(args: tuple[int, ...], n: int) -> int:
@@ -150,15 +155,6 @@ class Homomorphism:
     def image(self) -> frozenset[int]:
         return frozenset(self.map)
 
-    def is_bijective(self) -> bool:
-        return self.source.size == self.target.size and len(set(self.map)) == self.source.size
-
-    def compose(self, first: "Homomorphism") -> "Homomorphism":
-        """self after first."""
-        if first.target != self.source:
-            raise SignatureMismatch("composition endpoints do not match")
-        return Homomorphism(first.source, self.target, tuple(self.map[v] for v in first.map))
-
 
 def generated_subalgebra(A: FiniteAlgebra, seed) -> frozenset[int]:
     """Least superset of `seed` closed under all operations and constants."""
@@ -182,23 +178,30 @@ def generated_subalgebra(A: FiniteAlgebra, seed) -> frozenset[int]:
 
 
 def is_subalgebra(A: FiniteAlgebra, subset) -> bool:
+    """Is `subset` nonempty and closed? Reads each operation at every tuple of
+    members, stopping at the first value outside; constants are the 0-ary case."""
     members = frozenset(subset)
     if not members:
         return False
     if any(not 0 <= x < A.size for x in members):
         raise SizeMismatch("subset outside the carrier")
-    return generated_subalgebra(A, members) == members
+    for (_, arity), table in zip(A.signature.symbols, A.tables):
+        for args in iproduct(members, repeat=arity):
+            if table[pack(args, A.size)] not in members:
+                return False
+    return True
 
 
-def all_subalgebras(A: FiniteAlgebra, cap: int = 12) -> list[frozenset[int]]:
-    """All nonempty closed subsets, by closing every subset (carrier <= cap)."""
-    if A.size > cap:
-        raise SizeLimitExceeded(f"subalgebra enumeration capped at {cap}")
-    found: set[frozenset[int]] = set()
+def all_subalgebras(A: FiniteAlgebra) -> list[frozenset[int]]:
+    """All nonempty closed subsets, by testing every subset (carrier at most
+    SUBALGEBRA_ENUM_CAP), ordered by size, then by sorted members."""
+    if A.size > SUBALGEBRA_ENUM_CAP:
+        raise SizeLimitExceeded(f"subalgebra enumeration capped at {SUBALGEBRA_ENUM_CAP}")
+    found = []
     for mask in range(1, 2**A.size):
         subset = frozenset(i for i in range(A.size) if mask >> i & 1)
-        if generated_subalgebra(A, subset) == subset:
-            found.add(subset)
+        if is_subalgebra(A, subset):
+            found.append(subset)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -275,19 +278,19 @@ def product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
     return FiniteAlgebra(f"{A.name}_x_{B.name}", A.signature, n, tuple(tables))
 
 
-def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra, cap: int = ISO_SIZE_CAP):
+def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra):
     """Lexicographically least isomorphism A -> B, or None.
 
     Backtracking over images in carrier order; every operation instance whose
     arguments and result are already mapped must commute with the partial map.
-    Intended for carriers up to `cap`.
+    Carriers above ISO_SIZE_CAP raise SizeLimitExceeded.
     """
     if A.signature != B.signature:
         raise SignatureMismatch("isomorphism needs a shared signature")
     if A.size != B.size:
         return None
-    if A.size > cap:
-        raise SizeLimitExceeded(f"isomorphism search capped at {cap}")
+    if A.size > ISO_SIZE_CAP:
+        raise SizeLimitExceeded(f"isomorphism search capped at {ISO_SIZE_CAP}")
     n = A.size
     sig = A.signature.symbols
     mapping = [-1] * n
@@ -326,8 +329,8 @@ def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra, cap: int = ISO_SIZE_CAP
     return extend(0)
 
 
-def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra, cap: int = ISO_SIZE_CAP) -> bool:
-    return find_isomorphism(A, B, cap) is not None
+def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
+    return find_isomorphism(A, B) is not None
 
 
 # -- text format ------------------------------------------------------------

@@ -10,6 +10,10 @@ y*|K| + k. Pointedness is not checked: a Lambda that moves K's unit can
 leave the family unpointed, and its tables still define a digroup on Y x K.
 `digroup_inner_report` condition c7 is the general inner condition (b) on
 (B, ideal_partition(D, I)).
+
+Subdigroups are the subalgebras in DIGROUP_SIG, whose inverses and identity
+are operations: `is_subdigroup` and `sub_digroup` go through `algebras`, and
+`all_ideals` filters `all_subalgebras` with `is_ideal`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .algebras import FiniteAlgebra, inverse_permutation, is_homomorphism, product, quotient
+from .algebras import (
+    FiniteAlgebra,
+    all_subalgebras,
+    inverse_permutation,
+    is_homomorphism,
+    is_subalgebra,
+    product,
+    quotient,
+    subalgebra_as_algebra,
+)
 from .congruences import is_congruence
 from .errors import (
     AxiomFailure,
@@ -27,12 +40,13 @@ from .errors import (
     NotIdeal,
     NotSubdigroup,
     SignatureMismatch,
-    SizeMismatch,
 )
 from .inner import endo_witness, unique_factorizations
 from .outer import ActionFamily, PointedFamily, union_algebra
 from .partitions import Partition
 from .varieties import DIGROUP_SIG, REGISTRY, check_identities
+
+DIGROUP_ENUM_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -123,14 +137,9 @@ def circ_reduct(D: Digroup) -> FiniteAlgebra:
 
 
 def is_subdigroup(D: Digroup, S) -> bool:
-    S = frozenset(S)
-    if any(not 0 <= x < D.n for x in S):
-        raise SizeMismatch("subset outside the carrier")
-    if not S or D.one not in S:
-        return False
-    return all(
-        D.star(a, b) in S and D.circ(a, b) in S for a in S for b in S
-    ) and all(D.sinv(a) in S and D.cinv(a) in S for a in S)
+    """A subalgebra in DIGROUP_SIG: closed under both products and both
+    inverses, and holding the shared identity."""
+    return is_subalgebra(D.algebra, S)
 
 
 def is_ideal(D: Digroup, I) -> bool:
@@ -157,12 +166,8 @@ def is_ideal(D: Digroup, I) -> bool:
 
 
 def all_ideals(D: Digroup) -> list[frozenset[int]]:
-    out = []
-    for mask in range(1, 2**D.n):
-        subset = frozenset(i for i in range(D.n) if mask >> i & 1)
-        if D.one in subset and is_ideal(D, subset):
-            out.append(subset)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    """The subdigroups that are ideals, in `all_subalgebras` order."""
+    return [I for I in all_subalgebras(D.algebra) if is_ideal(D, I)]
 
 
 def ideal_partition(D: Digroup, I) -> Partition:
@@ -360,11 +365,8 @@ def pair_identities(triple: DigroupActionTriple, D: Digroup) -> tuple[bool, bool
 
 def sub_digroup(D: Digroup, S, name: str | None = None) -> tuple[Digroup, tuple[int, ...]]:
     """Relabel a subdigroup on {0..k-1}; returns (digroup, sorted members)."""
-    members = sorted(frozenset(S))
-    pos = {x: i for i, x in enumerate(members)}
-    star = tuple(pos[D.star(a, b)] for a in members for b in members)
-    circ = tuple(pos[D.circ(a, b)] for a in members for b in members)
-    return digroup_from_tables(star, circ, name or f"{D.algebra.name}_sub"), tuple(members)
+    sub, members = subalgebra_as_algebra(D.algebra, S, name)
+    return Digroup(sub).validate(), members
 
 
 def digroup_extract_actions(D: Digroup, Y, K):
@@ -469,10 +471,6 @@ class SkewBraceReport:
     lsb: bool
     lambda_morphism: bool
     witness: tuple[int, int, int] | None
-
-    @property
-    def is_left_skew_brace(self) -> bool:
-        return self.lsb
 
 
 def skew_brace_check(D: Digroup) -> SkewBraceReport:
@@ -665,18 +663,18 @@ def brace_center(D: Digroup) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def all_digroups(n: int, cap: int = 6) -> tuple[Digroup, ...]:
+def all_digroups(n: int) -> tuple[Digroup, ...]:
     """All digroups on n elements up to simultaneous isomorphism.
 
     Every digroup can be relabeled so that its star table is a canonical
     representative with identity 0; the circ table is then deduplicated under
     the automorphisms of that representative. The underlying Latin-square
-    search explodes past six elements, hence the cap.
+    search explodes past six elements, hence DIGROUP_ENUM_CAP.
     """
     from .errors import SizeLimitExceeded
 
-    if n > cap:
-        raise SizeLimitExceeded(f"digroup enumeration capped at {cap}")
+    if n > DIGROUP_ENUM_CAP:
+        raise SizeLimitExceeded(f"digroup enumeration capped at {DIGROUP_ENUM_CAP}")
     from .catalog import all_group_tables
 
     tables = all_group_tables(n)

@@ -7,6 +7,9 @@ like every outer product. Products are published in the pair encoding
 k*|B| + b, the pairing of `product(K, B)`, relabelled from the union's native
 b*|K| + k. `group_inner_equivalences` flags d, e and f are the general inner
 conditions (b), (c) and (d) on (Y, the coset partition of K).
+
+Groups are a variety in GROUP_SIG, whose inverse and identity are
+operations, so `is_subgroup` is `algebras.is_subalgebra`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product as iproduct
 
-from .algebras import FiniteAlgebra, is_homomorphism, subalgebra_as_algebra
+from .algebras import FiniteAlgebra, is_homomorphism, is_subalgebra, subalgebra_as_algebra
 from .errors import (
     CompatibilityViolation,
     ConditionViolation,
@@ -25,7 +28,6 @@ from .errors import (
     NotSubgroup,
     PointednessViolation,
     SignatureMismatch,
-    SizeMismatch,
 )
 from .inner import (
     canonical_iso_witness,
@@ -58,14 +60,8 @@ def _require_group(G: FiniteAlgebra):
 
 
 def is_subgroup(G: FiniteAlgebra, S) -> bool:
-    S = frozenset(S)
-    if any(not 0 <= x < G.size for x in S):
-        raise SizeMismatch("subset outside the carrier")
-    if not S or group_identity(G) not in S:
-        return False
-    return all(group_mul(G, a, b) in S for a in S for b in S) and all(
-        group_inv(G, a) in S for a in S
-    )
+    """A subalgebra in GROUP_SIG: closed under m and i, and holding e."""
+    return is_subalgebra(G, S)
 
 
 def is_normal_subgroup(G: FiniteAlgebra, S) -> bool:

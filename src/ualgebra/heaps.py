@@ -4,6 +4,9 @@ Every nonempty heap is the heap of a group; decompositions mirror the general
 theory, with normal subheaps giving congruences and a conjugation-style
 action on the block of a chosen basepoint.
 
+A nonempty subheap is a subalgebra in t/3: `is_subheap` is `is_subalgebra`
+plus the empty heap, and `all_normal_subheaps` filters `all_subalgebras`.
+
 `heap_outer` translates a heap action into a pointed family (K over every
 y, pointed at 0) and the action family t(k1, k2, k3) = [k1, a_w(k2), a_w(k3)],
 and builds through `outer.assemble_union_algebra`. Products are published in
@@ -21,6 +24,7 @@ from itertools import product as iproduct
 from .algebras import (
     FiniteAlgebra,
     Homomorphism,
+    all_subalgebras,
     find_isomorphism,
     inverse_permutation,
     is_homomorphism,
@@ -37,7 +41,6 @@ from .errors import (
     NotACongruence,
     NotASubheap,
     SignatureMismatch,
-    SizeMismatch,
 )
 from .inner import (
     canonical_iso_witness,
@@ -94,10 +97,10 @@ def group_from_heap(X: FiniteAlgebra, e: int) -> FiniteAlgebra:
 
 
 def is_subheap(X: FiniteAlgebra, S) -> bool:
+    """Is S closed under t? The empty set is the empty heap, so it passes;
+    a nonempty S is a subheap exactly when it is a subalgebra."""
     S = frozenset(S)
-    if any(not 0 <= x < X.size for x in S):
-        raise SizeMismatch("subset outside the carrier")
-    return all(heap_op(X, a, b, c) in S for a in S for b in S for c in S)
+    return not S or is_subalgebra(X, S)
 
 
 def is_normal_subheap(X: FiniteAlgebra, S) -> bool:
@@ -114,12 +117,8 @@ def is_normal_subheap(X: FiniteAlgebra, S) -> bool:
 
 
 def all_normal_subheaps(X: FiniteAlgebra) -> list[frozenset[int]]:
-    out = []
-    for mask in range(1, 2**X.size):
-        S = frozenset(i for i in range(X.size) if mask >> i & 1)
-        if is_normal_subheap(X, S):
-            out.append(S)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    """The subalgebras that are normal subheaps, in `all_subalgebras` order."""
+    return [S for S in all_subalgebras(X) if is_normal_subheap(X, S)]
 
 
 def subheap_relation(X: FiniteAlgebra, S) -> Partition:
@@ -427,10 +426,6 @@ def heap_direct_criterion(
 
 
 # -- near-trusses ------------------------------------------------------------
-
-
-def truss_mul(X: FiniteAlgebra, a: int, b: int) -> int:
-    return X.table("m")[a * X.size + b]
 
 
 def is_near_truss(X: FiniteAlgebra, side: str) -> bool:

@@ -126,10 +126,6 @@ def decomposition_from_idempotent(A: FiniteAlgebra, e: Homomorphism) -> InnerDec
     return InnerDecomposition(A, B, omega, e, tuple(pointed))
 
 
-def all_inner_decompositions(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP):
-    return [decomposition_from_idempotent(A, e) for e in idempotent_endomorphisms(A, cap)]
-
-
 @dataclass(frozen=True)
 class InnerSdpReport:
     b_is_subalgebra: bool

@@ -70,9 +70,13 @@ class Partition:
     def join(self, other: "Partition") -> "Partition":
         if self.n != other.n:
             raise SizeMismatch("partitions over different carriers")
-        pairs = [(i, self.rep[i]) for i in range(self.n)]
-        pairs += [(i, other.rep[i]) for i in range(self.n)]
-        return Partition.from_pairs(self.n, pairs)
+        # self.rep is a union-find forest; only other's non-representatives merge
+        uf = UnionFind(self.n)
+        uf.parent = list(self.rep)
+        for i, r in enumerate(other.rep):
+            if i != r:
+                uf.union(i, r)
+        return uf.partition()
 
     def meet(self, other: "Partition") -> "Partition":
         if self.n != other.n:

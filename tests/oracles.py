@@ -316,3 +316,89 @@ def commuting_squares(F, G, maps):
                 if g_actions[(sym, bs)][k] != maps[target][f_actions[(sym, bs)][j]]:
                     return False
     return True
+
+
+# -- substructures by closing and scanning every subset -----------------------
+#
+# Subsets come from one bitmask scan, in mask order. Each structure has its
+# own closure test; nothing of the library's closure or subset code is used.
+
+
+def _subsets(n):
+    """Every subset of {0..n-1} as a frozenset, the empty one first."""
+    return [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2**n)]
+
+
+def _by_size(S):
+    return len(S), sorted(S)
+
+
+def fixpoint_closure(A, seed):
+    """Least superset of `seed` that holds every constant and is closed under
+    every operation: add each value at every tuple of members until a round
+    adds nothing."""
+    current = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for (_, arity), table in zip(A.signature.symbols, A.tables):
+            for args in product(sorted(current), repeat=arity):
+                value = table[_flat(args, A.size)]
+                if value not in current:
+                    current.add(value)
+                    changed = True
+    return frozenset(current)
+
+
+def closed_subsets(A):
+    """Every nonempty subset that its fixpoint closure leaves as it is,
+    ordered by size, then by sorted members."""
+    return sorted((S for S in _subsets(A.size)[1:] if fixpoint_closure(A, S) == S), key=_by_size)
+
+
+def brute_force_normal_subheaps(X):
+    """Every nonempty S closed under t with [[x,e,s],x,e] in S for every x of
+    X and e, s in S, by scanning all subsets, ordered like `closed_subsets`."""
+    n, table = X.size, X.tables[0]
+
+    def t(a, b, c):
+        return table[(a * n + b) * n + c]
+
+    found = [
+        S
+        for S in _subsets(n)[1:]
+        if all(t(a, b, c) in S for a in S for b in S for c in S)
+        and all(t(t(x, e, s), x, e) in S for x in range(n) for e in S for s in S)
+    ]
+    return sorted(found, key=_by_size)
+
+
+def brute_force_ideals(A):
+    """Every ideal of the digroup A (signature star, star_inv, circ,
+    circ_inv, one) by scanning all subsets: a subset holding the identity,
+    closed under both products and both inverses, normal in both groups,
+    with a * I = a o I for every a; ordered like `closed_subsets`."""
+    n = A.size
+    ops = {sym: table for (sym, _), table in zip(A.signature.symbols, A.tables)}
+    star, sinv, circ, cinv = ops["star"], ops["star_inv"], ops["circ"], ops["circ_inv"]
+    one = ops["one"][0]
+
+    def closed(S):
+        return (
+            one in S
+            and all(star[a * n + b] in S and circ[a * n + b] in S for a in S for b in S)
+            and all(sinv[a] in S and cinv[a] in S for a in S)
+        )
+
+    def normal(S, mul, inv):
+        return all(mul[mul[g * n + s] * n + inv[g]] in S for g in range(n) for s in S)
+
+    def cosets_match(S):
+        return all({star[a * n + i] for i in S} == {circ[a * n + i] for i in S} for a in range(n))
+
+    found = [
+        S
+        for S in _subsets(n)
+        if closed(S) and normal(S, star, sinv) and normal(S, circ, cinv) and cosets_match(S)
+    ]
+    return sorted(found, key=_by_size)

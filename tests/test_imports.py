@@ -1,6 +1,7 @@
 """Static checks on the package's imports, with the standard-library `ast`."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,60 @@ def test_only_algebras_defines_packers(path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and "pack" in node.name
     ]
     assert path.name == "algebras.py" or packers == []
+
+
+
+
+ROOT = MODULES[0].parents[2]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions(tree: ast.Module):
+    """The public top-level functions and classes, and the public methods
+    of the top-level classes, as `name` or `Class.name`."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, DEFINITIONS) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}"
+
+
+def _reads(node: ast.AST, scope: str):
+    """(name, scope) for each name read as a variable or an attribute under
+    `node`; a function or class opens the scope `<enclosing>.<its name>`."""
+    if isinstance(node, ast.Name):
+        yield node.id, scope
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, scope
+    elif isinstance(node, DEFINITIONS):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, scope)
+
+
+def test_every_public_definition_is_referenced():
+    """Each public function, class and method of the package is read, as a
+    name or an attribute, somewhere outside its own definition in `src`,
+    `tests` or `perfbench`, or is named in the README. An import or an
+    `__all__` entry names a definition without using it, so neither counts."""
+    definitions = []
+    reads: dict[str, list[str]] = {}
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        key = path.relative_to(ROOT).as_posix()
+        tree = ast.parse(path.read_text())
+        if path in MODULES:
+            definitions += [
+                (f"{key}:{q}", q.rpartition(".")[2]) for q in _public_definitions(tree)
+            ]
+        for name, scope in _reads(tree, ""):
+            reads.setdefault(name, []).append(f"{key}:{scope}")
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    unreferenced = [
+        own
+        for own, name in definitions
+        if name not in readme
+        and all(at == own or at.startswith(own + ".") for at in reads.get(name, ()))
+    ]
+    assert unreferenced == []

@@ -63,14 +63,24 @@ def test_all_set_partitions_counts_are_bell_numbers():
         assert len(set(parts)) == count
 
 
+def _pair_lists(n):
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    data=st.integers(1, 8).flatmap(
-        lambda n: st.tuples(
-            st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)
-        )
-    )
-)
+@given(data=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), _pair_lists(n))))
 def test_from_pairs_matches_brute_force_closure(data):
     n, pairs = data
     assert Partition.from_pairs(n, pairs).rep == transitive_closure_classes(n, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), _pair_lists(n), _pair_lists(n))
+    )
+)
+def test_join_matches_brute_force_closure_of_both_sides(data):
+    n, left, right = data
+    joined = Partition.from_pairs(n, left).join(Partition.from_pairs(n, right))
+    assert joined.rep == transitive_closure_classes(n, left + right)
