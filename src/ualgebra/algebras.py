@@ -115,17 +115,22 @@ def tuples(n: int, k: int):
 
 
 def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
-    """True iff f(map a1,..,map ak) = map f(a1,..,ak) for every symbol and tuple."""
+    """True iff f(map a1,..,map ak) = map f(a1,..,ak) for every symbol and tuple.
+
+    One column per operation: the B-indices of the mapped argument tuples
+    are built in A's row-major order, one place at a time, and B's entries
+    there are compared with the mapped column of A's table."""
     if A.signature != B.signature:
         raise SignatureMismatch("homomorphisms need a shared signature")
     if len(mapping) != A.size or any(not 0 <= v < B.size for v in mapping):
         raise SizeMismatch("map must send A's carrier into B's")
-    for p, (sym, arity) in enumerate(A.signature.symbols):
-        ta, tb = A.tables[p], B.tables[p]
-        for args in tuples(A.size, arity):
-            image = pack(tuple(mapping[a] for a in args), B.size)
-            if mapping[ta[pack(args, A.size)]] != tb[image]:
-                return False
+    m, nb = mapping, B.size
+    for (_, arity), ta, tb in zip(A.signature.symbols, A.tables, B.tables):
+        idx = [0]
+        for _ in range(arity):
+            idx = [p * nb + v for p in idx for v in m]
+        if [m[v] for v in ta] != [tb[i] for i in idx]:
+            return False
     return True
 
 

@@ -230,6 +230,8 @@ def heap_inner_report(
     """Evaluate the five decomposition conditions independently; on success
     build the action alpha_y(k) = [y, e, [k, y, e]] on the block of e and
     verify it is a heap morphism into the automorphism heap."""
+    if X.signature != HEAP_SIG:
+        raise SignatureMismatch("expected the heap signature t/3")
     Y = frozenset(Y)
     if not Y or not is_subheap(X, Y):
         raise NotASubheap("Y must be a nonempty subheap")

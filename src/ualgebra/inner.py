@@ -3,6 +3,9 @@
 A decomposition of A consists of a subalgebra B and a congruence omega such
 that B meets every omega-class in exactly one point. Decompositions biject
 with idempotent endomorphisms, and every carrier splits into pointed blocks.
+`idempotent_endomorphisms` walks that bijection backwards: for each
+congruence it backtracks over one representative per block, keeping the
+chosen set closed, and each closed transversal is one endomorphism.
 Each of the four equivalent conditions of `verify_inner_sdp` is one public
 function: (a) `is_transversal`, (b) `endo_witness`, (c) `retraction_witness`,
 (d) `canonical_iso_witness`. The group, digroup, heap and near-truss reports
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
 
 from .algebras import (
     FiniteAlgebra,
@@ -25,7 +27,7 @@ from .algebras import (
     quotient,
     subalgebra_as_algebra,
 )
-from .congruences import is_congruence, kernel
+from .congruences import all_congruences, is_congruence, kernel
 from .errors import NotIdempotent, SizeLimitExceeded
 from .partitions import Partition
 
@@ -39,60 +41,91 @@ IDEMPOTENT_CACHE_SIZE = 256
 def idempotent_endomorphisms(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> tuple[Homomorphism, ...]:
     """All idempotent endomorphisms of A, in lexicographic map order.
 
-    Backtracks over images element by element. Constants are pinned first
-    (any endomorphism fixes them), idempotence is propagated eagerly (every
-    chosen image must be a fixed point), and the homomorphism condition is
-    enforced on every operation instance that is fully decided.
+    e <-> (im e, ker e) is a bijection onto the pairs (B, omega) with omega a
+    congruence and B a subalgebra meeting every omega-class once, and e sends
+    x to the element of B in x's class. So for each congruence omega in
+    `all_congruences(A, cap)` the search chooses one representative per
+    block, keeping the chosen set closed, and reads e off each full choice.
     """
     if A.size > cap:
         raise SizeLimitExceeded(f"endomorphism enumeration capped at {cap}")
-    return _enumerate_idempotents(A)
+    return _enumerate_idempotents(A, cap)
 
 
 @lru_cache(maxsize=IDEMPOTENT_CACHE_SIZE)
-def _enumerate_idempotents(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
-    n = A.size
-    sig = A.signature.symbols
-    image = [-1] * n
-    for c in A.constants().values():
-        image[c] = c
+def _enumerate_idempotents(A: FiniteAlgebra, cap: int) -> tuple[Homomorphism, ...]:
+    maps = [m for omega in all_congruences(A, cap) for m in _closed_transversals(A, omega)]
+    return tuple(Homomorphism(A, A, m) for m in sorted(maps))
 
-    def ok() -> bool:
-        # check all instances whose arguments and result are decided
-        decided = [x for x in range(n) if image[x] >= 0]
-        for p, (_, arity) in enumerate(sig):
-            table = A.tables[p]
-            for args in iproduct(decided, repeat=arity):
-                out = table[pack(args, n)]
-                if image[out] < 0:
-                    continue
-                if table[pack(tuple(image[a] for a in args), n)] != image[out]:
-                    return False
+
+def _closed_transversals(A: FiniteAlgebra, omega: Partition) -> list[tuple[int, ...]]:
+    """x -> the representative of x's block, for every choice of one
+    representative per omega-block whose set is closed under the operations.
+
+    Constants pin their own block. Choosing x evaluates every instance over
+    the chosen elements that contains x: a value in an unchosen block is
+    forced to represent it, a value in a block represented by another
+    element ends the branch. Forced choices are undone on backtracking.
+    """
+    n, rep = A.size, omega.rep
+    chosen = [-1] * n  # indexed by block representative
+    trail: list[int] = []  # chosen elements, in the order chosen
+    places = [
+        (table, [n ** (arity - 1 - j) for j in range(arity)])
+        for (_, arity), table in zip(A.signature.symbols, A.tables)
+        if arity
+    ]
+
+    def choose(x: int) -> bool:
+        """Choose x for its block and close; False on a conflict."""
+        chosen[rep[x]] = x
+        trail.append(x)
+        pending = [x]
+        while pending:
+            y = pending.pop()
+            for table, strides in places:
+                # each instance once: place j is y's first occurrence
+                for j, sj in enumerate(strides):
+                    idx = [y * sj]
+                    for i, si in enumerate(strides):
+                        if i != j:
+                            idx = [p + z * si for p in idx for z in trail if i > j or z != y]
+                    for v in [table[i] for i in idx]:
+                        r = chosen[rep[v]]
+                        if r < 0:
+                            chosen[rep[v]] = v
+                            trail.append(v)
+                            pending.append(v)
+                        elif r != v:
+                            return False
         return True
 
-    results: list[tuple[int, ...]] = []
+    def undo(mark: int) -> None:
+        for x in trail[mark:]:
+            chosen[rep[x]] = -1
+        del trail[mark:]
 
-    def assign(x: int):
-        while x < n and image[x] >= 0:
-            x += 1
-        if x == n:
-            results.append(tuple(image))
+    for c in sorted(set(A.constants().values())):
+        r = chosen[rep[c]]
+        if r != c and (r >= 0 or not choose(c)):
+            return []  # two constants share a block, or their closure does
+    blocks = omega.blocks()
+    found: list[tuple[int, ...]] = []
+
+    def search(k: int) -> None:
+        while k < len(blocks) and chosen[blocks[k][0]] >= 0:
+            k += 1
+        if k == len(blocks):
+            found.append(tuple(chosen[r] for r in rep))
             return
-        for v in range(n):
-            if image[v] >= 0 and image[v] != v:
-                continue  # idempotence: the image point must be fixed
-            undo = [(x, image[x])]
-            image[x] = v
-            if image[v] < 0:
-                undo.append((v, image[v]))
-                image[v] = v
-            if ok():
-                assign(x + 1)
-            for pos, old in reversed(undo):
-                image[pos] = old
+        mark = len(trail)
+        for x in blocks[k]:
+            if choose(x):
+                search(k + 1)
+            undo(mark)
 
-    assign(0)
-    return tuple(Homomorphism(A, A, m) for m in sorted(results))
+    search(0)
+    return found
 
 
 @dataclass(frozen=True)
@@ -143,7 +176,11 @@ class InnerSdpReport:
 
 def is_transversal(B: frozenset[int], omega: Partition) -> bool:
     """(a): B meets every omega-class in exactly one element."""
-    return all(len(B.intersection(block)) == 1 for block in omega.blocks())
+    return _meets_each_once(B, omega.blocks())
+
+
+def _meets_each_once(B: frozenset[int], blocks) -> bool:
+    return all(len(B.intersection(block)) == 1 for block in blocks)
 
 
 def endo_witness(
@@ -299,11 +336,7 @@ def idempotent_poset(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> PosetReport:
 
 
 def count_transversal_pairs(A: FiniteAlgebra, subalgebras, congruences) -> int:
-    """|{(B, omega) : B meets every omega-class exactly once}| by direct scan."""
-    count = 0
-    for B in subalgebras:
-        members = frozenset(B)
-        for omega in congruences:
-            if is_transversal(members, omega):
-                count += 1
-    return count
+    """|{(B, omega) : B meets every omega-class exactly once}| by direct scan,
+    with the blocks of each omega listed once."""
+    blocks = [omega.blocks() for omega in congruences]
+    return sum(_meets_each_once(B, bl) for B in map(frozenset, subalgebras) for bl in blocks)

@@ -20,20 +20,73 @@ def brute_force_idempotent_endos(A):
     return found
 
 
-def _is_hom(A, mapping):
-    n = A.size
+def _is_hom(A, mapping, B=None):
+    """Does `mapping` carry A's operations to B's (B defaults to A), one
+    argument tuple at a time?"""
+    B = A if B is None else B
+    n, m = A.size, B.size
     for pos, (_, arity) in enumerate(A.signature.symbols):
-        table = A.tables[pos]
+        table, target = A.tables[pos], B.tables[pos]
         for args in product(range(n), repeat=arity):
             idx = 0
             for a in args:
                 idx = idx * n + a
             jdx = 0
             for a in args:
-                jdx = jdx * n + mapping[a]
-            if mapping[table[idx]] != table[jdx]:
+                jdx = jdx * m + mapping[a]
+            if mapping[table[idx]] != target[jdx]:
                 return False
     return True
+
+
+def backtracking_idempotents(A):
+    """Every idempotent endomorphism of A as a sorted list of maps, by
+    choosing images element by element.
+
+    Constants are pinned first, every chosen image is made a fixed point at
+    once, and each step rescans every operation instance whose arguments and
+    result are decided.
+    """
+    n = A.size
+    image = [-1] * n
+    for (_, arity), table in zip(A.signature.symbols, A.tables):
+        if arity == 0:
+            image[table[0]] = table[0]
+
+    def ok():
+        decided = [x for x in range(n) if image[x] >= 0]
+        for (_, arity), table in zip(A.signature.symbols, A.tables):
+            for args in product(decided, repeat=arity):
+                out = table[_flat(args, n)]
+                if image[out] < 0:
+                    continue
+                if table[_flat([image[a] for a in args], n)] != image[out]:
+                    return False
+        return True
+
+    results = []
+
+    def assign(x):
+        while x < n and image[x] >= 0:
+            x += 1
+        if x == n:
+            results.append(tuple(image))
+            return
+        for v in range(n):
+            if image[v] >= 0 and image[v] != v:
+                continue  # idempotence: the image point must be fixed
+            undo = [(x, image[x])]
+            image[x] = v
+            if image[v] < 0:
+                undo.append((v, image[v]))
+                image[v] = v
+            if ok():
+                assign(x + 1)
+            for pos, old in reversed(undo):
+                image[pos] = old
+
+    assign(0)
+    return sorted(results)
 
 
 # counts computed with this oracle before the main implementation existed

@@ -300,6 +300,16 @@ def test_heap_decompose(workspace, tmp_path, capsys):
     assert capsys.readouterr().out.count("True") == 5
 
 
+def test_heap_decompose_of_a_non_heap_is_input_error(workspace, tmp_path, capsys):
+    from ualgebra.catalog import chain_lattice
+
+    chains = tmp_path / "chain.alg"
+    chains.write_text(emit_algebra(chain_lattice(3)))
+    for ref, omega in [(f"{workspace['algs']}#z4", "{{0,1,2,3}}"), (f"{chains}#chain3", "{{0,1,2}}")]:
+        assert main(["heap", "decompose", ref, "--Y", "0", "--omega", omega]) == 2
+        assert capsys.readouterr().err == "error: expected the heap signature t/3\n"
+
+
 def test_truss_check(tmp_path, capsys):
     from ualgebra.catalog import cyclic_ring
     from ualgebra.heaps import truss_from_ring
@@ -407,7 +417,7 @@ def test_size_cap_flag_and_env(tmp_path, capsys, monkeypatch):
     big.write_text(emit_algebra(zn(9)))
     # the default cap of 8 rejects a 9-element carrier
     assert main(["idempotents", f"{big}#z9"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: endomorphism enumeration capped at 8\n"
     assert main(["--size-cap", "9", "idempotents", f"{big}#z9"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "2"  # only the zero and identity multipliers are idempotent mod 9

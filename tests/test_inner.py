@@ -53,8 +53,12 @@ def test_matches_brute_force_oracle_on_mixed_corpus():
 
 
 def test_enumeration_cap():
-    with pytest.raises(SizeLimitExceeded):
+    # checked before the congruences, whose own cap is also 8
+    with pytest.raises(SizeLimitExceeded, match="endomorphism enumeration capped at 8"):
         idempotent_endomorphisms(cyclic_group(9))
+    # a raised cap reaches the congruence enumeration too
+    endos = idempotent_endomorphisms(cyclic_group(9), cap=9)
+    assert [e.map for e in endos] == [(0,) * 9, tuple(range(9))]
 
 
 def test_decomposition_from_identity_and_constant():
