@@ -283,55 +283,50 @@ def product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
     return FiniteAlgebra(f"{A.name}_x_{B.name}", A.signature, n, tuple(tables))
 
 
-def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra):
-    """Lexicographically least isomorphism A -> B, or None.
+def isomorphisms(A: FiniteAlgebra, B: FiniteAlgebra):
+    """Every isomorphism A -> B, in lexicographic order of the maps.
 
-    Backtracking over images in carrier order; every operation instance whose
-    arguments and result are already mapped must commute with the partial map.
-    Carriers above ISO_SIZE_CAP raise SizeLimitExceeded.
+    Elements 0, 1, ... are mapped in carrier order, each to the unused images
+    in ascending order. Each operation instance f(args) = out is filed under
+    the step max(args + (out,)), where it becomes decidable, and is checked
+    once there; constants are the 0-ary case. At the call, in this order: a
+    signature mismatch raises SignatureMismatch, unequal sizes give no maps,
+    and carriers above ISO_SIZE_CAP raise SizeLimitExceeded.
     """
     if A.signature != B.signature:
         raise SignatureMismatch("isomorphism needs a shared signature")
     if A.size != B.size:
-        return None
-    if A.size > ISO_SIZE_CAP:
-        raise SizeLimitExceeded(f"isomorphism search capped at {ISO_SIZE_CAP}")
+        return iter(())
     n = A.size
-    sig = A.signature.symbols
-    mapping = [-1] * n
+    if n > ISO_SIZE_CAP:
+        raise SizeLimitExceeded(f"isomorphism search capped at {ISO_SIZE_CAP}")
+    due = [[] for _ in range(n)]
+    for (_, arity), ta, tb in zip(A.signature.symbols, A.tables, B.tables):
+        for args, out in zip(tuples(n, arity), ta):
+            due[max(args + (out,))].append((tb, args, out))
+    mapping = [0] * n
     used = [False] * n
-
-    def consistent(upto: int) -> bool:
-        assigned = range(upto + 1)
-        for p, (_, arity) in enumerate(sig):
-            ta, tb = A.tables[p], B.tables[p]
-            for args in iproduct(assigned, repeat=arity):
-                out = ta[pack(args, n)]
-                if out > upto:
-                    continue
-                if any(a == upto for a in args) or out == upto or arity == 0:
-                    image = pack(tuple(mapping[a] for a in args), n)
-                    if tb[image] != mapping[out]:
-                        return False
-        return True
 
     def extend(i: int):
         if i == n:
-            return tuple(mapping)
+            yield tuple(mapping)
+            return
         for v in range(n):
             if used[v]:
                 continue
             mapping[i] = v
-            used[v] = True
-            if consistent(i):
-                result = extend(i + 1)
-                if result is not None:
-                    return result
-            used[v] = False
-        mapping[i] = -1
-        return None
+            if all(tb[pack([mapping[a] for a in xs], n)] == mapping[y] for tb, xs, y in due[i]):
+                used[v] = True
+                yield from extend(i + 1)
+                used[v] = False
 
     return extend(0)
+
+
+def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra):
+    """Lexicographically least isomorphism A -> B, or None: the first map of
+    `isomorphisms`, which raises on a signature mismatch or an oversized carrier."""
+    return next(isomorphisms(A, B), None)
 
 
 def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product as iproduct
 
-from .algebras import FiniteAlgebra, is_homomorphism, is_subalgebra, subalgebra_as_algebra
+from .algebras import (
+    FiniteAlgebra,
+    is_homomorphism,
+    is_subalgebra,
+    isomorphisms,
+    subalgebra_as_algebra,
+)
 from .errors import (
     CompatibilityViolation,
     ConditionViolation,
@@ -74,17 +80,12 @@ def is_normal_subgroup(G: FiniteAlgebra, S) -> bool:
 
 
 def automorphism_group(G: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """All automorphisms, by filtering bijections that fix the structure."""
-    from itertools import permutations
-
-    e = group_identity(G)
-    out = []
-    for perm in permutations(range(G.size)):
-        if perm[e] != e:
-            continue
-        if is_homomorphism(perm, G, G):
-            out.append(perm)
-    return out
+    """All automorphisms of G in lexicographic order: the maps of
+    `isomorphisms(G, G)`, which raises SizeLimitExceeded above ISO_SIZE_CAP.
+    Off GROUP_SIG it raises SignatureMismatch."""
+    if G.signature != GROUP_SIG:
+        raise SignatureMismatch("expected the group signature m/2, i/1, e/0")
+    return list(isomorphisms(G, G))
 
 
 def group_semidirect(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> FiniteAlgebra:

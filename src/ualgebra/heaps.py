@@ -39,6 +39,7 @@ from .errors import (
     EmptySet,
     HypothesisViolation,
     NotACongruence,
+    NotASubalgebra,
     NotASubheap,
     SignatureMismatch,
 )
@@ -224,12 +225,39 @@ def _is_aut_heap_morphism(members, alpha, t) -> bool:
     )
 
 
+def _basepoint_action(X: FiniteAlgebra, members, block, e: int):
+    """The rows alpha_y(k) = [y, e, [k, y, e]] on the block of e, one per
+    member y of Y, or None unless the block is a subheap, each row permutes
+    it homomorphically, alpha_e is the identity and y -> alpha_y is a heap
+    morphism into the automorphism heap. On a heap all of this holds."""
+    pos = {x: i for i, x in enumerate(block)}
+    try:
+        block_heap, _ = subalgebra_as_algebra(X, block)
+        action = tuple(
+            tuple(pos[heap_op(X, y, e, heap_op(X, k, y, e))] for k in block) for y in members
+        )
+    except (KeyError, NotASubalgebra):
+        return None
+    if (
+        all(
+            len(set(row)) == len(block) and is_homomorphism(row, block_heap, block_heap)
+            for row in action
+        )
+        and action[members.index(e)] == tuple(range(len(block)))
+        and _is_aut_heap_morphism(members, dict(zip(members, action)), partial(heap_op, X))
+    ):
+        return action
+    return None
+
+
 def heap_inner_report(
     X: FiniteAlgebra, Y, omega: Partition, e: int | None = None
 ) -> HeapInnerReport:
     """Evaluate the five decomposition conditions independently; on success
     build the action alpha_y(k) = [y, e, [k, y, e]] on the block of e and
-    verify it is a heap morphism into the automorphism heap."""
+    verify it is a heap morphism into the automorphism heap. On a heap both
+    always hold; when either fails, the heap axioms are checked, and a t/3
+    table that is not a heap raises AxiomFailure."""
     if X.signature != HEAP_SIG:
         raise SignatureMismatch("expected the heap signature t/3")
     Y = frozenset(Y)
@@ -243,6 +271,9 @@ def heap_inner_report(
     flag_c = _unique_brackets(X, Y, omega, swap=False)
     flag_d = _unique_brackets(X, Y, omega, swap=True)
     flag_e = canonical_iso_witness(X, Y, omega)
+    # the conditions agree on every heap; the axioms are checked only when not
+    if len({flag_a, flag_b, flag_c, flag_d, flag_e}) > 1 and not is_heap(X):
+        raise AxiomFailure(f"{X.name} fails the heap identities")
     assert flag_a == flag_b == flag_c == flag_d == flag_e, "the five conditions must agree"
 
     action = None
@@ -253,20 +284,10 @@ def heap_inner_report(
         if e not in Y:
             raise DecompositionInvalid("the basepoint must lie in Y")
         block = omega.block_of(e)
-        pos = {x: i for i, x in enumerate(block)}
-        members = sorted(Y)
-        action = tuple(
-            tuple(pos[heap_op(X, y, e, heap_op(X, k, y, e))] for k in block) for y in members
-        )
-        # every congruence block is a subheap: t maps a block cube into the block
-        block_heap, _ = subalgebra_as_algebra(X, block)
-        for row in action:
-            assert len(set(row)) == len(block), "each alpha_y must permute the block"
-            assert is_homomorphism(row, block_heap, block_heap)
-        assert _is_aut_heap_morphism(members, dict(zip(members, action)), partial(heap_op, X)), (
-            "alpha must respect the heap operation"
-        )
-        assert action[members.index(e)] == tuple(range(len(block))), "alpha_e must be id"
+        action = _basepoint_action(X, sorted(Y), block, e)
+        if action is None and not is_heap(X):
+            raise AxiomFailure(f"{X.name} fails the heap identities")
+        assert action is not None, "alpha must be a heap morphism into Aut(block), alpha_e = id"
     return HeapInnerReport(flag_a, flag_b, flag_c, flag_d, flag_e, action, block)
 
 

@@ -1,7 +1,7 @@
 """Independent brute-force oracles, kept deliberately separate from the
 library's search code: straight scans over complete map spaces."""
 
-from itertools import product
+from itertools import permutations, product
 
 
 def brute_force_idempotent_endos(A):
@@ -37,6 +37,17 @@ def _is_hom(A, mapping, B=None):
             if mapping[table[idx]] != target[jdx]:
                 return False
     return True
+
+
+def permutation_isomorphisms(A, B):
+    """Every isomorphism A -> B of two algebras in one signature, in
+    lexicographic order, by testing each of the n! permutations with `_is_hom`
+    (n <= 8); unequal sizes give none."""
+    if A.size != B.size:
+        return []
+    if A.size > 8:
+        raise ValueError("the permutation scan stops at 8 elements")
+    return [p for p in permutations(range(A.size)) if _is_hom(A, p, B)]
 
 
 def backtracking_idempotents(A):

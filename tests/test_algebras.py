@@ -151,36 +151,6 @@ def test_find_isomorphism_is_identity_on_equal_algebras():
     assert find_isomorphism(z4, z4) == (0, 1, 2, 3)
 
 
-def test_find_isomorphism_returns_the_lexicographically_least():
-    from itertools import permutations
-
-    a, b = cyclic_group(3), cyclic_group(3)
-    found = find_isomorphism(a, b)
-    all_isos = sorted(
-        perm for perm in permutations(range(3)) if is_homomorphism(perm, a, b)
-    )
-    assert len(all_isos) == 2  # the two automorphisms of the 3-element cycle
-    assert found == all_isos[0]
-
-    # a relabeled copy of the Klein group has several isomorphisms onto it
-    from ualgebra.catalog import group_from_mul
-
-    v4 = klein_group()
-    perm = (2, 0, 3, 1)
-    inv = [0] * 4
-    for i, v in enumerate(perm):
-        inv[v] = i
-    relabeled = group_from_mul(
-        "klein_relabel", 4, lambda a, b: perm[v4.apply("m", (inv[a], inv[b]))]
-    )
-    found = find_isomorphism(v4, relabeled)
-    brute = sorted(
-        p for p in permutations(range(4)) if is_homomorphism(p, v4, relabeled)
-    )
-    assert len(brute) == 6  # the automorphism count of the four-group
-    assert found == brute[0]
-
-
 def test_find_isomorphism_size_cap():
     with pytest.raises(SizeLimitExceeded):
         find_isomorphism(cyclic_group(13), cyclic_group(13))

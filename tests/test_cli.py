@@ -310,6 +310,19 @@ def test_heap_decompose_of_a_non_heap_is_input_error(workspace, tmp_path, capsys
         assert capsys.readouterr().err == "error: expected the heap signature t/3\n"
 
 
+def test_heap_decompose_of_a_t3_table_that_is_not_a_heap_is_input_error(tmp_path, capsys):
+    # on `split` the five conditions disagree; on `agree` they hold, but the
+    # basepoint action does not permute the block
+    tables = tmp_path / "t3.alg"
+    tables.write_text(
+        "algebra split\nsize 2\nop t/3\n0 0\n1 0\n1 1\n0 0\nend\n"
+        "algebra agree\nsize 2\nop t/3\n0 1\n1 1\n1 1\n1 0\nend\n"
+    )
+    for name, Y, omega in [("split", "0", "{{0,1}}"), ("agree", "0,1", "{{0},{1}}")]:
+        assert main(["heap", "decompose", f"{tables}#{name}", "--Y", Y, "--omega", omega]) == 2
+        assert capsys.readouterr().err == f"error: {name} fails the heap identities\n"
+
+
 def test_truss_check(tmp_path, capsys):
     from ualgebra.catalog import cyclic_ring
     from ualgebra.heaps import truss_from_ring

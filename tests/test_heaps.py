@@ -37,8 +37,24 @@ from ualgebra.heaps import (
     truss_from_ring,
 )
 from ualgebra.partitions import Partition
-from ualgebra.varieties import TRUSS_SIG
+from ualgebra.varieties import HEAP_SIG, TRUSS_SIG
 from ualgebra.algebras import FiniteAlgebra
+
+# (X, Y, omega) on two-element t/3 tables that are not heaps: on `split` the
+# five decomposition conditions disagree, on `agree` they all hold but the
+# basepoint action is not a permutation of the block
+NON_HEAPS = [
+    (
+        FiniteAlgebra("split", HEAP_SIG, 2, ((0, 0, 1, 0, 1, 1, 0, 0),)),
+        {0},
+        Partition.from_blocks(2, [[0, 1]]),
+    ),
+    (
+        FiniteAlgebra("agree", HEAP_SIG, 2, ((0, 1, 1, 1, 1, 1, 1, 0),)),
+        {0, 1},
+        Partition.identity(2),
+    ),
+]
 
 
 def s3_heap():
@@ -150,6 +166,13 @@ def test_heap_inner_report_trivial_and_failing():
     report = heap_inner_report(X, {0, 2}, Partition.from_blocks(4, [[0, 2], [1, 3]]))
     assert report.a is False
     assert report.action is None
+
+
+@pytest.mark.parametrize("X, Y, omega", NON_HEAPS, ids=lambda x: getattr(x, "name", ""))
+def test_heap_inner_report_of_a_non_heap_is_an_axiom_failure(X, Y, omega):
+    assert not is_heap(X)
+    with pytest.raises(AxiomFailure, match=f"{X.name} fails the heap identities"):
+        heap_inner_report(X, Y, omega)
 
 
 def test_z4_heap_has_no_two_block_decomposition():
