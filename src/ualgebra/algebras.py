@@ -2,7 +2,8 @@
 
 `is_subalgebra` is the one closure test: subgroups, subdigroups and subheaps
 are subalgebras, and normal subheaps and ideals are filtered from
-`all_subalgebras`."""
+`all_subalgebras`. `is_action` is the one action test of the group, digroup
+and heap semidirect products."""
 
 from __future__ import annotations
 
@@ -132,6 +133,28 @@ def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
         if [m[v] for v in ta] != [tb[i] for i in idx]:
             return False
     return True
+
+
+def is_automorphism(row, K: FiniteAlgebra) -> bool:
+    """Is `row`, a table on K's carrier, a bijective homomorphism K -> K?"""
+    return len(set(row)) == K.size and is_homomorphism(row, K, K)
+
+
+def compose(f, g) -> tuple[int, ...]:
+    """The map x -> f[g[x]], as a tuple."""
+    return tuple(f[x] for x in g)
+
+
+def is_action(rows, Y: FiniteAlgebra, symbol: str, word) -> bool:
+    """Is rows[f(y1, .., yk)] == word(rows[y1], .., rows[yk]) for Y's
+    operation f = `symbol` at every tuple, in row-major order? With `compose`
+    as the word, y -> rows[y] is multiplicative."""
+    table = Y.table(symbol)
+    arity = Y.signature.arity(symbol)
+    return all(
+        rows[table[i]] == word(*(rows[y] for y in args))
+        for i, args in enumerate(tuples(Y.size, arity))
+    )
 
 
 @dataclass(frozen=True)

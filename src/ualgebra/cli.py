@@ -114,6 +114,12 @@ def _parse_map_file(path: str, keywords) -> dict[str, dict[int, tuple[int, ...]]
     current: tuple[str, int] | None = None
     pending: list[int] = []
 
+    def number(token: str, no: int) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"bad integer {token!r}", path, no) from None
+
     def flush():
         nonlocal current, pending
         if current is not None:
@@ -130,11 +136,11 @@ def _parse_map_file(path: str, keywords) -> dict[str, dict[int, tuple[int, ...]]
             if len(parts) != 2:
                 raise ParseError(f"expected '{parts[0]} <element>'", path, no)
             flush()
-            current = (parts[0], int(parts[1]))
+            current = (parts[0], number(parts[1], no))
         else:
             if current is None:
                 raise ParseError("table entries before any map header", path, no)
-            pending.extend(int(p) for p in parts)
+            pending.extend(number(p, no) for p in parts)
     flush()
     return out
 
@@ -271,6 +277,8 @@ def cmd_heap(args, ws: Workspace) -> int:
         return 0 if ok else 1
     if args.action == "convert":
         if "t" in A.signature:
+            if args.basepoint == -1:
+                raise UAError("heap convert needs --basepoint")
             G = heaps.group_from_heap(A, args.basepoint)
             sys.stdout.write(emit_algebra(G))
         else:

@@ -13,7 +13,9 @@ leave the family unpointed, and its tables still define a digroup on Y x K.
 
 Subdigroups are the subalgebras in DIGROUP_SIG, whose inverses and identity
 are operations: `is_subdigroup` and `sub_digroup` go through `algebras`, and
-`all_ideals` filters `all_subalgebras` with `is_ideal`.
+`all_ideals` filters `all_subalgebras` with `is_ideal`. Ideals are the
+identity classes of congruences, so `brace_ideal_generated` reads one off
+`congruence_generated`. Each action law is one `algebras.is_action` call.
 """
 
 from __future__ import annotations
@@ -25,14 +27,17 @@ from itertools import product as iproduct
 from .algebras import (
     FiniteAlgebra,
     all_subalgebras,
+    compose,
     inverse_permutation,
+    is_action,
+    is_automorphism,
     is_homomorphism,
     is_subalgebra,
     product,
     quotient,
     subalgebra_as_algebra,
 )
-from .congruences import is_congruence
+from .congruences import congruence_generated, is_congruence
 from .errors import (
     AxiomFailure,
     DecompositionInvalid,
@@ -44,7 +49,7 @@ from .errors import (
 from .inner import endo_witness, unique_factorizations
 from .outer import ActionFamily, PointedFamily, union_algebra
 from .partitions import Partition
-from .varieties import DIGROUP_SIG, REGISTRY, check_identities
+from .varieties import DIGROUP_SIG, REGISTRY, VarietySpec, check_identities
 
 DIGROUP_ENUM_CAP = 6
 
@@ -261,18 +266,13 @@ class DigroupActionTriple:
         return all(self.Lambda[y][self.K.one] == self.K.one for y in range(self.Y.n))
 
 
-def _check_antihom(maps, Y_table, K_alg, what: str):
-    nk = K_alg.size
+def _check_antihom(maps, Y: FiniteAlgebra, symbol: str, K_alg: FiniteAlgebra, what: str):
     for y, table in enumerate(maps):
-        if len(set(table)) != nk or not is_homomorphism(table, K_alg, K_alg):
+        if not is_automorphism(table, K_alg):
             raise HypothesisViolation(f"{what}[{y}] is not an automorphism")
-    ny = int(len(Y_table) ** 0.5 + 0.5)
-    for y1 in range(ny):
-        for y2 in range(ny):
-            target = maps[Y_table[y1 * ny + y2]]
-            composed = tuple(maps[y2][maps[y1][k]] for k in range(nk))
-            if composed != target:
-                raise HypothesisViolation(f"{what} is not antimultiplicative")
+    # antimultiplicative: the row of y1 y2 is maps[y2] after maps[y1]
+    if not is_action(maps, Y, symbol, lambda f, g: compose(g, f)):
+        raise HypothesisViolation(f"{what} is not antimultiplicative")
 
 
 def _validate_triple(t: DigroupActionTriple):
@@ -282,8 +282,8 @@ def _validate_triple(t: DigroupActionTriple):
         for y, row in enumerate(maps):
             if len(row) != t.K.n or any(not 0 <= k < t.K.n for k in row):
                 raise HypothesisViolation(f"{what}[{y}] is not a table on K")
-    _check_antihom(t.phi_star, t.Y.algebra.tables[0], star_reduct(t.K), "phi_star")
-    _check_antihom(t.phi_circ, t.Y.algebra.tables[2], circ_reduct(t.K), "phi_circ")
+    _check_antihom(t.phi_star, t.Y.algebra, "star", star_reduct(t.K), "phi_star")
+    _check_antihom(t.phi_circ, t.Y.algebra, "circ", circ_reduct(t.K), "phi_circ")
     for y, table in enumerate(t.Lambda):
         if len(set(table)) != t.K.n:
             raise HypothesisViolation(f"Lambda[{y}] is not a permutation")
@@ -473,31 +473,22 @@ class SkewBraceReport:
     witness: tuple[int, int, int] | None
 
 
+# a o (b*c) = (a o b) * a^-* * (a o c), alone: its witness is the first (a, b, c)
+_LSB_ONLY = VarietySpec("lsb", DIGROUP_SIG, REGISTRY["skew_brace"].quasi_conditions)
+
+
 def skew_brace_check(D: Digroup) -> SkewBraceReport:
     """Evaluate a o (b*c) = (a o b) * a^-* * (a o c) exhaustively, and
     independently test whether a -> lambda_a is a homomorphism of (A, o)
     into Aut(A, *); the two verdicts are asserted equal."""
-    lsb = True
-    witness = None
-    for a, b, c in iproduct(range(D.n), repeat=3):
-        lhs = D.circ(a, D.star(b, c))
-        rhs = D.star(D.star(D.circ(a, b), D.sinv(a)), D.circ(a, c))
-        if lhs != rhs:
-            lsb = False
-            witness = (a, b, c)
-            break
+    report = check_identities(D.algebra, _LSB_ONLY)
+    lsb = report.passes
+    witness = None if lsb else report.witness.assignment
     star_alg = star_reduct(D)
     lam_tables = [tuple(D.lam(a, b) for b in range(D.n)) for a in range(D.n)]
-    morph = all(
-        len(set(t)) == D.n and is_homomorphism(t, star_alg, star_alg) for t in lam_tables
+    morph = all(is_automorphism(t, star_alg) for t in lam_tables) and is_action(
+        lam_tables, D.algebra, "circ", compose
     )
-    if morph:
-        morph = all(
-            tuple(lam_tables[a][lam_tables[b][x]] for x in range(D.n))
-            == lam_tables[D.circ(a, b)]
-            for a in range(D.n)
-            for b in range(D.n)
-        )
     assert lsb == morph, "the identity must match the lambda-morphism test"
     return SkewBraceReport(lsb, morph, witness)
 
@@ -516,16 +507,10 @@ def skew_brace_outer_condition(triple: DigroupActionTriple) -> bool:
     _validate_triple(triple)
     star_k = star_reduct(K)
     for y, table in enumerate(triple.Lambda):
-        if not is_homomorphism(table, star_k, star_k):
+        if not is_automorphism(table, star_k):
             raise HypothesisViolation(f"Lambda[{y}] must respect the star structure")
-    for y1 in range(Y.n):
-        for y2 in range(Y.n):
-            target = triple.Lambda[Y.circ(y1, y2)]
-            composed = tuple(
-                triple.Lambda[y1][triple.Lambda[y2][k]] for k in range(K.n)
-            )
-            if composed != target:
-                raise HypothesisViolation("Lambda must be multiplicative over (Y, o)")
+    if not is_action(triple.Lambda, Y.algebra, "circ", compose):
+        raise HypothesisViolation("Lambda must be multiplicative over (Y, o)")
     lam_inv = [inverse_permutation(p) for p in triple.Lambda]
 
     def lam_y(y, ypp):  # y^-* * (y o y'') inside Y
@@ -565,29 +550,13 @@ def skew_brace_outer_condition(triple: DigroupActionTriple) -> bool:
 
 
 def brace_ideal_generated(D: Digroup, X) -> frozenset[int]:
-    """Least ideal containing X: closure under both subgroup structures, both
-    conjugations, and all lambda images."""
-    current = set(X) | {D.one}
-    changed = True
-    while changed:
-        changed = False
-        members = list(current)
-        fresh = set()
-        for s in members:
-            for t in members:
-                fresh.add(D.star(s, t))
-                fresh.add(D.circ(s, t))
-            fresh.add(D.sinv(s))
-            fresh.add(D.cinv(s))
-            for g in range(D.n):
-                fresh.add(D.star(D.star(g, s), D.sinv(g)))
-                fresh.add(D.circ(D.circ(g, s), D.cinv(g)))
-                fresh.add(D.lam(g, s))
-        if not fresh <= current:
-            current |= fresh
-            changed = True
-    assert is_ideal(D, current)
-    return frozenset(current)
+    """Least ideal containing X: the class of the identity in the least
+    congruence relating it to every x, since the identity class of a
+    congruence is an ideal and the cosets of an ideal are a congruence."""
+    pairs = [(D.one, x) for x in X]
+    ideal = frozenset(congruence_generated(D.algebra, pairs).block_of(D.one))
+    assert is_ideal(D, ideal)
+    return ideal
 
 
 def quotient_digroup(D: Digroup, I) -> tuple[Digroup, tuple[int, ...]]:

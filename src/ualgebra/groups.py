@@ -9,7 +9,9 @@ b*|K| + k. `group_inner_equivalences` flags d, e and f are the general inner
 conditions (b), (c) and (d) on (Y, the coset partition of K).
 
 Groups are a variety in GROUP_SIG, whose inverse and identity are
-operations, so `is_subgroup` is `algebras.is_subalgebra`.
+operations, so `is_subgroup` is `algebras.is_subalgebra`. The action law is
+one `algebras.is_action` call; `group_data_from_inner` restricts G to the
+cosets Kb with `outer.restrict_to_fibers`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from itertools import product as iproduct
 
 from .algebras import (
     FiniteAlgebra,
-    is_homomorphism,
+    compose,
+    is_action,
+    is_automorphism,
     is_subalgebra,
     isomorphisms,
     subalgebra_as_algebra,
@@ -41,7 +45,13 @@ from .inner import (
     retraction_witness,
     unique_factorizations,
 )
-from .outer import ActionFamily, PointedFamily, assemble_union_algebra, fiber_major
+from .outer import (
+    ActionFamily,
+    PointedFamily,
+    assemble_union_algebra,
+    fiber_major,
+    restrict_to_fibers,
+)
 from .partitions import Partition
 from .varieties import GROUP_SIG, RING_SIG, REGISTRY, check_identities
 
@@ -88,6 +98,17 @@ def automorphism_group(G: FiniteAlgebra) -> list[tuple[int, ...]]:
     return list(isomorphisms(G, G))
 
 
+def _require_phi_tables(N: FiniteAlgebra, B: FiniteAlgebra, phi):
+    """N and B are groups and phi holds one table on N per element of B."""
+    _require_group(N)
+    _require_group(B)
+    if len(phi) != B.size:
+        raise NotAnAction("one automorphism per element of B required")
+    for y, row in enumerate(phi):
+        if len(row) != N.size or any(not 0 <= k < N.size for k in row):
+            raise NotAutomorphism(f"phi[{y}] is not a table on N")
+
+
 def group_semidirect(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> FiniteAlgebra:
     """The group on N x B with (k, y)(k', y') = (k phi_y(k'), y y').
 
@@ -96,21 +117,12 @@ def group_semidirect(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> FiniteAlgebra:
     over B and published in the pair encoding k*|B| + y; the result is
     verified against the group variety.
     """
-    _require_group(N)
-    _require_group(B)
-    if len(phi) != B.size:
-        raise NotAnAction("one automorphism per element of B required")
-    for y, row in enumerate(phi):
-        if len(row) != N.size or any(not 0 <= k < N.size for k in row):
-            raise NotAutomorphism(f"phi[{y}] is not a table on N")
+    _require_phi_tables(N, B, phi)
     for y in range(B.size):
-        if len(set(phi[y])) != N.size or not is_homomorphism(phi[y], N, N):
+        if not is_automorphism(phi[y], N):
             raise NotAutomorphism(f"phi[{y}] is not an automorphism of N")
-    for y1 in range(B.size):
-        for y2 in range(B.size):
-            composed = tuple(phi[y1][phi[y2][k]] for k in range(N.size))
-            if composed != phi[group_mul(B, y1, y2)]:
-                raise NotAnAction("phi is not multiplicative")
+    if not is_action(phi, B, "m", compose):
+        raise NotAnAction("phi is not multiplicative")
     family, actions = group_data_to_family(_synthesize_group_data(N, B, phi))
     G = fiber_major(assemble_union_algebra(family, actions, f"{N.name}_sdp_{B.name}"))
     report = check_identities(G, REGISTRY["group"])
@@ -261,9 +273,11 @@ def _synthesize_group_data(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> GroupSDPD
 
 
 def group_data_from_action(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> GroupSDPData:
-    """Synthesize the tables from an action, then verify conditions (1)-(3)."""
-    _require_group(N)
-    _require_group(B)
+    """Synthesize the tables from an action, then verify conditions (1)-(3).
+
+    Missing or malformed tables raise NotAnAction or NotAutomorphism, as in
+    `group_semidirect`; well-shaped tables that are no action fail a condition."""
+    _require_phi_tables(N, B, phi)
     data = _synthesize_group_data(N, B, phi)
     _check_51_conditions(data)
     return data
@@ -279,13 +293,10 @@ def group_action_from_data(data: GroupSDPData) -> dict[int, tuple[int, ...]]:
         table = data.g_table(b, one_b)
         gamma[b] = tuple(table[one_n * N.size + n] for n in range(N.size))
     for b, table in gamma.items():
-        if len(set(table)) != N.size or not is_homomorphism(table, N, N):
+        if not is_automorphism(table, N):
             raise NotAutomorphism(f"gamma[{b}] is not an automorphism of N")
-    for b1 in range(B.size):
-        for b2 in range(B.size):
-            composed = tuple(gamma[b1][gamma[b2][n]] for n in range(N.size))
-            if composed != gamma[group_mul(B, b1, b2)]:
-                raise NotAnAction("gamma is not multiplicative")
+    if not is_action(gamma, B, "m", compose):
+        raise NotAnAction("gamma is not multiplicative")
     _check_51_conditions(data)
     return gamma
 
@@ -312,28 +323,12 @@ def group_data_from_inner(G: FiniteAlgebra, K, Y) -> GroupSDPData:
     assert report.holds, "need a genuine decomposition"
     N, members_k = subalgebra_as_algebra(G, frozenset(K), name=f"{G.name}_K")
     B, members_y = subalgebra_as_algebra(G, frozenset(Y), name=f"{G.name}_Y")
-    pos_k = {k: i for i, k in enumerate(members_k)}
-    pos_y = {y: i for i, y in enumerate(members_y)}
-    g = {}
-    for b1 in members_y:
-        for b2 in members_y:
-            b12_inv = group_inv(G, group_mul(G, b1, b2))
-            table = []
-            for n1 in members_k:
-                for n2 in members_k:
-                    value = group_mul(
-                        G,
-                        group_mul(G, group_mul(G, n1, b1), group_mul(G, n2, b2)),
-                        b12_inv,
-                    )
-                    table.append(pos_k[value])
-            g[(pos_y[b1], pos_y[b2])] = tuple(table)
-    h = []
-    for b in members_y:
-        table = tuple(
-            pos_k[group_mul(G, group_inv(G, group_mul(G, n, b)), b)] for n in members_k
-        )
-        h.append(table)
+    # the coset Kb is the fiber over b, and nb sits at n's position in it
+    cosets = [[group_mul(G, n, b) for n in members_k] for b in members_y]
+    _, actions, _ = restrict_to_fibers(G, B, cosets, members_y)
+    maps = actions.as_dict()
+    g = {bs: table for (sym, bs), table in maps.items() if sym == "m"}
+    h = [maps[("i", (b,))] for b in range(B.size)]
     return GroupSDPData.build(N, B, g, h)
 
 

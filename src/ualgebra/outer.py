@@ -224,7 +224,7 @@ def build_outer_product(
     return outer
 
 
-def _restrict_to_fibers(A: FiniteAlgebra, base: FiniteAlgebra, fibers, points):
+def restrict_to_fibers(A: FiniteAlgebra, base: FiniteAlgebra, fibers, points):
     """A's operations restricted to fibers given as element lists of A.
 
     `fibers[b]` lists the elements over base element b and `points[b]` is the
@@ -256,7 +256,7 @@ def inner_to_outer(dec: InnerDecomposition):
     A = dec.algebra
     base, members = subalgebra_as_algebra(A, dec.B, name=f"{A.name}_base")
     blocks = {basepoint: block for block, basepoint in dec.pointed_partition}
-    family, actions, position = _restrict_to_fibers(
+    family, actions, position = restrict_to_fibers(
         A, base, [blocks[b] for b in members], members
     )
     outer = assemble_union_algebra(family, actions, name=f"{A.name}_outer")
@@ -336,7 +336,7 @@ def pointed_object_to_sdp(
     fibers = [sorted(x for x in range(A.size) if beta(x) == b) for b in range(B.size)]
     if any(not fiber for fiber in fibers):
         raise SectionViolation("beta must be surjective")
-    family, actions, position = _restrict_to_fibers(A, B, fibers, alpha.map)
+    family, actions, position = restrict_to_fibers(A, B, fibers, alpha.map)
     if V is not None:
         outer = build_outer_product(family, actions, V, name=f"{A.name}_split")
     else:

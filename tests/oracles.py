@@ -466,3 +466,162 @@ def brute_force_ideals(A):
         if closed(S) and normal(S, star, sinv) and normal(S, circ, cinv) and cosets_match(S)
     ]
     return sorted(found, key=_by_size)
+
+
+# -- action laws, one composition at a time -----------------------------------
+#
+# The loops the group, digroup and heap modules ran before they shared one
+# action test: compose two or three rows pointwise for every tuple of base
+# elements and compare with the row of the product.
+
+
+def is_automorphism_by_scan(row, A):
+    """Is `row` a bijection of A's carrier that `_is_hom` accepts?"""
+    return len(set(row)) == A.size and _is_hom(A, row)
+
+
+def multiplicative_by_loops(rows, mul, n):
+    """rows[y1 y2] == rows[y1] o rows[y2] for all y1, y2 of a base with
+    binary table `mul` on n elements."""
+    for y1 in range(n):
+        for y2 in range(n):
+            composed = tuple(rows[y1][rows[y2][k]] for k in range(len(rows[y2])))
+            if composed != tuple(rows[mul[y1 * n + y2]]):
+                return False
+    return True
+
+
+def antimultiplicative_by_loops(rows, mul, n):
+    """rows[y1 y2] == rows[y2] o rows[y1] for all y1, y2."""
+    for y1 in range(n):
+        for y2 in range(n):
+            composed = tuple(rows[y2][rows[y1][k]] for k in range(len(rows[y1])))
+            if composed != tuple(rows[mul[y1 * n + y2]]):
+                return False
+    return True
+
+
+def heap_morphism_by_loops(rows, t, n):
+    """rows[t(y1, y2, y3)] == rows[y1] o rows[y2]^-1 o rows[y3] for all
+    y1, y2, y3, for rows that are permutations; the inverse is found by
+    scanning."""
+    for y1, y2, y3 in product(range(n), repeat=3):
+        g = rows[y2]
+        composed = tuple(rows[y1][g.index(v)] for v in rows[y3])
+        if composed != tuple(rows[t[(y1 * n + y2) * n + y3]]):
+            return False
+    return True
+
+
+# -- skew braces by their defining formulas -----------------------------------
+#
+# A digroup is read through its tables (star, star_inv, circ, circ_inv, one);
+# ideals are closed by adding every product, inverse, conjugate and lambda
+# image until a round adds nothing.
+
+
+def _digroup_ops(A):
+    ops = {sym: table for (sym, _), table in zip(A.signature.symbols, A.tables)}
+    n = A.size
+
+    def star(a, b):
+        return ops["star"][a * n + b]
+
+    def circ(a, b):
+        return ops["circ"][a * n + b]
+
+    return star, ops["star_inv"].__getitem__, circ, ops["circ_inv"].__getitem__, ops["one"][0]
+
+
+def lsb_witness_by_loops(A):
+    """The first (a, b, c) in lexicographic order with
+    a o (b * c) != (a o b) * a^-* * (a o c), or None."""
+    star, sinv, circ, _, _ = _digroup_ops(A)
+    for a, b, c in product(range(A.size), repeat=3):
+        if circ(a, star(b, c)) != star(star(circ(a, b), sinv(a)), circ(a, c)):
+            return (a, b, c)
+    return None
+
+
+def fixpoint_brace_ideal(A, X):
+    """Least ideal holding X: close X and the identity under both products,
+    both inverses, both conjugations and every lambda_g(s) = g^-* * (g o s)."""
+    star, sinv, circ, cinv, one = _digroup_ops(A)
+    current = set(X) | {one}
+    while True:
+        fresh = set()
+        for s in current:
+            fresh.update(star(s, t) for t in current)
+            fresh.update(circ(s, t) for t in current)
+            fresh.update((sinv(s), cinv(s)))
+            for g in range(A.size):
+                fresh.add(star(star(g, s), sinv(g)))
+                fresh.add(circ(circ(g, s), cinv(g)))
+                fresh.add(star(sinv(g), circ(g, s)))
+        if fresh <= current:
+            return frozenset(current)
+        current |= fresh
+
+
+def brace_commutator_by_fixpoint(A, I, J):
+    """The fixpoint ideal of both group commutators of I and J and the
+    mixed elements (i o j)^-* * i * j."""
+    star, sinv, circ, cinv, _ = _digroup_ops(A)
+    gens = set()
+    for i in I:
+        for j in J:
+            gens.add(star(star(star(sinv(i), sinv(j)), i), j))
+            gens.add(circ(circ(circ(cinv(i), cinv(j)), i), j))
+            gens.add(star(star(sinv(circ(i, j)), i), j))
+    return fixpoint_brace_ideal(A, gens)
+
+
+def brace_center_by_scan(A):
+    """Every z commuting with all a in both products, where a * z = a o z."""
+    star, _, circ, _, _ = _digroup_ops(A)
+    return frozenset(
+        z
+        for z in range(A.size)
+        if all(
+            star(a, z) == star(z, a) and circ(a, z) == circ(z, a) and star(a, z) == circ(a, z)
+            for a in range(A.size)
+        )
+    )
+
+
+def reflection_ideal_by_fixpoint(A):
+    """The fixpoint ideal of every defect (a o b) * a^-* * (a o c) * (a o (b*c))^-*."""
+    star, sinv, circ, _, _ = _digroup_ops(A)
+    defects = set()
+    for a, b, c in product(range(A.size), repeat=3):
+        lhs = circ(a, star(b, c))
+        rhs = star(star(circ(a, b), sinv(a)), circ(a, c))
+        defects.add(star(rhs, sinv(lhs)))
+    return fixpoint_brace_ideal(A, defects)
+
+
+# -- group data of an inner decomposition, coset by coset ---------------------
+
+
+def coset_group_tables(G, K, Y):
+    """(g, h) of G = K x| Y transported along n -> nb, with K and Y indexed
+    by their sorted members: g[(i1, i2)] is the flat |K|x|K| table of
+    (n1 b1)(n2 b2)(b1 b2)^-1 and h[i] the table of (n b)^-1 b, read from the
+    group tables (m, i, e) of G."""
+    n = G.size
+    mul, inv = G.tables[0], G.tables[1]
+
+    def m(a, b):
+        return mul[a * n + b]
+
+    ks, ys = sorted(K), sorted(Y)
+    pos_k = {k: i for i, k in enumerate(ks)}
+    g = {}
+    for i1, b1 in enumerate(ys):
+        for i2, b2 in enumerate(ys):
+            b12_inv = inv[m(b1, b2)]
+            g[(i1, i2)] = tuple(
+                pos_k[m(m(m(n1, b1), m(n2, b2)), b12_inv)] for n1 in ks for n2 in ks
+            )
+    h = [tuple(pos_k[m(inv[m(k, b)], b)] for k in ks) for b in ys]
+    return g, h

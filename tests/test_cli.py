@@ -234,6 +234,19 @@ def test_ring_sdp_out_of_range_entry_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "maps_text, line, token",
+    [
+        ("lambda x\n0 0\n", 1, "x"),
+        ("lambda 0\n0 0\nlambda 1\n0 1.0\nrho 0\n0 0\nrho 1\n0 1\n", 4, "1.0"),
+    ],
+    ids=["header", "table"],
+)
+def test_map_file_bad_integer_is_a_parse_error_at_its_line(tmp_path, capsys, maps_text, line, token):
+    assert ring_sdp_over_z2(tmp_path, maps_text) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'maps.map'}:{line}:0: bad integer {token!r}\n"
+
+
 def test_group_sdp_missing_phi_block_is_input_error(workspace, tmp_path, capsys):
     phi = tmp_path / "phi.map"
     phi.write_text("phi 0\n0 1 2\n")
@@ -278,6 +291,8 @@ def test_heap_check_and_convert(workspace, capsys):
     parsed = parse_algebras(capsys.readouterr().out)
     (G,) = parsed.values()
     assert G.table("e")[0] == 2
+    assert main(["heap", "convert", f"{workspace['heap']}#hz4"]) == 2
+    assert capsys.readouterr().err == "error: heap convert needs --basepoint\n"
 
 
 def test_heap_decompose(workspace, tmp_path, capsys):
@@ -312,13 +327,18 @@ def test_heap_decompose_of_a_non_heap_is_input_error(workspace, tmp_path, capsys
 
 def test_heap_decompose_of_a_t3_table_that_is_not_a_heap_is_input_error(tmp_path, capsys):
     # on `split` the five conditions disagree; on `agree` they hold, but the
-    # basepoint action does not permute the block
+    # basepoint action does not permute the block; on `holds` the conditions
+    # and the action hold; on `fails` the conditions are all false
     tables = tmp_path / "t3.alg"
     tables.write_text(
         "algebra split\nsize 2\nop t/3\n0 0\n1 0\n1 1\n0 0\nend\n"
         "algebra agree\nsize 2\nop t/3\n0 1\n1 1\n1 1\n1 0\nend\n"
+        "algebra holds\nsize 2\nop t/3\n0 1\n0 1\n1 1\n1 0\nend\n"
+        "algebra fails\nsize 2\nop t/3\n0 0\n0 0\n0 0\n0 0\nend\n"
     )
-    for name, Y, omega in [("split", "0", "{{0,1}}"), ("agree", "0,1", "{{0},{1}}")]:
+    cases = [("split", "0", "{{0,1}}"), ("agree", "0,1", "{{0},{1}}")]
+    cases += [("holds", "0", "{{0,1}}"), ("fails", "0,1", "{{0,1}}")]
+    for name, Y, omega in cases:
         assert main(["heap", "decompose", f"{tables}#{name}", "--Y", Y, "--omega", omega]) == 2
         assert capsys.readouterr().err == f"error: {name} fails the heap identities\n"
 

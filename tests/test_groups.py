@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ualgebra.algebras import find_isomorphism
@@ -11,6 +13,7 @@ from ualgebra.catalog import (
 )
 from ualgebra.errors import (
     CompatibilityViolation,
+    ConditionViolation,
     NotAnAction,
     NotAutomorphism,
     NotNormal,
@@ -58,6 +61,27 @@ def test_group_semidirect_validates_action():
         # both maps automorphisms but phi not multiplicative: phi_1 = neg
         # with phi_0 = neg as well fails phi(0) = id
         group_semidirect(cyclic_group(3), cyclic_group(2), (NEG3, NEG3))
+
+
+@pytest.mark.parametrize("build", [group_semidirect, group_data_from_action])
+@pytest.mark.parametrize(
+    "phi, error, message",
+    [
+        ((ID3,), NotAnAction, "one automorphism per element of B required"),
+        ((ID3, ID3, ID3), NotAnAction, "one automorphism per element of B required"),
+        ((ID3, (0, 1)), NotAutomorphism, "phi[1] is not a table on N"),
+        ((ID3, (0, 2, 3)), NotAutomorphism, "phi[1] is not a table on N"),
+    ],
+)
+def test_malformed_phi_is_rejected_before_any_table_is_read(build, phi, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build(cyclic_group(3), cyclic_group(2), phi)
+
+
+def test_data_from_an_invalid_well_shaped_phi_fails_condition_1():
+    with pytest.raises(ConditionViolation) as info:
+        group_data_from_action(cyclic_group(3), cyclic_group(2), (NEG3, NEG3))
+    assert info.value.condition == "1"
 
 
 def test_semidirect_contains_the_expected_subgroups():

@@ -42,7 +42,8 @@ from ualgebra.algebras import FiniteAlgebra
 
 # (X, Y, omega) on two-element t/3 tables that are not heaps: on `split` the
 # five decomposition conditions disagree, on `agree` they all hold but the
-# basepoint action is not a permutation of the block
+# basepoint action is not a permutation of the block, on `holds` they hold
+# and so does the action, and on `fails` they are all false
 NON_HEAPS = [
     (
         FiniteAlgebra("split", HEAP_SIG, 2, ((0, 0, 1, 0, 1, 1, 0, 0),)),
@@ -53,6 +54,16 @@ NON_HEAPS = [
         FiniteAlgebra("agree", HEAP_SIG, 2, ((0, 1, 1, 1, 1, 1, 1, 0),)),
         {0, 1},
         Partition.identity(2),
+    ),
+    (
+        FiniteAlgebra("holds", HEAP_SIG, 2, ((0, 1, 0, 1, 1, 1, 1, 0),)),
+        {0},
+        Partition.from_blocks(2, [[0, 1]]),
+    ),
+    (
+        FiniteAlgebra("fails", HEAP_SIG, 2, ((0,) * 8,)),
+        {0, 1},
+        Partition.from_blocks(2, [[0, 1]]),
     ),
 ]
 

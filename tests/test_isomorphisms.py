@@ -211,4 +211,4 @@ def test_isomorphisms_agree_with_the_oracle_under_python_O():
         timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["agree", "11", "2"]
+    assert run.stdout.split() == ["agree", "11", "4"]
