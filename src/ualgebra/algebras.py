@@ -356,7 +356,11 @@ def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
     return find_isomorphism(A, B) is not None
 
 
-# -- text format ------------------------------------------------------------
+# -- text formats -----------------------------------------------------------
+#
+# Algebra, variety, action and map files share one line syntax: blank lines
+# and lines starting with `#` are skipped, and every numeral is an unsigned
+# decimal. An algebra file reads
 #
 # algebra <name>
 # size <n>
@@ -365,100 +369,98 @@ def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
 # ...
 # end
 #
-# `#` starts a comment line; several algebras may share one file.
+# and several algebras may share one file.
+
+
+def content_lines(text: str):
+    """(line number, stripped line) for each line of `text` that is neither
+    blank nor a `#` comment, numbered from 1."""
+    for no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield no, line
+
+
+def parse_uint(token: str, message: str, source: str, line: int, column: int = 0) -> int:
+    """`token` as an unsigned decimal numeral, or ParseError(`message`) at
+    source:line:column. isdecimal() refuses signs, '_' and '²', and int()
+    refuses over 4,300 digits; `message` is formatted with the token only
+    on failure."""
+    if token.isdecimal():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ParseError(message.format(token=token), source, line, column)
+
+
+# The plain spellings of table entries 0..255. Looking one up costs less than
+# a call of `parse_uint`, which reads every other token and gives the same
+# values for these.
+_NUMERALS = {str(v): v for v in range(256)}
 
 
 def parse_algebras(text: str, source: str = "<input>") -> dict[str, FiniteAlgebra]:
-    lines = text.splitlines()
     out: dict[str, FiniteAlgebra] = {}
-    i = 0
+    lines = content_lines(text)
 
-    def err(msg: str, line_no: int, col: int = 1):
-        raise ParseError(msg, source, line_no, col)
+    def err(msg: str, line_no: int):
+        raise ParseError(msg, source, line_no, 1)
 
-    def decimal(token: str, msg: str, line_no: int) -> int:
-        # isdecimal() refuses signs, '_' and '²'; int() refuses over 4,300 digits
-        if token.isdecimal():
-            try:
-                return int(token)
-            except ValueError:
-                pass
-        err(msg, line_no)
-
-    while i < len(lines):
-        raw = lines[i]
-        stripped = raw.strip()
-        i += 1
-        if not stripped or stripped.startswith("#"):
-            continue
-        head = stripped.split()
+    for no, line in lines:
+        head = line.split()
         if head[0] != "algebra" or len(head) != 2:
-            err("expected 'algebra <name>'", i)
+            err("expected 'algebra <name>'", no)
         name = head[1]
         if name in out:
             raise DuplicateName(f"{source}: algebra {name!r} defined twice")
         size = None
         symbols: list[tuple[str, int]] = []
-        tables: list[tuple[int, ...]] = []
-        pending: list[int] = []
+        tables: list[list[int]] = []
         needed = 0
-        current: tuple[str, int] | None = None
-        closed = False
-        while i < len(lines):
-            stripped = lines[i].strip()
-            i += 1
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
+        for no, line in lines:
+            parts = line.split()
             if parts[0] == "size":
                 if size is not None or len(parts) != 2:
-                    err("bad size line", i)
-                size = decimal(parts[1], "bad size line", i)
-            elif parts[0] == "op":
+                    err("bad size line", no)
+                size = parse_uint(parts[1], "bad size line", source, no, 1)
+            elif parts[0] in ("op", "end"):
+                if tables and len(tables[-1]) != needed:
+                    err(f"table for {symbols[-1][0]!r} has {len(tables[-1])} of {needed} entries", no)
+                if parts[0] == "end":
+                    break
                 if size is None:
-                    err("size must precede op lines", i)
-                if current is not None and len(pending) != needed:
-                    err(f"table for {current[0]!r} has {len(pending)} of {needed} entries", i)
-                if current is not None:
-                    tables.append(tuple(pending))
+                    err("size must precede op lines", no)
                 if len(parts) != 2 or "/" not in parts[1]:
-                    err("expected 'op <name>/<arity>'", i)
+                    err("expected 'op <name>/<arity>'", no)
                 sym, _, ar = parts[1].partition("/")
-                arity = decimal(ar, "arity must be an integer", i)
+                arity = parse_uint(ar, "arity must be an integer", source, no, 1)
                 # size**arity >= 2**(arity*(size.bit_length()-1)) entries, 1 char each
                 if arity * (size.bit_length() - 1) >= len(text).bit_length():
-                    err(f"table for {sym!r} cannot fit in the input", i)
-                current = (sym, arity)
-                symbols.append(current)
-                pending = []
+                    err(f"table for {sym!r} cannot fit in the input", no)
+                symbols.append((sym, arity))
+                tables.append([])
                 needed = size**arity
-            elif parts[0] == "end":
-                if current is not None:
-                    if len(pending) != needed:
-                        err(f"table for {current[0]!r} has {len(pending)} of {needed} entries", i)
-                    tables.append(tuple(pending))
-                closed = True
-                break
             else:
-                if current is None:
-                    err("table entries before any op line", i)
+                if not tables:
+                    err("table entries before any op line", no)
+                table = tables[-1]
                 for p in parts:
-                    try:
-                        v = int(p)
-                    except ValueError:
-                        err(f"bad table entry {p!r}", i)
-                    if not 0 <= v < size:  # type: ignore[operator]
-                        raise TableRangeError(
-                            f"{source}:{i}: entry {v} out of range for size {size}"
-                        )
-                    pending.append(v)
-                if len(pending) > needed:
-                    err(f"too many entries for {current[0]!r}", i)
-        if not closed:
-            err("missing 'end'", i)
+                    v = _NUMERALS.get(p)
+                    if v is None or v >= size:  # type: ignore[operator]
+                        v = parse_uint(p, "bad table entry {token!r}", source, no, 1)
+                        if v >= size:
+                            raise TableRangeError(
+                                f"{source}:{no}: entry {v} out of range for size {size}"
+                            )
+                    table.append(v)
+                if len(table) > needed:
+                    err(f"too many entries for {symbols[-1][0]!r}", no)
+        else:
+            err("missing 'end'", len(text.splitlines()))
         if size is None:
-            err("missing size", i)
-        out[name] = FiniteAlgebra(name, Signature(tuple(symbols)), size, tuple(tables))
+            err("missing size", no)
+        out[name] = FiniteAlgebra(name, Signature(tuple(symbols)), size, tuple(map(tuple, tables)))
     return out
 
 

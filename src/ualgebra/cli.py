@@ -14,29 +14,13 @@ import sys
 from pathlib import Path
 
 from . import congruences, digroups, groups, heaps, inner, outer
-from .algebras import FiniteAlgebra, emit_algebra, parse_algebras
+from .algebras import FiniteAlgebra, content_lines, emit_algebra, parse_algebras, parse_uint
 from .digroups import Digroup
 from .envcat import TermTupleMorphism, TupleObject, functor_morphism, functor_object
 from .errors import ParseError, UAError, UnknownVerb
 from .partitions import parse_partition
 from .terms import eval_term, parse_term, term_to_str
 from .varieties import REGISTRY, check_identities, parse_varieties
-
-VERBS = (
-    "check",
-    "congruences",
-    "idempotents",
-    "decompose",
-    "outer",
-    "group-sdp",
-    "ring-sdp",
-    "digroup-sdp",
-    "brace",
-    "heap",
-    "truss",
-    "envcat",
-)
-
 
 class Workspace:
     """Lazy `<file>#<name>` reference resolution with per-file caching."""
@@ -70,78 +54,33 @@ class Workspace:
             raise ParseError(f"no variety {name!r} in {path}") from None
 
 
-def load_workspace(paths) -> dict[str, object]:
-    """Merge algebra and variety files into one namespace; collisions are errors.
-
-    A file is classified by its first non-comment keyword (`algebra` or
-    `variety`); every algebra is fully validated during parsing.
-    """
-    from .errors import DuplicateName
-
-    out: dict[str, object] = {}
-    for path in paths:
-        text = Path(path).read_text()
-        keyword = ""
-        for line in text.splitlines():
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                keyword = stripped.split()[0]
-                break
-        if keyword == "variety":
-            parsed: dict[str, object] = dict(parse_varieties(text, source=str(path)))
-        else:
-            parsed = dict(parse_algebras(text, source=str(path)))
-        for name, value in parsed.items():
-            if name in out:
-                raise DuplicateName(f"name {name!r} defined in more than one file")
-            out[name] = value
-    return out
-
-
 def _elements(text: str) -> frozenset[int]:
     return frozenset(int(x) for x in text.split(",") if x.strip() != "")
 
 
-def _size_cap(args) -> int:
+def _size_cap(args, default: int) -> int:
     if args.size_cap is not None:
         return args.size_cap
     env = os.environ.get("UA_SIZE_CAP")
-    return int(env) if env else 8
+    return int(env) if env else default
 
 
-def _parse_map_file(path: str, keywords) -> dict[str, dict[int, tuple[int, ...]]]:
-    out: dict[str, dict[int, tuple[int, ...]]] = {k: {} for k in keywords}
-    current: tuple[str, int] | None = None
-    pending: list[int] = []
-
-    def number(token: str, no: int) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise ParseError(f"bad integer {token!r}", path, no) from None
-
-    def flush():
-        nonlocal current, pending
-        if current is not None:
-            out[current[0]][current[1]] = tuple(pending)
-        current = None
-        pending = []
-
-    for no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
+def _parse_map_file(path: str, keywords) -> dict[str, dict[int, list[int]]]:
+    """The tables of a map file: a header `<keyword> <element>` opens the
+    table of that element, and the lines up to the next header are its entries."""
+    out: dict[str, dict[int, list[int]]] = {k: {} for k in keywords}
+    table: list[int] | None = None
+    for no, line in content_lines(Path(path).read_text()):
+        parts = line.split()
         if parts[0] in keywords:
             if len(parts) != 2:
                 raise ParseError(f"expected '{parts[0]} <element>'", path, no)
-            flush()
-            current = (parts[0], number(parts[1], no))
+            table = []
+            out[parts[0]][parse_uint(parts[1], "bad integer {token!r}", path, no)] = table
+        elif table is None:
+            raise ParseError("table entries before any map header", path, no)
         else:
-            if current is None:
-                raise ParseError("table entries before any map header", path, no)
-            pending.extend(number(p, no) for p in parts)
-    flush()
+            table.extend(parse_uint(p, "bad integer {token!r}", path, no) for p in parts)
     return out
 
 
@@ -150,7 +89,7 @@ def _per_element(maps, keyword: str, size: int, path: str) -> tuple[tuple[int, .
     for x in range(size):
         if x not in maps[keyword]:
             raise ParseError(f"no '{keyword} {x}' table", path)
-    return tuple(maps[keyword][x] for x in range(size))
+    return tuple(tuple(maps[keyword][x]) for x in range(size))
 
 
 def cmd_check(args, ws: Workspace) -> int:
@@ -168,7 +107,7 @@ def cmd_check(args, ws: Workspace) -> int:
 
 def cmd_congruences(args, ws: Workspace) -> int:
     A = ws.algebra(args.ref)
-    found = congruences.all_congruences(A, cap=_size_cap(args))
+    found = congruences.all_congruences(A, cap=_size_cap(args, congruences.CONGRUENCE_ENUM_CAP))
     print(len(found))
     for part in found:
         print(part)
@@ -177,7 +116,7 @@ def cmd_congruences(args, ws: Workspace) -> int:
 
 def cmd_idempotents(args, ws: Workspace) -> int:
     A = ws.algebra(args.ref)
-    endos = inner.idempotent_endomorphisms(A, cap=_size_cap(args))
+    endos = inner.idempotent_endomorphisms(A, cap=_size_cap(args, inner.ENDO_ENUM_CAP))
     print(len(endos))
     for endo in endos:
         print(" ".join(map(str, endo.map)))
@@ -188,7 +127,7 @@ def cmd_decompose(args, ws: Workspace) -> int:
     A = ws.algebra(args.ref)
     B = _elements(args.B)
     omega = parse_partition(args.omega, A.size)
-    report = inner.verify_inner_sdp(A, B, omega, cap=_size_cap(args))
+    report = inner.verify_inner_sdp(A, B, omega, cap=_size_cap(args, inner.ENDO_ENUM_CAP))
     print(f"subalgebra: {report.b_is_subalgebra}")
     print(f"congruence: {report.omega_is_congruence}")
     for label, value in zip("abcd", (report.a, report.b, report.c, report.d)):

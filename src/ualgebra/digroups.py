@@ -253,7 +253,7 @@ class DigroupActionTriple:
 
     phi_star[y] must be an automorphism table of (K, *), phi_circ[y] one of
     (K, o), with both families antimultiplicative; Lambda is any family of
-    permutations of K with Lambda[1_Y] the identity.
+    permutations of K with Lambda[1_Y] the identity. Rows are stored as tuples.
     """
 
     Y: Digroup
@@ -261,6 +261,10 @@ class DigroupActionTriple:
     phi_star: tuple[tuple[int, ...], ...]
     phi_circ: tuple[tuple[int, ...], ...]
     Lambda: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        for field in ("phi_star", "phi_circ", "Lambda"):
+            object.__setattr__(self, field, tuple(map(tuple, getattr(self, field))))
 
     def lambda_fixes_unit(self) -> bool:
         return all(self.Lambda[y][self.K.one] == self.K.one for y in range(self.Y.n))

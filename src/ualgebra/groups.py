@@ -98,15 +98,18 @@ def automorphism_group(G: FiniteAlgebra) -> list[tuple[int, ...]]:
     return list(isomorphisms(G, G))
 
 
-def _require_phi_tables(N: FiniteAlgebra, B: FiniteAlgebra, phi):
-    """N and B are groups and phi holds one table on N per element of B."""
+def _require_phi_tables(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> tuple[tuple[int, ...], ...]:
+    """N and B are groups and phi holds one table on N per element of B;
+    returns phi with its rows as tuples, the form the action test compares."""
     _require_group(N)
     _require_group(B)
+    phi = tuple(map(tuple, phi))
     if len(phi) != B.size:
         raise NotAnAction("one automorphism per element of B required")
     for y, row in enumerate(phi):
         if len(row) != N.size or any(not 0 <= k < N.size for k in row):
             raise NotAutomorphism(f"phi[{y}] is not a table on N")
+    return phi
 
 
 def group_semidirect(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> FiniteAlgebra:
@@ -117,7 +120,7 @@ def group_semidirect(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> FiniteAlgebra:
     over B and published in the pair encoding k*|B| + y; the result is
     verified against the group variety.
     """
-    _require_phi_tables(N, B, phi)
+    phi = _require_phi_tables(N, B, phi)
     for y in range(B.size):
         if not is_automorphism(phi[y], N):
             raise NotAutomorphism(f"phi[{y}] is not an automorphism of N")
@@ -277,7 +280,7 @@ def group_data_from_action(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> GroupSDPD
 
     Missing or malformed tables raise NotAnAction or NotAutomorphism, as in
     `group_semidirect`; well-shaped tables that are no action fail a condition."""
-    _require_phi_tables(N, B, phi)
+    phi = _require_phi_tables(N, B, phi)
     data = _synthesize_group_data(N, B, phi)
     _check_51_conditions(data)
     return data
@@ -334,12 +337,17 @@ def group_data_from_inner(G: FiniteAlgebra, K, Y) -> GroupSDPData:
 
 @dataclass(frozen=True)
 class RingActionPair:
-    """Two compatible one-sided actions of S on K, as unary tables per s."""
+    """Two compatible one-sided actions of S on K, as unary tables per s,
+    stored as tuples whatever sequences they are given as."""
 
     K: FiniteAlgebra
     S: FiniteAlgebra
     lam: tuple[tuple[int, ...], ...]
     rho: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "lam", tuple(map(tuple, self.lam)))
+        object.__setattr__(self, "rho", tuple(map(tuple, self.rho)))
 
 
 def _require_ring(R: FiniteAlgebra):

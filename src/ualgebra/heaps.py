@@ -285,7 +285,8 @@ def heap_inner_report(
 
 @dataclass(frozen=True)
 class HeapAction:
-    """Base heap Y acting on K through automorphisms, trivial at y0."""
+    """Base heap Y acting on K through automorphisms, trivial at y0; the rows
+    of alpha are stored as tuples."""
 
     Y: FiniteAlgebra
     K: FiniteAlgebra
@@ -293,6 +294,7 @@ class HeapAction:
     y0: int
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", tuple(map(tuple, self.alpha)))
         if len(self.alpha) != self.Y.size:
             raise HypothesisViolation("one automorphism per element of Y required")
 

@@ -21,10 +21,12 @@ from math import prod
 from .algebras import (
     FiniteAlgebra,
     Homomorphism,
+    content_lines,
     inverse_permutation,
     is_homomorphism,
     pack,
     pack_columns,
+    parse_uint,
     row_major_columns,
     subalgebra_as_algebra,
 )
@@ -413,33 +415,18 @@ def direct_product_check(
 
 def parse_action_file(text: str, resolve, source: str = "<input>"):
     """Parse an action file; `resolve` maps a base reference to its algebra."""
-    lines = text.splitlines()
+    lines = content_lines(text)
     base = None
     fibers: dict[int, tuple[int, int, int]] = {}  # b -> size, basepoint, line
     constant_fiber = None
-    maps: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}
-    map_lines: dict[tuple[str, tuple[int, ...]], int] = {}
-    current: tuple[str, tuple[int, ...]] | None = None
-    pending: list[int] = []
-    opened = False
-    closed = False
-
-    def number(token: str, no: int) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise ParseError(f"bad integer {token!r}", source, no) from None
-
-    for no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if not opened:
-            if stripped != "action":
-                raise ParseError("expected 'action'", source, no)
-            opened = True
-            continue
+    maps: dict[tuple[str, tuple[int, ...]], tuple[int, list[int]]] = {}  # -> line, table
+    table: list[int] | None = None
+    bad = "bad integer {token!r}"
+    first = next(lines, None)
+    if first is not None and first[1] != "action":
+        raise ParseError("expected 'action'", source, first[0])
+    for no, line in lines:
+        parts = line.split()
         if parts[0] == "base":
             if len(parts) != 2:
                 raise ParseError("expected 'base <ref>'", source, no)
@@ -447,47 +434,41 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
         elif parts[0] == "fiber":
             if len(parts) != 4:
                 raise ParseError("expected 'fiber <b|*> <size> <basepoint>'", source, no)
-            size, basepoint = number(parts[2], no), number(parts[3], no)
+            size = parse_uint(parts[2], bad, source, no)
+            basepoint = parse_uint(parts[3], bad, source, no)
             if parts[1] == "*":
                 if constant_fiber is not None:
                     raise ParseError("repeated 'fiber *' line", source, no)
                 constant_fiber = (size, basepoint)
             else:
-                b = number(parts[1], no)
+                b = parse_uint(parts[1], bad, source, no)
                 if b in fibers:
                     raise ParseError(f"repeated fiber for {b}", source, no)
                 fibers[b] = (size, basepoint, no)
         elif parts[0] == "map":
-            if current is not None:
-                maps[current] = tuple(pending)
-            body = stripped[len("map") :].strip()
-            sym, _, tup = body.partition("(")
+            sym, _, tup = line[len("map") :].partition("(")
             sym = sym.strip()
-            tup = tup.rstrip(")")
-            bs = tuple(number(x, no) for x in tup.split(",") if x.strip() != "")
-            current = (sym, bs)
-            if current in map_lines:
+            entries = (x.strip() for x in tup.rstrip(")").split(","))
+            bs = tuple(parse_uint(x, bad, source, no) for x in entries if x)
+            if (sym, bs) in maps:
                 raise ParseError(f"repeated map for {sym} {bs}", source, no)
-            map_lines[current] = no
-            pending = []
+            table = []
+            maps[(sym, bs)] = (no, table)
         elif parts[0] == "end":
-            if current is not None:
-                maps[current] = tuple(pending)
-            closed = True
             break
+        elif table is None:
+            raise ParseError("table entries before any map line", source, no)
         else:
-            if current is None:
-                raise ParseError("table entries before any map line", source, no)
-            pending.extend(number(p, no) for p in parts)
-    if not closed:
-        raise ParseError("missing 'end'", source, len(lines))
+            table.extend(parse_uint(p, bad, source, no) for p in parts)
+    else:
+        raise ParseError("missing 'end'", source, len(text.splitlines()))
     if base is None:
-        raise ParseError("missing base", source, len(lines))
+        raise ParseError("missing base", source, len(text.splitlines()))
     for b, (_, _, no) in fibers.items():
         if not 0 <= b < base.size:
             raise ParseError(f"fiber for {b} outside the base", source, no)
     arities = dict(base.signature.symbols)
-    for (sym, bs), no in map_lines.items():
+    for (sym, bs), (no, _) in maps.items():
         if sym not in arities:
             raise ParseError(f"map for {sym!r}, which is not in the signature", source, no)
         if len(bs) != arities[sym]:
@@ -501,14 +482,15 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
         elif constant_fiber is not None:
             fiber_list.append(constant_fiber)
         else:
-            raise ParseError(f"no fiber for base element {b}", source, len(lines))
+            raise ParseError(f"no fiber for base element {b}", source, len(text.splitlines()))
     family = PointedFamily(base, tuple(fiber_list))
+    tables = {key: tuple(table) for key, (_, table) in maps.items()}
     # arity-0 maps may be omitted: they are forced onto the basepoint
     for p, (sym, arity) in enumerate(base.signature.symbols):
-        if arity == 0 and (sym, ()) not in maps:
+        if arity == 0 and (sym, ()) not in tables:
             target = base.tables[p][0]
-            maps[(sym, ())] = (fiber_list[target][1],)
-    return family, ActionFamily.from_dict(maps)
+            tables[(sym, ())] = (fiber_list[target][1],)
+    return family, ActionFamily.from_dict(tables)
 
 
 def emit_action_file(family: PointedFamily, actions: ActionFamily, base_ref: str) -> str:

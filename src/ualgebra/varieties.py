@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .algebras import FiniteAlgebra, row_major_columns
+from .algebras import FiniteAlgebra, content_lines, parse_uint, row_major_columns
 from .errors import DuplicateName, ParseError, SignatureMismatch
 from .terms import Identity, Signature, eval_block, parse_identity
 
@@ -208,48 +208,35 @@ for _spec in [
 
 
 def parse_varieties(text: str, source: str = "<input>") -> dict[str, VarietySpec]:
-    lines = text.splitlines()
     out: dict[str, VarietySpec] = {}
-    i = 0
-    while i < len(lines):
-        stripped = lines[i].strip()
-        i += 1
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
+    lines = content_lines(text)
+    for no, line in lines:
+        parts = line.split()
         if parts[0] != "variety" or len(parts) != 2:
-            raise ParseError("expected 'variety <name>'", source, i)
+            raise ParseError("expected 'variety <name>'", source, no)
         name = parts[1]
         if name in out:
             raise DuplicateName(f"{source}: variety {name!r} defined twice")
         symbols: list[tuple[str, int]] = []
         id_texts: list[str] = []
-        closed = False
-        while i < len(lines):
-            stripped = lines[i].strip()
-            i += 1
-            if not stripped or stripped.startswith("#"):
-                continue
-            if stripped == "end":
-                closed = True
+        for no, line in lines:
+            if line == "end":
                 break
-            word, _, rest = stripped.partition(" ")
+            word, _, rest = line.partition(" ")
             if word == "op":
                 sym, _, ar = rest.strip().partition("/")
-                if not ar.isdecimal():
-                    raise ParseError("expected 'op <name>/<arity>'", source, i)
-                symbols.append((sym, int(ar)))
+                symbols.append((sym, parse_uint(ar, "expected 'op <name>/<arity>'", source, no)))
             elif word == "id":
                 id_texts.append(rest)
             else:
-                raise ParseError(f"unexpected line {stripped!r}", source, i)
-        if not closed:
-            raise ParseError("missing 'end'", source, i)
+                raise ParseError(f"unexpected line {line!r}", source, no)
+        else:
+            raise ParseError("missing 'end'", source, len(text.splitlines()))
         sig = Signature(tuple(symbols))
         try:
             ids = tuple(parse_identity(s, sig) for s in id_texts)
         except Exception as exc:
-            raise ParseError(f"bad identity: {exc}", source, i) from exc
+            raise ParseError(f"bad identity: {exc}", source, no) from exc
         out[name] = VarietySpec(name, sig, ids)
     return out
 

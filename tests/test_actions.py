@@ -11,6 +11,7 @@ from functools import cache
 from itertools import permutations, product
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
@@ -28,7 +29,13 @@ from oracles import (
     reflection_ideal_by_fixpoint,
 )
 from ualgebra.algebras import compose, inverse_permutation, is_action, is_automorphism
-from ualgebra.catalog import cyclic_group, groups_up_to_8, klein_group, symmetric_group_s3
+from ualgebra.catalog import (
+    cyclic_group,
+    cyclic_ring,
+    groups_up_to_8,
+    klein_group,
+    symmetric_group_s3,
+)
 from ualgebra.digroups import (
     DigroupActionTriple,
     all_digroups,
@@ -41,9 +48,16 @@ from ualgebra.digroups import (
     skew_brace_check,
     skew_brace_reflection,
     star_reduct,
+    trivial_digroup,
 )
-from ualgebra.groups import group_data_from_inner
-from ualgebra.heaps import heap_from_group
+from ualgebra.groups import (
+    RingActionPair,
+    group_data_from_action,
+    group_data_from_inner,
+    group_semidirect,
+    ring_semidirect,
+)
+from ualgebra.heaps import HeapAction, heap_from_group, heap_outer
 
 TESTS = Path(__file__).resolve().parent
 
@@ -109,6 +123,46 @@ def test_is_action_matches_the_composition_loops(case):
     if all(len(set(row)) == K.size for row in rows):
         Y = heap_from_group(B)
         assert is_action(rows, Y, "t", bracket) == heap_morphism_by_loops(rows, Y.tables[0], B.size)
+
+
+# Each builder takes a row converter, `list` or `tuple`, and returns what the
+# entry point builds from the rows of the action Z2 -> Aut(Z3) (ring: S = K = Z2).
+ROW_BUILDERS = {
+    "group_semidirect": lambda rows: group_semidirect(
+        cyclic_group(3), cyclic_group(2), [rows((0, 1, 2)), rows((0, 2, 1))]
+    ),
+    "group_data_from_action": lambda rows: group_data_from_action(
+        cyclic_group(3), cyclic_group(2), [rows((0, 1, 2)), rows((0, 2, 1))]
+    ),
+    "digroup_outer": lambda rows: digroup_outer(
+        DigroupActionTriple(
+            trivial_digroup(cyclic_group(2), "y2"),
+            trivial_digroup(cyclic_group(3), "k3"),
+            [rows((0, 1, 2)), rows((0, 2, 1))],
+            [rows((0, 1, 2)), rows((0, 2, 1))],
+            [rows((0, 1, 2)), rows((0, 1, 2))],
+        )
+    ).algebra,
+    "heap_outer": lambda rows: heap_outer(
+        HeapAction(
+            heap_from_group(cyclic_group(2)),
+            heap_from_group(cyclic_group(3)),
+            [rows((0, 1, 2)), rows((0, 2, 1))],
+            0,
+        )
+    ).algebra,
+    # lam as the converter gives it, rho always as tuples
+    "ring_semidirect": lambda rows: ring_semidirect(
+        RingActionPair(
+            cyclic_ring(2), cyclic_ring(2), [rows((0, 0)), rows((0, 1))], ((0, 0), (0, 1))
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("build", ROW_BUILDERS.values(), ids=ROW_BUILDERS)
+def test_rows_given_as_lists_build_what_tuples_build(build):
+    assert build(list) == build(tuple)
 
 
 def test_genuine_actions_pass_every_action_law():

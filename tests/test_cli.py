@@ -1,11 +1,12 @@
+import importlib
+
 import pytest
 
 from ualgebra import heaps
 from ualgebra.algebras import emit_algebra, parse_algebras
 from ualgebra.catalog import cyclic_group, subtraction_algebra, symmetric_group_s3
-from ualgebra.cli import load_workspace, main
+from ualgebra.cli import main
 from ualgebra.digroups import trivial_digroup
-from ualgebra.errors import DuplicateName
 from ualgebra.groups import group_data_from_action, group_data_to_family
 from ualgebra.heaps import heap_from_group
 from ualgebra.outer import emit_action_file
@@ -458,26 +459,23 @@ def test_size_cap_flag_and_env(tmp_path, capsys, monkeypatch):
     assert main(["idempotents", f"{big}#z9"]) == 0
 
 
-def test_load_workspace_duplicate_names(tmp_path):
-    a = tmp_path / "a.alg"
-    b = tmp_path / "b.alg"
-    a.write_text(emit_algebra(cyclic_group(2)))
-    b.write_text(emit_algebra(cyclic_group(2)))
-    with pytest.raises(DuplicateName):
-        load_workspace([a, b])
-    assert set(load_workspace([a])) == {"z2"}
-
-
-def test_load_workspace_mixes_algebras_and_varieties(tmp_path):
-    from ualgebra.varieties import REGISTRY, VarietySpec, emit_variety
-
-    a = tmp_path / "a.alg"
-    a.write_text(emit_algebra(cyclic_group(2)))
-    v = tmp_path / "v.var"
-    v.write_text(emit_variety(REGISTRY["semigroup"]))
-    loaded = load_workspace([a, v])
-    assert set(loaded) == {"z2", "semigroup"}
-    assert isinstance(loaded["semigroup"], VarietySpec)
+@pytest.mark.parametrize(
+    "module, cap, verb",
+    [
+        ("congruences", "CONGRUENCE_ENUM_CAP", ["congruences"]),
+        ("inner", "ENDO_ENUM_CAP", ["idempotents"]),
+        ("inner", "ENDO_ENUM_CAP", ["decompose", "--B", "0", "--omega", "{{0,1,2,3,4,5,6,7,8}}"]),
+    ],
+)
+def test_default_size_cap_is_the_library_cap(tmp_path, capsys, monkeypatch, module, cap, verb):
+    big = tmp_path / "big.alg"
+    big.write_text(emit_algebra(cyclic_group(9)))
+    argv = [verb[0], f"{big}#z9", *verb[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith("capped at 8\n")
+    monkeypatch.setattr(importlib.import_module(f"ualgebra.{module}"), cap, 9)
+    assert main(argv) in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 def test_check_against_variety_file(tmp_path, capsys):

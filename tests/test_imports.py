@@ -54,6 +54,21 @@ def test_only_algebras_defines_packers(path):
     assert path.name == "algebras.py" or packers == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_algebras_skips_comment_lines(path):
+    # the line syntax of the text formats lives in `algebras.content_lines`
+    tree = ast.parse(path.read_text())
+    comment_tests = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "startswith"
+        and any(isinstance(a, ast.Constant) and a.value == "#" for a in node.args)
+    ]
+    assert path.name == "algebras.py" or comment_tests == []
+
+
 
 
 ROOT = MODULES[0].parents[2]
@@ -61,11 +76,16 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _public_definitions(tree: ast.Module):
-    """The public top-level functions and classes, and the public methods
-    of the top-level classes, as `name` or `Class.name`."""
+    """The public top-level functions, classes and assigned names, and the
+    public methods of the top-level classes, as `name` or `Class.name`."""
     for node in tree.body:
         if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
             yield node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, DEFINITIONS) and not item.name.startswith("_"):
@@ -74,8 +94,9 @@ def _public_definitions(tree: ast.Module):
 
 def _reads(node: ast.AST, scope: str):
     """(name, scope) for each name read as a variable or an attribute under
-    `node`; a function or class opens the scope `<enclosing>.<its name>`."""
-    if isinstance(node, ast.Name):
+    `node`; a function or class opens the scope `<enclosing>.<its name>`.
+    A name assigned to is not read."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         yield node.id, scope
     elif isinstance(node, ast.Attribute):
         yield node.attr, scope
@@ -86,10 +107,11 @@ def _reads(node: ast.AST, scope: str):
 
 
 def test_every_public_definition_is_referenced():
-    """Each public function, class and method of the package is read, as a
-    name or an attribute, somewhere outside its own definition in `src`,
-    `tests` or `perfbench`, or is named in the README. An import or an
-    `__all__` entry names a definition without using it, so neither counts."""
+    """Each public function, class, method and top-level assigned name of the
+    package is read, as a name or an attribute, somewhere outside its own
+    definition in `src`, `tests` or `perfbench`, or is named in the README.
+    An import or an `__all__` entry names a definition without using it, so
+    neither counts."""
     definitions = []
     reads: dict[str, list[str]] = {}
     for path in sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):

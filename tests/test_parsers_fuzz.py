@@ -90,6 +90,10 @@ def test_parse_action_file_parses_or_raises_a_library_error(opened, lines):
         (parse_algebras, "algebra a\nsize \u00b2\nend\n"),
         (parse_algebras, "algebra a\nsize 2\nop m/\u00b2\nend\n"),
         (parse_varieties, "variety v\nop m/\u00b2\nend\n"),
+        # int() refuses numerals over 4,300 digits
+        pytest.param(
+            parse_varieties, "variety v\nop m/" + "9" * 5000 + "\nend\n", id="5000-digit arity"
+        ),
     ],
 )
 def test_non_ascii_digits_are_parse_errors(parse, text):
