@@ -17,10 +17,10 @@ from . import congruences, digroups, groups, heaps, inner, outer
 from .algebras import FiniteAlgebra, content_lines, emit_algebra, parse_algebras, parse_uint
 from .digroups import Digroup
 from .envcat import TermTupleMorphism, TupleObject, functor_morphism, functor_object
-from .errors import ParseError, UAError, UnknownVerb
+from .errors import ParseError, UAError
 from .partitions import parse_partition
 from .terms import eval_term, parse_term, term_to_str
-from .varieties import REGISTRY, check_identities, parse_varieties
+from .varieties import check_identities, get_variety, parse_varieties
 
 class Workspace:
     """Lazy `<file>#<name>` reference resolution with per-file caching."""
@@ -42,9 +42,7 @@ class Workspace:
 
     def variety(self, ref: str):
         if "#" not in ref:
-            if ref in REGISTRY:
-                return REGISTRY[ref]
-            raise ParseError(f"unknown variety {ref!r}")
+            return get_variety(ref)
         path, _, name = ref.partition("#")
         if path not in self._variety_files:
             self._variety_files[path] = parse_varieties(Path(path).read_text(), source=path)
@@ -54,8 +52,10 @@ class Workspace:
             raise ParseError(f"no variety {name!r} in {path}") from None
 
 
-def _elements(text: str) -> frozenset[int]:
-    return frozenset(int(x) for x in text.split(",") if x.strip() != "")
+def _elements(text: str, option: str) -> tuple[int, ...]:
+    """The comma-separated elements given to `option`, as unsigned numerals."""
+    tokens = [x.strip() for x in text.split(",")]
+    return tuple(parse_uint(x, "bad integer {token!r}", option, 1) for x in tokens if x)
 
 
 def _size_cap(args, default: int) -> int:
@@ -125,7 +125,7 @@ def cmd_idempotents(args, ws: Workspace) -> int:
 
 def cmd_decompose(args, ws: Workspace) -> int:
     A = ws.algebra(args.ref)
-    B = _elements(args.B)
+    B = _elements(args.B, "--B")
     omega = parse_partition(args.omega, A.size)
     report = inner.verify_inner_sdp(A, B, omega, cap=_size_cap(args, inner.ENDO_ENUM_CAP))
     print(f"subalgebra: {report.b_is_subalgebra}")
@@ -194,18 +194,17 @@ def cmd_brace(args, ws: Workspace) -> int:
             print(f"witness: {report.witness}")
         return 0 if report.lsb else 1
     if args.action == "commutator":
-        ideal = digroups.brace_commutator(D, _elements(args.I), _elements(args.J))
+        ideal = digroups.brace_commutator(D, _elements(args.I, "--I"), _elements(args.J, "--J"))
         print("{" + ",".join(map(str, sorted(ideal))) + "}")
         return 0
     if args.action == "center":
         print("{" + ",".join(map(str, sorted(digroups.brace_center(D)))) + "}")
         return 0
-    if args.action == "reflect":
-        Q, ideal = digroups.skew_brace_reflection(D)
-        print("ideal {" + ",".join(map(str, sorted(ideal))) + "}")
-        sys.stdout.write(emit_algebra(Q.algebra))
-        return 0
-    raise UnknownVerb(f"unknown brace action {args.action!r}")
+    # argparse's choices leave "reflect"
+    Q, ideal = digroups.skew_brace_reflection(D)
+    print("ideal {" + ",".join(map(str, sorted(ideal))) + "}")
+    sys.stdout.write(emit_algebra(Q.algebra))
+    return 0
 
 
 def cmd_heap(args, ws: Workspace) -> int:
@@ -223,16 +222,13 @@ def cmd_heap(args, ws: Workspace) -> int:
         else:
             sys.stdout.write(emit_algebra(heaps.heap_from_group(A)))
         return 0
-    if args.action == "decompose":
-        Y = _elements(args.Y)
-        omega = parse_partition(args.omega, A.size)
-        report = heaps.heap_inner_report(A, Y, omega, args.basepoint if args.basepoint >= 0 else None)
-        for label, value in zip(
-            "abcde", (report.a, report.b, report.c, report.d, report.e)
-        ):
-            print(f"({label}): {value}")
-        return 0 if report.holds else 1
-    raise UnknownVerb(f"unknown heap action {args.action!r}")
+    # argparse's choices leave "decompose"
+    Y = _elements(args.Y, "--Y")
+    omega = parse_partition(args.omega, A.size)
+    report = heaps.heap_inner_report(A, Y, omega, args.basepoint if args.basepoint >= 0 else None)
+    for label, value in zip("abcde", (report.a, report.b, report.c, report.d, report.e)):
+        print(f"({label}): {value}")
+    return 0 if report.holds else 1
 
 
 def cmd_truss(args, ws: Workspace) -> int:
@@ -241,14 +237,13 @@ def cmd_truss(args, ws: Workspace) -> int:
         ok = heaps.is_near_truss(A, args.side)
         print(f"{A.name}: {args.side} near-truss: {ok}")
         return 0 if ok else 1
-    if args.action == "decompose":
-        Y = _elements(args.Y)
-        omega = parse_partition(args.omega, A.size)
-        report = heaps.near_truss_report(A, Y, omega, side=args.side)
-        for label, value in zip("abcd", (report.a, report.b, report.c, report.d)):
-            print(f"({label}): {value}")
-        return 0 if report.holds else 1
-    raise UnknownVerb(f"unknown truss action {args.action!r}")
+    # argparse's choices leave "decompose"
+    Y = _elements(args.Y, "--Y")
+    omega = parse_partition(args.omega, A.size)
+    report = heaps.near_truss_report(A, Y, omega, side=args.side)
+    for label, value in zip("abcd", (report.a, report.b, report.c, report.d)):
+        print(f"({label}): {value}")
+    return 0 if report.holds else 1
 
 
 def cmd_envcat(args, ws: Workspace) -> int:
@@ -258,7 +253,7 @@ def cmd_envcat(args, ws: Workspace) -> int:
     V = ws.variety(args.variety)
     built = outer.build_outer_product(family, actions, V)
     base = built.family.base
-    src = TupleObject(base, tuple(int(x) for x in args.object.split(",") if x != ""))
+    src = TupleObject(base, _elements(args.object, "--object"))
     terms = tuple(parse_term(t.strip(), base.signature) for t in args.terms.split(";"))
     values = tuple(eval_term(t, base, src.elements) for t in terms)
     dst = TupleObject(base, values)

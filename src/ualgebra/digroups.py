@@ -45,6 +45,7 @@ from .errors import (
     NotIdeal,
     NotSubdigroup,
     SignatureMismatch,
+    crosscheck,
 )
 from .inner import endo_witness, unique_factorizations
 from .outer import ActionFamily, PointedFamily, union_algebra
@@ -166,7 +167,7 @@ def is_ideal(D: Digroup, I) -> bool:
         {D.star(a, i) for i in I} == {D.circ(a, i) for i in I} for a in range(D.n)
     )
     lam_invariant = all(D.lam(a, i) in I for a in range(D.n) for i in I)
-    assert cosets_match == lam_invariant, "coset equality must match lambda-invariance"
+    crosscheck(cosets_match == lam_invariant, "coset equality must match lambda-invariance")
     return cosets_match
 
 
@@ -184,7 +185,7 @@ def ideal_partition(D: Digroup, I) -> Partition:
     circ_rel = Partition.from_pairs(
         D.n, [(a, b) for a in range(D.n) for b in range(D.n) if D.circ(a, D.cinv(b)) in I]
     )
-    assert star_rel == circ_rel, "both difference relations must agree on an ideal"
+    crosscheck(star_rel == circ_rel, "both difference relations must agree on an ideal")
     return star_rel
 
 
@@ -224,7 +225,7 @@ def digroup_inner_report(D: Digroup, B, I) -> DigroupInnerReport:
     # partition of I exactly when e^-1(1) = I
     c7 = endo_witness(D.algebra, B, ideal_partition(D, I))
     conditions = (c1, c2, c3, c4, c5, c6, c7)
-    assert len(set(conditions)) == 1, "the seven conditions must agree"
+    crosscheck(len(set(conditions)) == 1, "the seven conditions must agree")
     formulas = None
     if c1:
         formulas = True
@@ -243,7 +244,7 @@ def digroup_inner_report(D: Digroup, B, I) -> DigroupInnerReport:
             # i4 = phi_*b^-1(lambda_b(i1)) = b * lambda_b(i1) * b^-*
             if i4 != D.star(D.star(b, D.lam(b, i1)), D.sinv(b)):
                 formulas = False
-        assert formulas, "factorization formulas must hold on a decomposition"
+        crosscheck(formulas, "factorization formulas must hold on a decomposition")
     return DigroupInnerReport(conditions, formulas)
 
 
@@ -337,11 +338,14 @@ def digroup_outer(triple: DigroupActionTriple, name: str = "outer_digroup") -> D
         raise AxiomFailure(f"construction violated the digroup axioms: {exc}") from exc
     # the tables' own check of the unit (1_Y, 1_K): two-sided for star and circ
     e = D.one
-    assert all(D.star(x, e) == D.star(e, x) == x == D.circ(x, e) == D.circ(e, x) for x in range(D.n))
+    crosscheck(
+        all(D.star(x, e) == D.star(e, x) == x == D.circ(x, e) == D.circ(e, x) for x in range(D.n)),
+        "(1_Y, 1_K) must be a two-sided unit of both products",
+    )
     # the first two pair identities hold unconditionally
     flags = pair_identities(triple, D)
-    assert flags[:2] == (True, True)
-    assert all(flags) or not triple.lambda_fixes_unit()
+    crosscheck(flags[:2] == (True, True), "the first two pair identities must hold")
+    crosscheck(all(flags) or not triple.lambda_fixes_unit(), "all four pair identities must hold")
     return D
 
 
@@ -377,9 +381,9 @@ def digroup_extract_actions(D: Digroup, Y, K):
     """Recover (phi_star, phi_circ, Lambda) from an inner decomposition and
     rebuild: the map (y,k) -> y o k must be an isomorphism onto D.
 
-    The recovered tables are also checked against the pair-product form of
-    the rebuilt digroup: phi_o from o-products against (1,k), Lambda and
-    phi_* from +-products, and both unary fiber maps from the inverses.
+    The rebuild itself checks the recovered tables against the pair-product
+    form (all four pair identities, since a recovered Lambda fixes the unit:
+    lambda_y(1) = y^-* * y = 1) and the inverse tables against the axioms.
     """
     Y, K = frozenset(Y), frozenset(K)
     report = digroup_inner_report(D, Y, K)
@@ -404,44 +408,12 @@ def digroup_extract_actions(D: Digroup, Y, K):
     alpha = tuple(
         D.circ(members_y[x // Kdg.n], members_k[x % Kdg.n]) for x in range(rebuilt.n)
     )
-    assert len(set(alpha)) == D.n, "(y,k) -> y o k must be a bijection"
-    assert is_homomorphism(alpha, rebuilt.algebra, D.algebra), (
-        "(y,k) -> y o k must be a digroup isomorphism"
+    crosscheck(len(set(alpha)) == D.n, "(y,k) -> y o k must be a bijection")
+    crosscheck(
+        is_homomorphism(alpha, rebuilt.algebra, D.algebra),
+        "(y,k) -> y o k must be a digroup isomorphism",
     )
-    assert pair_identities(triple, rebuilt) == (True, True, True, True)
-    _assert_recovery_formulas(triple, rebuilt)
     return triple, alpha
-
-
-def _assert_recovery_formulas(triple: DigroupActionTriple, D: Digroup):
-    """The action maps must be recoverable from the product tables."""
-    Y, K = triple.Y, triple.K
-    lam_inv = [inverse_permutation(p) for p in triple.Lambda]
-
-    def enc(y, k):
-        return y * K.n + k
-
-    def g_circ(y1, y2, k1, k2):
-        return D.circ(enc(y1, k1), enc(y2, k2)) % K.n
-
-    def g_star(y1, y2, k1, k2):
-        return D.star(enc(y1, k1), enc(y2, k2)) % K.n
-
-    one_y, one_k = Y.one, K.one
-    for y in range(Y.n):
-        for k in range(K.n):
-            assert triple.phi_circ[y][k] == g_circ(one_y, y, k, one_k)
-            assert lam_inv[y][k] == g_star(y, one_y, one_k, k)
-            assert triple.phi_star[y][k] == triple.Lambda[y][g_star(one_y, y, k, one_k)]
-    for y in range(Y.n):
-        for k in range(K.n):
-            # o-inverse of (y,k) is (y^-o, phi_{o y^-o}(k^-o))
-            yc = Y.cinv(y)
-            assert D.cinv(enc(y, k)) == enc(yc, triple.phi_circ[yc][K.cinv(k)])
-            # *-inverse of (y,k) is (y^-*, Lam_{y^-*}^-1(phi_{* y^-*}((Lam_y k)^-*)))
-            ys = Y.sinv(y)
-            expected = lam_inv[ys][triple.phi_star[ys][K.sinv(triple.Lambda[y][k])]]
-            assert D.sinv(enc(y, k)) == enc(ys, expected)
 
 
 def trivial_triple(Y: Digroup, K: Digroup) -> DigroupActionTriple:
@@ -463,7 +435,7 @@ def digroup_direct_criterion(triple: DigroupActionTriple) -> bool:
     outer = digroup_outer(triple)
     direct = product(triple.Y.algebra, triple.K.algebra)
     canonical = outer.algebra.tables == direct.tables
-    assert criterion == canonical, "criterion must match the canonical table comparison"
+    crosscheck(criterion == canonical, "criterion must match the canonical table comparison")
     return criterion
 
 
@@ -493,7 +465,7 @@ def skew_brace_check(D: Digroup) -> SkewBraceReport:
     morph = all(is_automorphism(t, star_alg) for t in lam_tables) and is_action(
         lam_tables, D.algebra, "circ", compose
     )
-    assert lsb == morph, "the identity must match the lambda-morphism test"
+    crosscheck(lsb == morph, "the identity must match the lambda-morphism test")
     return SkewBraceReport(lsb, morph, witness)
 
 
@@ -547,8 +519,9 @@ def skew_brace_outer_condition(triple: DigroupActionTriple) -> bool:
         if not ok:
             break
     built = digroup_outer(triple)
-    assert ok == skew_brace_check(built).lsb, (
-        "the compatibility equation must match the direct identity check"
+    crosscheck(
+        ok == skew_brace_check(built).lsb,
+        "the compatibility equation must match the direct identity check",
     )
     return ok
 
@@ -559,7 +532,7 @@ def brace_ideal_generated(D: Digroup, X) -> frozenset[int]:
     congruence is an ideal and the cosets of an ideal are a congruence."""
     pairs = [(D.one, x) for x in X]
     ideal = frozenset(congruence_generated(D.algebra, pairs).block_of(D.one))
-    assert is_ideal(D, ideal)
+    crosscheck(is_ideal(D, ideal), "the identity class of a congruence must be an ideal")
     return ideal
 
 
@@ -568,7 +541,7 @@ def quotient_digroup(D: Digroup, I) -> tuple[Digroup, tuple[int, ...]]:
     if not is_ideal(D, I):
         raise NotIdeal("quotient requires an ideal")
     part = ideal_partition(D, I)
-    assert is_congruence(D.algebra, part), "ideal cosets must form a congruence"
+    crosscheck(is_congruence(D.algebra, part), "ideal cosets must form a congruence")
     Q, proj = quotient(D.algebra, part)
     return Digroup(Q).validate(), proj.map
 
@@ -584,7 +557,7 @@ def skew_brace_reflection(D: Digroup) -> tuple[Digroup, frozenset[int]]:
         defects.add(D.star(rhs, D.sinv(lhs)))
     ideal = brace_ideal_generated(D, defects)
     Q, _ = quotient_digroup(D, ideal)
-    assert skew_brace_check(Q).lsb, "the reflection must be a left skew brace"
+    crosscheck(skew_brace_check(Q).lsb, "the reflection must be a left skew brace")
     return Q, ideal
 
 
@@ -623,12 +596,12 @@ def brace_center(D: Digroup) -> frozenset[int]:
             for a in range(D.n)
         )
     )
-    assert is_ideal(D, center), "the center must be an ideal"
+    crosscheck(is_ideal(D, center), "the center must be an ideal")
     everything = frozenset(range(D.n))
-    assert brace_commutator(D, center, everything) == {D.one}
+    crosscheck(brace_commutator(D, center, everything) == {D.one}, "[center, D] must be trivial")
     for ideal in all_ideals(D):
         if brace_commutator(D, ideal, everything) == {D.one}:
-            assert ideal <= center, "the center must dominate such ideals"
+            crosscheck(ideal <= center, "the center must dominate such ideals")
     return center
 
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Mathematical falsity (a condition that simply does not hold) is returned as
-report data, never raised; these exceptions cover malformed input and broken
-preconditions only.
+report data, never raised; the UAError classes cover malformed input and
+broken preconditions, and InternalInconsistency a failed cross-check.
 """
 
 from __future__ import annotations
@@ -160,5 +160,12 @@ class EmptySet(UAError):
     pass
 
 
-class UnknownVerb(UAError):
-    pass
+class InternalInconsistency(Exception):
+    """Two computations that must agree did not; deliberately not a UAError."""
+
+
+def crosscheck(holds: bool, message: str) -> None:
+    """Raise InternalInconsistency(message) unless `holds`. Unlike `assert`,
+    it runs under `python -O` too, so that mode returns the same answers."""
+    if not holds:
+        raise InternalInconsistency(message)

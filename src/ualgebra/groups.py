@@ -32,12 +32,14 @@ from .algebras import (
 from .errors import (
     CompatibilityViolation,
     ConditionViolation,
+    DecompositionInvalid,
     NotAnAction,
     NotAutomorphism,
     NotNormal,
     NotSubgroup,
     PointednessViolation,
     SignatureMismatch,
+    crosscheck,
 )
 from .inner import (
     canonical_iso_witness,
@@ -129,7 +131,7 @@ def group_semidirect(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> FiniteAlgebra:
     family, actions = group_data_to_family(_synthesize_group_data(N, B, phi))
     G = fiber_major(assemble_union_algebra(family, actions, f"{N.name}_sdp_{B.name}"))
     report = check_identities(G, REGISTRY["group"])
-    assert report.passes, "a valid action must produce a group"
+    crosscheck(report.passes, "a valid action must produce a group")
     return G
 
 
@@ -171,8 +173,8 @@ def group_inner_equivalences(G: FiniteAlgebra, K, Y) -> GroupInnerReport:
     flag_f = canonical_iso_witness(G, Y, coset)
 
     report = GroupInnerReport(flag_a, flag_b, flag_c, flag_d, flag_e, flag_f)
-    assert len({flag_a, flag_b, flag_c, flag_d, flag_e, flag_f}) == 1, (
-        "the six conditions must agree"
+    crosscheck(
+        len({flag_a, flag_b, flag_c, flag_d, flag_e, flag_f}) == 1, "the six conditions must agree"
     )
     return report
 
@@ -323,7 +325,8 @@ def group_data_from_inner(G: FiniteAlgebra, K, Y) -> GroupSDPData:
     g(n1,n2) = (n1 b1)(n2 b2)(b1 b2)^-1 and h_b(n) = (n b)^-1 b."""
     _require_group(G)
     report = group_inner_equivalences(G, K, Y)
-    assert report.holds, "need a genuine decomposition"
+    if not report.holds:
+        raise DecompositionInvalid("K and Y do not decompose G")
     N, members_k = subalgebra_as_algebra(G, frozenset(K), name=f"{G.name}_K")
     B, members_y = subalgebra_as_algebra(G, frozenset(Y), name=f"{G.name}_Y")
     # the coset Kb is the fiber over b, and nb sits at n's position in it
@@ -430,5 +433,5 @@ def ring_semidirect(pair: RingActionPair) -> FiniteAlgebra:
     outer = assemble_union_algebra(family, ActionFamily.from_dict(maps), f"{K.name}_rsdp_{S.name}")
     R = fiber_major(outer)
     report = check_identities(R, REGISTRY["ring"])
-    assert report.passes, "compatible actions must produce a ring"
+    crosscheck(report.passes, "compatible actions must produce a ring")
     return R

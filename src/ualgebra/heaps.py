@@ -45,6 +45,7 @@ from .errors import (
     NotACongruence,
     NotASubheap,
     SignatureMismatch,
+    crosscheck,
 )
 from .inner import (
     canonical_iso_witness,
@@ -239,11 +240,12 @@ def _basepoint_action(X: FiniteAlgebra, Y: frozenset[int], block, e: int):
     action = tuple(
         tuple(pos[heap_op(X, y, e, heap_op(X, k, y, e))] for k in block) for y in members
     )
-    assert (
+    crosscheck(
         all(is_automorphism(row, block_heap) for row in action)
         and action[members.index(e)] == tuple(range(len(block)))
-        and is_action(action, sub_y, "t", _bracket_of_maps)
-    ), "alpha must be a heap morphism into Aut(block), alpha_e = id"
+        and is_action(action, sub_y, "t", _bracket_of_maps),
+        "alpha must be a heap morphism into Aut(block), alpha_e = id",
+    )
     return action
 
 
@@ -269,7 +271,7 @@ def heap_inner_report(
     flag_c = _unique_brackets(X, Y, omega, swap=False)
     flag_d = _unique_brackets(X, Y, omega, swap=True)
     flag_e = canonical_iso_witness(X, Y, omega)
-    assert flag_a == flag_b == flag_c == flag_d == flag_e, "the five conditions must agree"
+    crosscheck(flag_a == flag_b == flag_c == flag_d == flag_e, "the five conditions must agree")
 
     action = None
     block = None
@@ -359,19 +361,18 @@ def heap_outer(action: HeapAction, name: str = "outer_heap") -> HeapOuterResult:
     if not is_heap(X):
         raise AxiomFailure("construction violated the heap axioms")
     fiber = frozenset(enc(k, action.y0) for k in range(K.size))
-    assert is_normal_subheap(X, fiber), "K x {y0} must be a normal subheap"
+    crosscheck(is_normal_subheap(X, fiber), "K x {y0} must be a normal subheap")
     fiber_alg, _ = subalgebra_as_algebra(X, fiber)
-    assert find_isomorphism(fiber_alg, K) is not None, "the fiber must be a copy of K"
+    crosscheck(find_isomorphism(fiber_alg, K) is not None, "the fiber must be a copy of K")
     retractions = []
     for k in range(K.size):
         mapping = tuple(enc(k, x % Y.size) for x in range(n))
         h = Homomorphism(X, X, mapping)
-        assert h.is_idempotent
+        crosscheck(h.is_idempotent, "each (a, b) -> (k, b) must be idempotent")
         retractions.append(h)
         section = frozenset(enc(k, y) for y in range(Y.size))
-        assert is_subheap(X, section)
         section_alg, _ = subalgebra_as_algebra(X, section)
-        assert find_isomorphism(section_alg, Y) is not None
+        crosscheck(find_isomorphism(section_alg, Y) is not None, "{k} x Y must be a copy of Y")
     return HeapOuterResult(X, action, tuple(retractions))
 
 
@@ -417,7 +418,7 @@ def heap_direct_criterion(
             for d in sorted(Y)
             if heap_op(X, b, e, d) == a
         ]
-        assert len(found) == 1, "the [b,e,d] factorization must be unique"
+        crosscheck(len(found) == 1, "the [b,e,d] factorization must be unique")
         b, d = found[0]
         pairing[a] = pos_k[b] * len(Y) + pos_y[d]
     flag_b = len(set(pairing)) == X.size and is_homomorphism(tuple(pairing), X, target)
@@ -436,9 +437,7 @@ def heap_direct_criterion(
     flag_e = all(row == identity_row for row in inner.action)
 
     report = HeapDirectReport(flag_a, flag_b, flag_c, flag_d, flag_e)
-    assert len({flag_a, flag_b, flag_c, flag_d, flag_e}) == 1, (
-        "the five conditions must agree"
-    )
+    crosscheck(len({flag_a, flag_b, flag_c, flag_d, flag_e}) == 1, "the five conditions must agree")
     return report
 
 
@@ -505,5 +504,5 @@ def near_truss_report(
     flag_d = canonical_iso_witness(X, Y, omega)
 
     report = NearTrussReport(flag_a, flag_b, flag_c, flag_d)
-    assert len({flag_a, flag_b, flag_c, flag_d}) == 1, "the four conditions must agree"
+    crosscheck(len({flag_a, flag_b, flag_c, flag_d}) == 1, "the four conditions must agree")
     return report

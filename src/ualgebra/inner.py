@@ -28,7 +28,7 @@ from .algebras import (
     subalgebra_as_algebra,
 )
 from .congruences import all_congruences, is_congruence, kernel
-from .errors import NotIdempotent, SizeLimitExceeded
+from .errors import NotIdempotent, SizeLimitExceeded, crosscheck
 from .partitions import Partition
 
 ENDO_ENUM_CAP = 8
@@ -154,7 +154,7 @@ def decomposition_from_idempotent(A: FiniteAlgebra, e: Homomorphism) -> InnerDec
     pointed = []
     for block in omega.blocks():
         inside = sorted(B.intersection(block))
-        assert inside == [e(block[0])], "block must meet B exactly in its basepoint"
+        crosscheck(inside == [e(block[0])], "block must meet B exactly in its basepoint")
         pointed.append((block, inside[0]))
     return InnerDecomposition(A, B, omega, e, tuple(pointed))
 
@@ -241,7 +241,7 @@ def verify_inner_sdp(A: FiniteAlgebra, B, omega: Partition, cap: int = ENDO_ENUM
     flag_b = endo_witness(A, B, omega, cap)
     flag_c = retraction_witness(A, B, omega)
     flag_d = canonical_iso_witness(A, B, omega)
-    assert flag_a == flag_b == flag_c == flag_d, "the four conditions must agree"
+    crosscheck(flag_a == flag_b == flag_c == flag_d, "the four conditions must agree")
     r = _retraction(A, B, omega)
     dec = decomposition_from_idempotent(A, Homomorphism(A, A, r)) if flag_a else None
     return InnerSdpReport(sub_ok, cong_ok, flag_a, flag_b, flag_c, flag_d, dec)
@@ -271,7 +271,7 @@ def constant_endomorphisms(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     ]
     singletons = [a for a in range(A.size) if is_subalgebra(A, {a})]
     totally = sorted(totally_idempotent_elements(A))
-    assert constants == singletons == totally, "the three sets must biject"
+    crosscheck(constants == singletons == totally, "the three sets must biject")
     return tuple(Homomorphism(A, A, (a,) * A.size) for a in constants)
 
 
@@ -312,12 +312,12 @@ def idempotent_poset(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> PosetReport:
     endos = idempotent_endomorphisms(A, cap)
     matrix = tuple(tuple(endo_leq(e, f) for f in endos) for e in endos)
     identity_index = endos.index(Homomorphism(A, A, tuple(range(A.size))))
-    assert all(row[identity_index] for row in matrix), "identity must be greatest"
+    crosscheck(all(row[identity_index] for row in matrix), "identity must be greatest")
     constants = {e.map[0] for e in constant_endomorphisms(A)}
     for i, e in enumerate(endos):
         if len(e.image()) == 1:
             below = [j for j in range(len(endos)) if matrix[j][i] and j != i]
-            assert not below, "constant endomorphisms must be minimal"
+            crosscheck(not below, "constant endomorphisms must be minimal")
     totally = totally_idempotent_elements(A)
     reports = []
     for i, e in enumerate(endos):
@@ -328,7 +328,7 @@ def idempotent_poset(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> PosetReport:
             dominated = basepoint in constants and endo_leq(
                 Homomorphism(A, A, (basepoint,) * A.size), e
             )
-            assert is_sub == base_ti == dominated, "class conditions must agree"
+            crosscheck(is_sub == base_ti == dominated, "class conditions must agree")
             reports.append(
                 BlockClassReport(i, block, basepoint, is_sub, base_ti, dominated)
             )

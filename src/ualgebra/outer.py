@@ -37,6 +37,7 @@ from .errors import (
     SectionViolation,
     ShapeMismatch,
     SignatureMismatch,
+    crosscheck,
 )
 from .inner import InnerDecomposition
 from .varieties import VarietySpec, check_identities
@@ -266,8 +267,8 @@ def inner_to_outer(dec: InnerDecomposition):
     iso = tuple(
         outer.encode(base_index[dec.e(a)], position[a]) for a in range(A.size)
     )
-    assert len(set(iso)) == A.size, "the labeling must be a bijection"
-    assert is_homomorphism(iso, A, outer.algebra), "the labeling must preserve operations"
+    crosscheck(len(set(iso)) == A.size, "the labeling must be a bijection")
+    crosscheck(is_homomorphism(iso, A, outer.algebra), "the labeling must preserve operations")
     return family, actions, iso
 
 
@@ -312,8 +313,9 @@ def sdp_morphism_check(F: OuterProduct, G: OuterProduct, maps) -> bool:
         for x in range(F.algebra.size)
         for i, b in [F.decode(x)]
     )
-    assert squares == is_homomorphism(total, F.algebra, G.algebra), (
-        "square commutation must match the union-level homomorphism test"
+    crosscheck(
+        squares == is_homomorphism(total, F.algebra, G.algebra),
+        "square commutation must match the union-level homomorphism test",
     )
     return squares
 
@@ -344,8 +346,9 @@ def pointed_object_to_sdp(
     else:
         outer = assemble_union_algebra(family, actions, name=f"{A.name}_split")
     iso = tuple(outer.encode(beta(x), position[x]) for x in range(A.size))
-    assert len(set(iso)) == A.size and is_homomorphism(iso, A, outer.algebra), (
-        "the fiber labeling must be an isomorphism onto the union"
+    crosscheck(
+        len(set(iso)) == A.size and is_homomorphism(iso, A, outer.algebra),
+        "the fiber labeling must be an isomorphism onto the union",
     )
     return outer
 
@@ -356,7 +359,10 @@ def outer_to_pointed_object(F: OuterProduct):
     base = F.family.base
     section = Homomorphism(base, F.algebra, F.section_map())
     projection = Homomorphism(F.algebra, base, F.projection_map())
-    assert all(projection(section(b)) == b for b in range(base.size))
+    crosscheck(
+        all(projection(section(b)) == b for b in range(base.size)),
+        "projection o section must be the identity",
+    )
     return section, projection
 
 
@@ -399,7 +405,7 @@ def direct_product_check(
     canonical = len(set(pairing)) == outer.algebra.size and is_homomorphism(
         pairing, outer.algebra, target
     )
-    assert criterion == canonical, "criterion must match the canonical pairing"
+    crosscheck(criterion == canonical, "criterion must match the canonical pairing")
     return criterion
 
 

@@ -120,6 +120,8 @@ class UnionFind:
 
 def parse_partition(text: str, n: int) -> Partition:
     """Parse the `{{0,2},{1,3}}` form back into a Partition over {0..n-1}."""
+    from .algebras import parse_uint  # algebras imports this module
+
     s = "".join(text.split())
     if not (s.startswith("{") and s.endswith("}")):
         raise ParseError("partition must be wrapped in braces", line=1, column=1)
@@ -136,13 +138,11 @@ def parse_partition(text: str, n: int) -> Partition:
         if j < 0:
             raise ParseError("unterminated block", line=1, column=i + 2)
         inner = body[i + 1 : j]
-        try:
-            block = [int(p) for p in inner.split(",") if p != ""]
-        except ValueError:
-            raise ParseError("block entries must be integers", line=1, column=i + 2) from None
+        message = "block entries must be integers"
+        block = [parse_uint(p, message, "<input>", 1, i + 2) for p in inner.split(",") if p != ""]
         if not block:
             raise ParseError("empty block", line=1, column=i + 2)
-        if any(x < 0 or x >= n for x in block):
+        if any(x >= n for x in block):
             raise ParseError(f"block entry out of range 0..{n - 1}", line=1, column=i + 2)
         blocks.append(block)
         i = j + 1

@@ -133,8 +133,15 @@ class _Parser:
         self.skip_ws()
         m = _VAR_RE.match(self.text, self.pos)
         if m:
+            digits = m.group(1)
+            if not digits.isascii():
+                self.fail("a variable index is written with the digits 0-9")
+            try:
+                index = int(digits)
+            except ValueError:  # over the interpreter's limit of 4,300 digits
+                self.fail("variable index too long")
             self.pos = m.end()
-            return Var(int(m.group(1)))
+            return Var(index)
         m = _NAME_RE.match(self.text, self.pos)
         if m is None:
             self.fail("expected a variable or symbol")

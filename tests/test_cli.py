@@ -1,4 +1,9 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+from string import Template
 
 import pytest
 
@@ -7,6 +12,7 @@ from ualgebra.algebras import emit_algebra, parse_algebras
 from ualgebra.catalog import cyclic_group, subtraction_algebra, symmetric_group_s3
 from ualgebra.cli import main
 from ualgebra.digroups import trivial_digroup
+from ualgebra.errors import InternalInconsistency
 from ualgebra.groups import group_data_from_action, group_data_to_family
 from ualgebra.heaps import heap_from_group
 from ualgebra.outer import emit_action_file
@@ -415,18 +421,89 @@ def test_deep_term_is_input_error(workspace, capsys):
     assert "nested deeper" in capsys.readouterr().err
 
 
-def test_failed_cross_check_is_internal_error(workspace, monkeypatch, capsys):
+@pytest.mark.parametrize("error", [AssertionError, InternalInconsistency])
+def test_failed_cross_check_is_internal_error(workspace, monkeypatch, capsys, error):
     def failing_report(*args):
-        raise AssertionError("the five conditions must agree")
+        raise error("the five conditions must agree")
 
     monkeypatch.setattr(heaps, "heap_inner_report", failing_report)
     argv = ["heap", "decompose", f"{workspace['heap']}#hz4", "--Y", "0", "--omega", "{{0,1,2,3}}"]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("internal error: AssertionError") and err.count("\n") == 1
+    assert err.startswith(f"internal error: {error.__name__}(") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("Y", ["9", "0,9", "-1"])
+OPTIMIZED_RUN = """
+import sys
+import tempfile
+from pathlib import Path
+
+from ualgebra import cli, inner
+from ualgebra.algebras import emit_algebra
+from ualgebra.catalog import cyclic_group
+from ualgebra.errors import InternalInconsistency
+from ualgebra.partitions import Partition
+
+if not sys.flags.optimize:
+    sys.exit("not run under -O")
+# a broken condition (d): on Z4 with B = {0} and the total partition the four
+# conditions hold, so the cross-check in verify_inner_sdp sees (d) disagree
+honest = inner.canonical_iso_witness
+inner.canonical_iso_witness = lambda *args: not honest(*args)
+z4 = cyclic_group(4)
+try:
+    inner.verify_inner_sdp(z4, {0}, Partition.from_blocks(4, [[0, 1, 2, 3]]))
+except InternalInconsistency:
+    print("raised")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "z4.alg"
+    path.write_text(emit_algebra(z4))
+    print("exit", cli.main(["decompose", f"{path}#z4", "--B", "0", "--omega", "{{0,1,2,3}}"]))
+"""
+
+
+def test_failed_cross_check_is_internal_error_under_python_O():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RUN],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.stdout.split() == ["raised", "exit", "3"], run.stderr
+    assert run.stderr == "internal error: InternalInconsistency('the four conditions must agree')\n"
+
+
+_OMEGA = ["--omega", "{{0,1,2,3}}"]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["decompose", "$algs#z4", "--B", "+1", *_OMEGA], "--B:1:0: bad integer '+1'"),
+        (["decompose", "$algs#z4", "--B", "x", *_OMEGA], "--B:1:0: bad integer 'x'"),
+        (
+            ["decompose", "$algs#z4", "--B", "0", "--omega", "{{0,+1,2,3}}"],
+            "<input>:1:2: block entries must be integers",
+        ),
+        (["heap", "decompose", "$heap#hz4", "--Y", "-1", *_OMEGA], "--Y:1:0: bad integer '-1'"),
+        (["brace", "commutator", "$dg#dgs3", "--I", "0", "--J", "+0"], "--J:1:0: bad integer '+0'"),
+        (
+            ["envcat", "--action", "$act", "--variety", "group", "--object", "0,+1", "--terms", "x0"],
+            "--object:1:0: bad integer '+1'",
+        ),
+    ],
+    ids=["B+1", "Bx", "omega+1", "Y-1", "J+0", "object+1"],
+)
+def test_numerals_in_arguments_are_unsigned(workspace, capsys, argv, err):
+    # the rule of the text formats: a sign or a non-numeral is input error 2
+    assert main([Template(a).substitute(workspace) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("Y", ["9", "0,9"])
 def test_decompose_element_outside_carrier_is_input_error(workspace, tmp_path, capsys, Y):
     from ualgebra.catalog import cyclic_ring
     from ualgebra.heaps import truss_from_ring

@@ -14,6 +14,7 @@ from ualgebra.catalog import (
 from ualgebra.errors import (
     CompatibilityViolation,
     ConditionViolation,
+    DecompositionInvalid,
     NotAnAction,
     NotAutomorphism,
     NotNormal,
@@ -186,6 +187,12 @@ def test_data_from_inner_s3_recovers_conjugation():
     gamma = group_action_from_data(data)
     expected = conjugation_action(s3, K, Y)
     assert tuple(gamma[b] for b in range(2)) == expected
+
+
+def test_data_from_inner_rejects_a_pair_that_does_not_decompose():
+    # {0,2} is normal in Z4 but meets itself in more than the identity
+    with pytest.raises(DecompositionInvalid):
+        group_data_from_inner(cyclic_group(4), {0, 2}, {0, 2})
 
 
 def test_inner_data_tables_match_the_displayed_formula():

@@ -43,6 +43,13 @@ def test_no_private_helper_imported_from_another_module(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # `python -O` strips asserts; a cross-check calls `errors.crosscheck`
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_algebras_defines_packers(path):
     # the row-major layout of tables and fiber products lives in `algebras`
     tree = ast.parse(path.read_text())

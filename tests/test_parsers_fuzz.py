@@ -13,7 +13,9 @@ from ualgebra.varieties import parse_varieties
 # numbers include non-ASCII digits: '²' passes str.isdigit() but not int()
 _NUMBER = st.sampled_from(["0", "1", "2", "3", "10", "²", "٣", "1²", "-1", "+2", "1_0", "", "x"])
 _NAME = st.sampled_from(["m", "e", "t", "i", "x0", "1a", "m/2", ""])
-_TERM = st.sampled_from(["m(x0,x1)", "x0", "e", "m(x0", "f(x0)", "m(x0,x1,x2)", "", "="])
+_TERM = st.sampled_from(
+    ["m(x0,x1)", "x0", "e", "m(x0", "f(x0)", "m(x0,x1,x2)", "", "=", "x\u0663", "x" + "9" * 5000]
+)
 
 
 def _line(*parts):

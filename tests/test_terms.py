@@ -42,6 +42,17 @@ def test_parse_unbalanced_parenthesis_position():
     assert exc.value.position == 5
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("m(x\u0663,x0)", 3), ("m(x0,x" + "9" * 5000 + ")", 6)],
+    ids=["arabic-indic digit", "5000-digit index"],
+)
+def test_parse_variable_index_is_ascii_digits_that_fit_an_int(text, position):
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_term(text, GROUP_SIG)
+    assert exc.value.position == position
+
+
 def test_parse_whitespace_insensitive():
     assert parse_term(" m( x0 , i( x1 ) ) ", GROUP_SIG) == parse_term("m(x0,i(x1))", GROUP_SIG)
 
