@@ -383,10 +383,11 @@ def content_lines(text: str):
 
 def parse_uint(token: str, message: str, source: str, line: int, column: int = 0) -> int:
     """`token` as an unsigned decimal numeral, or ParseError(`message`) at
-    source:line:column. isdecimal() refuses signs, '_' and '²', and int()
-    refuses over 4,300 digits; `message` is formatted with the token only
-    on failure."""
-    if token.isdecimal():
+    source:line:column. isascii() and isdecimal() admit the digits 0-9 only,
+    refusing signs, '_', '²' and other scripts' digits such as '٣' and '３',
+    and int() refuses over 4,300 digits; `message` is formatted with the
+    token only on failure."""
+    if token.isascii() and token.isdecimal():
         try:
             return int(token)
         except ValueError:

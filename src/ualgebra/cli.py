@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import congruences, digroups, groups, heaps, inner, outer
@@ -52,17 +53,22 @@ class Workspace:
             raise ParseError(f"no variety {name!r} in {path}") from None
 
 
+def _uint(token: str, option: str) -> int:
+    """The unsigned numeral given to `option`; the error names the option."""
+    return parse_uint(token, "bad integer {token!r}", option, 1)
+
+
 def _elements(text: str, option: str) -> tuple[int, ...]:
     """The comma-separated elements given to `option`, as unsigned numerals."""
     tokens = [x.strip() for x in text.split(",")]
-    return tuple(parse_uint(x, "bad integer {token!r}", option, 1) for x in tokens if x)
+    return tuple(_uint(x, option) for x in tokens if x)
 
 
 def _size_cap(args, default: int) -> int:
     if args.size_cap is not None:
         return args.size_cap
     env = os.environ.get("UA_SIZE_CAP")
-    return int(env) if env else default
+    return _uint(env, "UA_SIZE_CAP") if env else default
 
 
 def _parse_map_file(path: str, keywords) -> dict[str, dict[int, list[int]]]:
@@ -208,6 +214,7 @@ def cmd_brace(args, ws: Workspace) -> int:
 
 
 def cmd_heap(args, ws: Workspace) -> int:
+    basepoint = None if args.basepoint is None else _uint(args.basepoint, "--basepoint")
     A = ws.algebra(args.ref)
     if args.action == "check":
         ok = heaps.is_heap(A)
@@ -215,9 +222,9 @@ def cmd_heap(args, ws: Workspace) -> int:
         return 0 if ok else 1
     if args.action == "convert":
         if "t" in A.signature:
-            if args.basepoint == -1:
+            if basepoint is None:
                 raise UAError("heap convert needs --basepoint")
-            G = heaps.group_from_heap(A, args.basepoint)
+            G = heaps.group_from_heap(A, basepoint)
             sys.stdout.write(emit_algebra(G))
         else:
             sys.stdout.write(emit_algebra(heaps.heap_from_group(A)))
@@ -225,7 +232,7 @@ def cmd_heap(args, ws: Workspace) -> int:
     # argparse's choices leave "decompose"
     Y = _elements(args.Y, "--Y")
     omega = parse_partition(args.omega, A.size)
-    report = heaps.heap_inner_report(A, Y, omega, args.basepoint if args.basepoint >= 0 else None)
+    report = heaps.heap_inner_report(A, Y, omega, basepoint)
     for label, value in zip("abcde", (report.a, report.b, report.c, report.d, report.e)):
         print(f"({label}): {value}")
     return 0 if report.holds else 1
@@ -266,9 +273,14 @@ def cmd_envcat(args, ws: Workspace) -> int:
     return 0
 
 
+# One tree per process: parse_args keeps no state in it, and argparse reads
+# the terminal width only when it formats help or usage.
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ua", description=__doc__)
-    parser.add_argument("--size-cap", type=int, default=None, help="enumeration cap override")
+    # integer options stay text here and are read by `parse_uint` inside
+    # main's error handler, so a bad one exits 2 with an `error:` line
+    parser.add_argument("--size-cap", default=None, help="enumeration cap override")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("check", help="check an algebra against a variety")
@@ -316,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heap", help="heap reports and conversions")
     p.add_argument("action", choices=["check", "convert", "decompose"])
     p.add_argument("ref")
-    p.add_argument("--basepoint", type=int, default=-1)
+    p.add_argument("--basepoint", default=None)
     p.add_argument("--Y", default="")
     p.add_argument("--omega", default="")
 
@@ -353,11 +365,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    ws = Workspace()
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.verb](args, ws)
+        if args.size_cap is not None:
+            args.size_cap = _uint(args.size_cap, "--size-cap")
+        return _HANDLERS[args.verb](args, Workspace())
     except (UAError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

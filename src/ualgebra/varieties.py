@@ -218,7 +218,7 @@ def parse_varieties(text: str, source: str = "<input>") -> dict[str, VarietySpec
         if name in out:
             raise DuplicateName(f"{source}: variety {name!r} defined twice")
         symbols: list[tuple[str, int]] = []
-        id_texts: list[str] = []
+        id_lines: list[tuple[int, str]] = []
         for no, line in lines:
             if line == "end":
                 break
@@ -227,17 +227,20 @@ def parse_varieties(text: str, source: str = "<input>") -> dict[str, VarietySpec
                 sym, _, ar = rest.strip().partition("/")
                 symbols.append((sym, parse_uint(ar, "expected 'op <name>/<arity>'", source, no)))
             elif word == "id":
-                id_texts.append(rest)
+                id_lines.append((no, rest))
             else:
                 raise ParseError(f"unexpected line {line!r}", source, no)
         else:
             raise ParseError("missing 'end'", source, len(text.splitlines()))
+        # an identity may use an op declared below it, so parse after `end`
         sig = Signature(tuple(symbols))
-        try:
-            ids = tuple(parse_identity(s, sig) for s in id_texts)
-        except Exception as exc:
-            raise ParseError(f"bad identity: {exc}", source, no) from exc
-        out[name] = VarietySpec(name, sig, ids)
+        ids = []
+        for id_no, id_text in id_lines:
+            try:
+                ids.append(parse_identity(id_text, sig))
+            except Exception as exc:
+                raise ParseError(f"bad identity: {exc}", source, id_no) from exc
+        out[name] = VarietySpec(name, sig, tuple(ids))
     return out
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -7,12 +9,12 @@ from string import Template
 
 import pytest
 
-from ualgebra import heaps
-from ualgebra.algebras import emit_algebra, parse_algebras
+from ualgebra import cli, heaps
+from ualgebra.algebras import emit_algebra, parse_algebras, parse_uint
 from ualgebra.catalog import cyclic_group, subtraction_algebra, symmetric_group_s3
 from ualgebra.cli import main
 from ualgebra.digroups import trivial_digroup
-from ualgebra.errors import InternalInconsistency
+from ualgebra.errors import InternalInconsistency, ParseError
 from ualgebra.groups import group_data_from_action, group_data_to_family
 from ualgebra.heaps import heap_from_group
 from ualgebra.outer import emit_action_file
@@ -564,3 +566,86 @@ def test_check_against_variety_file(tmp_path, capsys):
     v.write_text(emit_variety(REGISTRY["group"]))
     assert main(["check", f"{algs}#z4", "--variety", f"{v}#group"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--size-cap", "+9", "idempotents", "$algs#z4"], "--size-cap:1:0: bad integer '+9'"),
+        (["--size-cap", "x", "check", "$algs#z4", "--variety", "group"], "--size-cap:1:0: bad integer 'x'"),
+        (["heap", "convert", "$heap#hz4", "--basepoint", "+2"], "--basepoint:1:0: bad integer '+2'"),
+        (["heap", "check", "$heap#hz4", "--basepoint", "x"], "--basepoint:1:0: bad integer 'x'"),
+        (
+            ["heap", "decompose", "$heap#hz4", "--basepoint", "-1", "--Y", "0", *_OMEGA],
+            "--basepoint:1:0: bad integer '-1'",
+        ),
+    ],
+    ids=["size-cap+9", "size-cap-x", "basepoint+2", "basepoint-x", "basepoint-1"],
+)
+def test_integer_options_are_unsigned_numerals(workspace, capsys, argv, err):
+    assert main([Template(a).substitute(workspace) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_size_cap_variable_must_be_a_numeral(workspace, capsys, monkeypatch):
+    monkeypatch.setenv("UA_SIZE_CAP", "x")
+    assert main(["idempotents", f"{workspace['algs']}#z4"]) == 2
+    assert capsys.readouterr() == ("", "error: UA_SIZE_CAP:1:0: bad integer 'x'\n")
+    # a verb without a cap does not read it
+    assert main(["check", f"{workspace['algs']}#z4", "--variety", "group"]) == 0
+
+
+@pytest.mark.parametrize("digit", ["٣", "３"], ids=["arabic-indic-3", "full-width-3"])
+def test_digits_of_other_scripts_are_not_numerals(workspace, tmp_path, capsys, digit):
+    path = tmp_path / "a.alg"
+    path.write_text(f"algebra a\nsize {digit}\nop e/0\n0\nend\n")
+    with pytest.raises(ParseError):
+        parse_algebras(path.read_text())
+    with pytest.raises(ParseError):
+        parse_uint(digit, "", "src", 1)
+    assert main(["check", f"{path}#a", "--variety", "group"]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2:1: bad size line\n"
+    assert main(["decompose", f"{workspace['algs']}#z4", "--B", digit, *_OMEGA]) == 2
+    assert capsys.readouterr() == ("", f"error: --B:1:0: bad integer {digit!r}\n")
+
+
+def test_calls_do_not_leak_options_into_each_other(tmp_path, capsys):
+    big = tmp_path / "big.alg"
+    big.write_text(emit_algebra(cyclic_group(9)))
+    assert main(["--size-cap", "9", "idempotents", f"{big}#z9"]) == 0
+    capsys.readouterr()
+    assert main(["idempotents", f"{big}#z9"]) == 2
+    assert capsys.readouterr() == ("", "error: endomorphism enumeration capped at 8\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--size-cap", "9", "idempotents"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["idempotents", f"{big}#z9", "--B", "0"])
+    capsys.readouterr()
+    assert main(["--size-cap", "9", "idempotents", f"{big}#z9"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "2" and err == ""
+
+
+def _help(argv, parse) -> str:
+    """What `ua <argv>` prints before argparse exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+def test_help_of_the_shared_parser_is_that_of_a_fresh_one(monkeypatch):
+    cli.build_parser()  # built at the terminal width of the test run
+    verbs = [[]] + [[verb] for verb in cli._HANDLERS]
+    top = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for verb in verbs:
+            argv = [*verb, "--help"]
+            assert _help(argv, main) == _help(argv, cli.build_parser.__wrapped__().parse_args)
+        top[columns] = _help(["--help"], main)
+    assert top["40"] != top["200"]  # the width is read as help is formatted
+

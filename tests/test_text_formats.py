@@ -66,7 +66,9 @@ GOLDEN = [
     ("variety", "variety v\nop m/x\nend\n", ParseError, "<input>:2:0: expected 'op <name>/<arity>'"),
     ("variety", "variety v\nop m\nend\n", ParseError, "<input>:2:0: expected 'op <name>/<arity>'"),
     ("variety", "variety v\nfoo bar\nend\n", ParseError, "<input>:2:0: unexpected line 'foo bar'"),
-    ("variety", "variety v\nop m/2\nid m(x0) = x0\nend\n", ParseError, "<input>:4:0: bad identity: 'm' takes 2 arguments, got 1"),
+    ("variety", "variety v\nop m/2\nid m(x0) = x0\nend\n", ParseError, "<input>:3:0: bad identity: 'm' takes 2 arguments, got 1"),
+    ("variety", "variety v\nop m/2\nid m(x0 = x0\nend\n", ParseError, "<input>:3:0: bad identity: expected ')' (at offset 5)"),
+    ("variety", "variety v\nid m(x0,x1) = x0\nid m(x0) = x0\nop m/2\nend\n", ParseError, "<input>:3:0: bad identity: 'm' takes 2 arguments, got 1"),
     ("variety", "variety v\nend\nvariety v\nend\n", DuplicateName, "<input>: variety 'v' defined twice"),
     ("action", "action\nbase z2\nfiber * 2 0\nmap m (0,0)\n0 1 1 0\n", ParseError, "<input>:5:0: missing 'end'"),
     ("action", "\n# c\n", ParseError, "<input>:2:0: missing 'end'"),
@@ -158,7 +160,9 @@ def test_content_lines_numbers_every_line_and_skips_blank_and_comment_lines():
     assert list(content_lines(text)) == [(3, "a b"), (5, "c"), (6, "d")]
 
 
-@pytest.mark.parametrize("token", ["+2", "-1", "1_0", " 1", "1.0", "²", "", "9" * 5000])
+@pytest.mark.parametrize(
+    "token", ["+2", "-1", "1_0", " 1", "1.0", "²", "\u0663", "\uff13", "", "9" * 5000]
+)
 def test_parse_uint_refuses_all_but_unsigned_decimals(token):
     with pytest.raises(ParseError, match=r"^src:7:3: bad \{x\} "):
         parse_uint(token, "bad {{x}} {token!r}", "src", 7, 3)
@@ -168,6 +172,14 @@ def test_parse_uint_refuses_all_but_unsigned_decimals(token):
 def test_table_entries_read_as_parse_uint_reads_them():
     # common spellings are looked up, every other token goes through parse_uint
     assert all(parse_uint(k, "", "src", 1) == v for k, v in algebras._NUMERALS.items())
-    for token in ["0", "07", "\u0663", "255", "256", "299"]:
-        (A,) = parse_algebras(f"algebra a\nsize 300\nop e/0\n{token}\nend\n").values()
-        assert A.tables == ((parse_uint(token, "", "src", 1),),)
+    for token in ["0", "07", "255", "256", "299", "\u0663", "\uff13"]:
+        text = f"algebra a\nsize 300\nop e/0\n{token}\nend\n"
+        try:
+            value = parse_uint(token, "", "src", 1)
+        except ParseError:
+            with pytest.raises(ParseError, match=r"^<input>:4:1: bad table entry "):
+                parse_algebras(text)
+        else:
+            (A,) = parse_algebras(text).values()
+            assert A.tables == ((value,),)
+
