@@ -37,8 +37,19 @@ def pack(args: tuple[int, ...], n: int) -> int:
     return idx
 
 
+def pack_product(places, n: int) -> list[int]:
+    """The row-major index, in a table over {0..n-1}, of each tuple of
+    places[0] x ... x places[-1], the tuples in row-major order. No places
+    give [0], the index of a constant's one entry."""
+    idx = [0]
+    for place in places:
+        idx = [p * n + v for p in idx for v in place]
+    return idx
+
+
 # Unequal radices (fibers, assignment blocks) take the column helpers below;
-# `pack` keeps one radix for the per-operation-instance loops that call it.
+# `pack` keeps one radix for a single point, `pack_product` for a product of
+# element lists.
 def pack_columns(columns, sizes, length: int) -> list[int]:
     """The row-major index of each of the first `length` rows of `columns`,
     place j in radix sizes[j]; no columns pack every row to 0."""
@@ -125,14 +136,11 @@ def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
         raise SignatureMismatch("homomorphisms need a shared signature")
     if len(mapping) != A.size or any(not 0 <= v < B.size for v in mapping):
         raise SizeMismatch("map must send A's carrier into B's")
-    m, nb = mapping, B.size
-    for (_, arity), ta, tb in zip(A.signature.symbols, A.tables, B.tables):
-        idx = [0]
-        for _ in range(arity):
-            idx = [p * nb + v for p in idx for v in m]
-        if [m[v] for v in ta] != [tb[i] for i in idx]:
-            return False
-    return True
+    m = mapping
+    return all(
+        [m[v] for v in ta] == [tb[i] for i in pack_product([m] * arity, B.size)]
+        for (_, arity), ta, tb in zip(A.signature.symbols, A.tables, B.tables)
+    )
 
 
 def is_automorphism(row, K: FiniteAlgebra) -> bool:
@@ -185,23 +193,17 @@ class Homomorphism:
 
 
 def generated_subalgebra(A: FiniteAlgebra, seed) -> frozenset[int]:
-    """Least superset of `seed` closed under all operations and constants."""
+    """Least superset of `seed` closed under all operations; constants are the
+    0-ary case. A seed outside the carrier raises SizeMismatch."""
     current = set(seed)
-    for c in A.constants().values():
-        current.add(c)
-    changed = True
-    while changed:
-        changed = False
+    if any(not 0 <= x < A.size for x in current):
+        raise SizeMismatch("subset outside the carrier")
+    size = -1
+    while size != len(current):
+        size = len(current)
         members = sorted(current)
-        for p, (_, arity) in enumerate(A.signature.symbols):
-            if arity == 0:
-                continue
-            table = A.tables[p]
-            for args in iproduct(members, repeat=arity):
-                v = table[pack(args, A.size)]
-                if v not in current:
-                    current.add(v)
-                    changed = True
+        for (_, arity), table in zip(A.signature.symbols, A.tables):
+            current.update(table[i] for i in pack_product([members] * arity, A.size))
     return frozenset(current)
 
 
@@ -246,18 +248,14 @@ def subalgebra_as_algebra(A: FiniteAlgebra, subset, name: str | None = None):
     if not members:
         raise NotASubalgebra("subset is not closed under the operations")
     pos = {x: i for i, x in enumerate(members)}
-    k = len(members)
     try:
         tables = tuple(
-            tuple(
-                pos[table[pack(tuple(members[i] for i in args), A.size)]]
-                for args in tuples(k, arity)
-            )
+            tuple(pos[table[i]] for i in pack_product([members] * arity, A.size))
             for (_, arity), table in zip(A.signature.symbols, A.tables)
         )
     except KeyError:
         raise NotASubalgebra("subset is not closed under the operations") from None
-    sub = FiniteAlgebra(name or f"{A.name}_sub", A.signature, k, tables)
+    sub = FiniteAlgebra(name or f"{A.name}_sub", A.signature, len(members), tables)
     return sub, tuple(members)
 
 
@@ -274,17 +272,12 @@ def quotient(A: FiniteAlgebra, omega: Partition):
     proj = tuple(index[omega.rep[a]] for a in range(A.size))
     k = len(blocks)
     tables = []
-    for p, (sym, arity) in enumerate(A.signature.symbols):
-        table = A.tables[p]
-        induced = [-1] * (k**arity)
-        for args in tuples(A.size, arity):
-            slot = pack(tuple(proj[a] for a in args), k)
-            value = proj[table[pack(args, A.size)]]
-            if induced[slot] == -1:
-                induced[slot] = value
-            elif induced[slot] != value:
-                raise NotACongruence(f"operation {sym!r} is not well defined on blocks")
-        tables.append(tuple(induced))
+    for (sym, arity), table in zip(A.signature.symbols, A.tables):
+        # every block tuple is hit, so one value per slot leaves k**arity cells
+        cells = set(zip(pack_product([proj] * arity, k), [proj[v] for v in table]))
+        if len(cells) != k**arity:
+            raise NotACongruence(f"operation {sym!r} is not well defined on blocks")
+        tables.append(tuple(v for _, v in sorted(cells)))
     Q = FiniteAlgebra(f"{A.name}_q", A.signature, k, tuple(tables))
     return Q, Homomorphism(A, Q, proj)
 
@@ -293,17 +286,19 @@ def product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
     """Componentwise product; pair (a, b) is encoded as a*|B| + b."""
     if A.signature != B.signature:
         raise SignatureMismatch("product needs a shared signature")
-    n = A.size * B.size
-    tables = []
-    for p, (_, arity) in enumerate(A.signature.symbols):
-        ta, tb = A.tables[p], B.tables[p]
-        table = []
-        for args in tuples(n, arity):
-            aside = tuple(x // B.size for x in args)
-            bside = tuple(x % B.size for x in args)
-            table.append(ta[pack(aside, A.size)] * B.size + tb[pack(bside, B.size)])
-        tables.append(tuple(table))
-    return FiniteAlgebra(f"{A.name}_x_{B.name}", A.signature, n, tuple(tables))
+    nb = B.size
+    aside = [x // nb for x in range(A.size * nb)]
+    bside = [x % nb for x in range(A.size * nb)]
+    tables = tuple(
+        tuple(
+            ta[i] * nb + tb[j]
+            for i, j in zip(
+                pack_product([aside] * arity, A.size), pack_product([bside] * arity, nb)
+            )
+        )
+        for (_, arity), ta, tb in zip(A.signature.symbols, A.tables, B.tables)
+    )
+    return FiniteAlgebra(f"{A.name}_x_{B.name}", A.signature, A.size * nb, tables)
 
 
 def isomorphisms(A: FiniteAlgebra, B: FiniteAlgebra):

@@ -33,13 +33,13 @@ class Workspace:
     def algebra(self, ref: str) -> FiniteAlgebra:
         path, _, name = ref.partition("#")
         if not name:
-            raise ParseError(f"reference {ref!r} needs the form <file>#<name>")
+            raise UAError(f"reference {ref!r} needs the form <file>#<name>")
         if path not in self._algebra_files:
             self._algebra_files[path] = parse_algebras(Path(path).read_text(), source=path)
         try:
             return self._algebra_files[path][name]
         except KeyError:
-            raise ParseError(f"no algebra {name!r} in {path}") from None
+            raise UAError(f"no algebra {name!r} in {path}") from None
 
     def variety(self, ref: str):
         if "#" not in ref:
@@ -50,7 +50,7 @@ class Workspace:
         try:
             return self._variety_files[path][name]
         except KeyError:
-            raise ParseError(f"no variety {name!r} in {path}") from None
+            raise UAError(f"no variety {name!r} in {path}") from None
 
 
 def _uint(token: str, option: str) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 from .algebras import (
     FiniteAlgebra,
@@ -33,10 +33,12 @@ from .algebras import (
     is_automorphism,
     is_homomorphism,
     is_subalgebra,
+    pack_product,
     product,
     quotient,
     subalgebra_as_algebra,
 )
+from .catalog import all_group_tables
 from .congruences import congruence_generated, is_congruence
 from .errors import (
     AxiomFailure,
@@ -45,12 +47,13 @@ from .errors import (
     NotIdeal,
     NotSubdigroup,
     SignatureMismatch,
+    SizeLimitExceeded,
     crosscheck,
 )
 from .inner import endo_witness, unique_factorizations
 from .outer import ActionFamily, PointedFamily, union_algebra
 from .partitions import Partition
-from .varieties import DIGROUP_SIG, REGISTRY, VarietySpec, check_identities
+from .varieties import DIGROUP_SIG, GROUP_SIG, REGISTRY, VarietySpec, check_identities
 
 DIGROUP_ENUM_CAP = 6
 
@@ -121,8 +124,6 @@ def trivial_digroup(G: FiniteAlgebra, name: str | None = None) -> Digroup:
 
 
 def star_reduct(D: Digroup) -> FiniteAlgebra:
-    from .varieties import GROUP_SIG
-
     return FiniteAlgebra(
         f"{D.algebra.name}_star",
         GROUP_SIG,
@@ -132,8 +133,6 @@ def star_reduct(D: Digroup) -> FiniteAlgebra:
 
 
 def circ_reduct(D: Digroup) -> FiniteAlgebra:
-    from .varieties import GROUP_SIG
-
     return FiniteAlgebra(
         f"{D.algebra.name}_circ",
         GROUP_SIG,
@@ -617,12 +616,8 @@ def all_digroups(n: int) -> tuple[Digroup, ...]:
     the automorphisms of that representative. The underlying Latin-square
     search explodes past six elements, hence DIGROUP_ENUM_CAP.
     """
-    from .errors import SizeLimitExceeded
-
     if n > DIGROUP_ENUM_CAP:
         raise SizeLimitExceeded(f"digroup enumeration capped at {DIGROUP_ENUM_CAP}")
-    from .catalog import all_group_tables
-
     tables = all_group_tables(n)
     # canonical star representatives under relabelings fixing 0
     perms = [p for p in _perms_fixing_zero(n)]
@@ -648,15 +643,13 @@ def all_digroups(n: int) -> tuple[Digroup, ...]:
 
 
 def _perms_fixing_zero(n: int):
-    from itertools import permutations
-
     for tail in permutations(range(1, n)):
         yield (0,) + tail
 
 
 def _relabel(table: tuple[int, ...], p: tuple[int, ...], n: int) -> tuple[int, ...]:
     inv = inverse_permutation(p)
-    return tuple(p[table[inv[a] * n + inv[b]]] for a in range(n) for b in range(n))
+    return tuple(p[table[i]] for i in pack_product([inv, inv], n))
 
 
 def all_skew_braces(n: int) -> tuple[Digroup, ...]:

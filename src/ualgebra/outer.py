@@ -26,7 +26,9 @@ from .algebras import (
     is_homomorphism,
     pack,
     pack_columns,
+    pack_product,
     parse_uint,
+    product,
     row_major_columns,
     subalgebra_as_algebra,
 )
@@ -39,7 +41,7 @@ from .errors import (
     SignatureMismatch,
     crosscheck,
 )
-from .inner import InnerDecomposition
+from .inner import InnerDecomposition, totally_idempotent_elements
 from .varieties import VarietySpec, check_identities
 
 
@@ -153,25 +155,19 @@ def union_algebra(family: PointedFamily, actions: ActionFamily, name: str) -> Fi
     raises ValueError.
 
     Each action table is looked up once per base tuple and written over the
-    product of the argument fibers; an argument tuple's flat index is the sum
-    of its coordinates, each pre-scaled by its place value n**(arity-1-j).
+    product of the argument fibers, each fiber a range of the union.
     """
     base = family.base
     offsets = family.offsets
     n = family.total_size()
     tables = []
-    for p, (sym, arity) in enumerate(base.signature.symbols):
-        base_table = base.tables[p]
-        weights = [n ** (arity - 1 - j) for j in range(arity)]
+    for (sym, arity), base_table in zip(base.signature.symbols, base.tables):
         table = [0] * n**arity
-        for bs in iproduct(range(base.size), repeat=arity):
-            offset = offsets[base_table[pack(bs, base.size)]]
-            columns = (
-                range(offsets[b] * w, (offsets[b] + family.fibers[b][0]) * w, w)
-                for b, w in zip(bs, weights)
-            )
+        for bs, target in zip(iproduct(range(base.size), repeat=arity), base_table):
+            offset = offsets[target]
+            fibers = [range(offsets[b], offsets[b] + family.fibers[b][0]) for b in bs]
             action = actions.table(sym, bs)
-            for idx, value in zip(map(sum, iproduct(*columns)), action, strict=True):
+            for idx, value in zip(pack_product(fibers, n), action, strict=True):
                 table[idx] = offset + value
         tables.append(tuple(table))
     return FiniteAlgebra(name, base.signature, n, tuple(tables))
@@ -196,11 +192,11 @@ def fiber_major(F: OuterProduct) -> FiniteAlgebra:
     # new element k*|B| + b is old element b*|K| + k
     old = [b * nk + k for k in range(nk) for b in range(nb)]
     new = inverse_permutation(old)
-    tables = []
-    for (_, arity), table in zip(A.signature.symbols, A.tables):
-        columns = [[old[x] * A.size ** (arity - 1 - j) for x in range(A.size)] for j in range(arity)]
-        tables.append(tuple(new[table[sum(args)]] for args in iproduct(*columns)))
-    return FiniteAlgebra(A.name, A.signature, A.size, tuple(tables))
+    tables = tuple(
+        tuple(new[table[i]] for i in pack_product([old] * arity, A.size))
+        for (_, arity), table in zip(A.signature.symbols, A.tables)
+    )
+    return FiniteAlgebra(A.name, A.signature, A.size, tables)
 
 
 def build_outer_product(
@@ -238,14 +234,13 @@ def restrict_to_fibers(A: FiniteAlgebra, base: FiniteAlgebra, fibers, points):
     family = PointedFamily(
         base, tuple((len(fiber), position[pt]) for fiber, pt in zip(fibers, points))
     )
-    maps = {}
-    for p, (sym, arity) in enumerate(A.signature.symbols):
-        table = A.tables[p]
-        for bs in iproduct(range(base.size), repeat=arity):
-            maps[(sym, bs)] = tuple(
-                position[table[pack(args, A.size)]]
-                for args in iproduct(*(fibers[b] for b in bs))
-            )
+    maps = {
+        (sym, bs): tuple(
+            position[table[i]] for i in pack_product([fibers[b] for b in bs], A.size)
+        )
+        for (sym, arity), table in zip(A.signature.symbols, A.tables)
+        for bs in iproduct(range(base.size), repeat=arity)
+    }
     return family, ActionFamily.from_dict(maps), position
 
 
@@ -383,22 +378,15 @@ def direct_product_check(
     basepoints = {bp for _, bp in family.fibers}
     if len(basepoints) != 1:
         raise ShapeMismatch("all fibers must share one basepoint")
-    from .inner import totally_idempotent_elements
-
     if next(iter(basepoints)) not in totally_idempotent_elements(K):
         raise ShapeMismatch("shared basepoint must be totally idempotent in K")
-    criterion = True
-    for p, (sym, arity) in enumerate(base.signature.symbols):
-        for bs in iproduct(range(base.size), repeat=arity):
-            if actions.table(sym, bs) != K.tables[p]:
-                criterion = False
-                break
-        if not criterion:
-            break
+    criterion = all(
+        actions.table(sym, bs) == table
+        for (sym, arity), table in zip(base.signature.symbols, K.tables)
+        for bs in iproduct(range(base.size), repeat=arity)
+    )
     outer = assemble_union_algebra(family, actions)
-    from .algebras import product as direct_product
-
-    target = direct_product(K, base)
+    target = product(K, base)
     pairing = tuple(
         i * base.size + b for x in range(outer.algebra.size) for i, b in [outer.decode(x)]
     )

@@ -625,3 +625,96 @@ def coset_group_tables(G, K, Y):
             )
     h = [tuple(pos_k[m(inv[m(k, b)], b)] for k in ks) for b in ys]
     return g, h
+
+
+# -- table builders, one argument tuple at a time ------------------------------
+#
+# The per-tuple forms of the library's relabelling, quotient, product and
+# union builders: each table entry is read and written at the flat index of
+# its own argument tuple.
+
+
+def subalgebra_tables(A, subset):
+    """A's tables on the sorted members of `subset`, relabelled to
+    0..k-1, or None when some value falls outside the subset."""
+    members = sorted(subset)
+    pos = {x: i for i, x in enumerate(members)}
+    tables = []
+    for (_, arity), table in zip(A.signature.symbols, A.tables):
+        out = []
+        for args in product(range(len(members)), repeat=arity):
+            v = table[_flat([members[i] for i in args], A.size)]
+            if v not in pos:
+                return None
+            out.append(pos[v])
+        tables.append(tuple(out))
+    return tuple(tables)
+
+
+def quotient_tables(A, rep):
+    """(tables on the blocks, projection) for the least-member labelling
+    `rep`, blocks numbered by least element, or None when some operation
+    is not well defined on blocks."""
+    n = A.size
+    leasts = sorted(set(rep))
+    proj = tuple(leasts.index(rep[a]) for a in range(n))
+    k = len(leasts)
+    tables = []
+    for (_, arity), table in zip(A.signature.symbols, A.tables):
+        induced = [None] * k**arity
+        for args in product(range(n), repeat=arity):
+            slot = _flat([proj[a] for a in args], k)
+            value = proj[table[_flat(args, n)]]
+            if induced[slot] is None:
+                induced[slot] = value
+            elif induced[slot] != value:
+                return None
+        tables.append(tuple(induced))
+    return tuple(tables), proj
+
+
+def product_tables(A, B):
+    """The componentwise tables of A x B on pairs (a, b) = a*|B| + b."""
+    nb = B.size
+    tables = []
+    for (_, arity), ta, tb in zip(A.signature.symbols, A.tables, B.tables):
+        out = []
+        for args in product(range(A.size * nb), repeat=arity):
+            a = _flat([x // nb for x in args], A.size)
+            b = _flat([x % nb for x in args], nb)
+            out.append(ta[a] * nb + tb[b])
+        tables.append(tuple(out))
+    return tuple(tables)
+
+
+def union_tables(base, fibers, maps):
+    """The tables on the disjoint union of `fibers` ((size, basepoint) per
+    base element), position i over b being the sum of the earlier sizes
+    plus i, filled from `maps[(symbol, base tuple)]`."""
+    offsets = [sum(size for size, _ in fibers[:b]) for b in range(base.size)]
+    n = sum(size for size, _ in fibers)
+    tables = []
+    for (sym, arity), base_table in zip(base.signature.symbols, base.tables):
+        table = [None] * n**arity
+        for bs in product(range(base.size), repeat=arity):
+            target = base_table[_flat(bs, base.size)]
+            action = maps[(sym, bs)]
+            positions = product(*(range(fibers[b][0]) for b in bs))
+            for i, ps in enumerate(positions):
+                args = [offsets[b] + p for b, p in zip(bs, ps)]
+                table[_flat(args, n)] = offsets[target] + action[i]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def fiber_major_tables(A, nb, nk):
+    """A's tables, on b*nk + k, relabelled to k*nb + b."""
+    old = [b * nk + k for k in range(nk) for b in range(nb)]
+    new = {x: i for i, x in enumerate(old)}
+    tables = []
+    for (_, arity), table in zip(A.signature.symbols, A.tables):
+        tables.append(tuple(
+            new[table[_flat([old[x] for x in args], A.size)]]
+            for args in product(range(A.size), repeat=arity)
+        ))
+    return tuple(tables)

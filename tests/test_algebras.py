@@ -60,6 +60,9 @@ def test_generated_subalgebra():
     assert generated_subalgebra(z6, {2}) == frozenset({0, 2, 4})
     assert generated_subalgebra(z6, set()) == frozenset({0})
     assert generated_subalgebra(z6, set(z6.elements)) == frozenset(z6.elements)
+    for seed in ({-1}, {6}, {0, 7}):
+        with pytest.raises(SizeMismatch, match="subset outside the carrier"):
+            generated_subalgebra(z6, seed)
 
 
 def test_generated_subalgebra_is_a_closure_operator():

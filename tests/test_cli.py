@@ -66,6 +66,24 @@ def test_check_unknown_variety_is_input_error(workspace, capsys):
     assert code == 2
 
 
+def test_workspace_reference_errors_carry_no_position(workspace, tmp_path, capsys):
+    from ualgebra.varieties import REGISTRY, emit_variety
+
+    algs = workspace["algs"]
+    v = tmp_path / "v.var"
+    v.write_text(emit_variety(REGISTRY["group"]))
+    cases = [
+        ([f"{algs}#nosuch", "--variety", "group"], f"no algebra 'nosuch' in {algs}"),
+        ([str(algs), "--variety", "group"], f"reference {str(algs)!r} needs the form <file>#<name>"),
+        ([f"{algs}#z4", "--variety", f"{v}#nosuch"], f"no variety 'nosuch' in {v}"),
+    ]
+    for args, message in cases:
+        assert main(["check", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_idempotents_output(workspace, capsys):
     code = main(["idempotents", f"{workspace['algs']}#z4"])
     assert code == 0
