@@ -94,7 +94,7 @@ def _per_element(maps, keyword: str, size: int, path: str) -> tuple[tuple[int, .
     """The `keyword` tables for elements 0..size-1; a missing block is malformed input."""
     for x in range(size):
         if x not in maps[keyword]:
-            raise ParseError(f"no '{keyword} {x}' table", path)
+            raise UAError(f"{path}: no '{keyword} {x}' table")
     return tuple(tuple(maps[keyword][x]) for x in range(size))
 
 

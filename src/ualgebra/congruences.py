@@ -12,8 +12,10 @@ of the table; the sections of two values line up entry by entry.
   congruences efficiently", Algebra Universalis 59 (2008): every pair that
   merges two classes is pushed once, and each popped pair is propagated once
   through every one-place translation.
-- `all_congruences` joins from the identity with the distinct principal
-  congruences only, skipping a join when the principal one is already below.
+- `all_congruences` is the join-closure of the principal congruences: after
+  each pair (a, b) it holds every join of the principal congruences seen so
+  far, so a new Cg(a, b) is joined once with each member not already above
+  it. That is at most |Con(A)| joins per distinct principal congruence.
 """
 
 from __future__ import annotations
@@ -101,36 +103,26 @@ def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Partition:
 
 
 def all_congruences(A: FiniteAlgebra, cap: int = CONGRUENCE_ENUM_CAP) -> list[Partition]:
-    """Every congruence of A, as the joins of its principal congruences.
+    """Every congruence of A, as the join-closure of its principal congruences.
 
     Each congruence is the join of the principal congruences Cg(a, b) of its
-    pairs. A breadth-first search from the identity joins each congruence
-    found with each of the at most n(n-1)/2 distinct principal ones; the
-    join is skipped when Cg(a, b) already lies below, that is when a and b
-    are related. Sorted by block count descending, then by representatives.
+    pairs. Over the pairs a < b in order, `found` holds every join of the
+    principal congruences seen so far (the identity is the empty join), so
+    it is closed under joins. A new Cg(a, b) adds its join with each member,
+    and a member that relates a and b already lies above it; one already in
+    `found` adds nothing. So each distinct principal congruence is joined
+    once with each member of a subset of Con(A), at most |Con(A)| joins.
+    Sorted by block count descending, then by representatives.
     """
     if A.size > cap:
         raise SizeLimitExceeded(f"congruence enumeration capped at {cap}")
     n = A.size
-    principals: dict[Partition, tuple[int, int]] = {}
+    found = {Partition.identity(n)}
     for a in range(n):
         for b in range(a + 1, n):
-            principals.setdefault(principal_congruence(A, a, b), (a, b))
-    identity = Partition.identity(n)
-    found = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh: list[Partition] = []
-        for c in frontier:
-            rep = c.rep
-            for p, (a, b) in principals.items():
-                if rep[a] == rep[b]:
-                    continue
-                j = c.join(p)
-                if j not in found:
-                    found.add(j)
-                    fresh.append(j)
-        frontier = fresh
+            p = principal_congruence(A, a, b)
+            if p not in found:
+                found.update([c.join(p) for c in found if c.rep[a] != c.rep[b]])
     return sorted(found, key=lambda p: (-p.block_count(), p.rep))
 
 

@@ -325,12 +325,6 @@ class HeapOuterResult:
     action: HeapAction
     retractions: tuple[Homomorphism, ...]
 
-    def encode(self, k: int, y: int) -> int:
-        return k * self.action.Y.size + y
-
-    def decode(self, x: int) -> tuple[int, int]:
-        return divmod(x, self.action.Y.size)
-
 
 def heap_outer(action: HeapAction, name: str = "outer_heap") -> HeapOuterResult:
     """Heap on K x Y with

@@ -44,17 +44,18 @@ def idempotent_endomorphisms(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> tupl
     e <-> (im e, ker e) is a bijection onto the pairs (B, omega) with omega a
     congruence and B a subalgebra meeting every omega-class once, and e sends
     x to the element of B in x's class. So for each congruence omega in
-    `all_congruences(A, cap)` the search chooses one representative per
+    `all_congruences(A)` the search chooses one representative per
     block, keeping the chosen set closed, and reads e off each full choice.
     """
     if A.size > cap:
         raise SizeLimitExceeded(f"endomorphism enumeration capped at {cap}")
-    return _enumerate_idempotents(A, cap)
+    return _enumerate_idempotents(A)
 
 
 @lru_cache(maxsize=IDEMPOTENT_CACHE_SIZE)
-def _enumerate_idempotents(A: FiniteAlgebra, cap: int) -> tuple[Homomorphism, ...]:
-    maps = [m for omega in all_congruences(A, cap) for m in _closed_transversals(A, omega)]
+def _enumerate_idempotents(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
+    # the cap is checked by the caller, so one entry serves every cap
+    maps = [m for omega in all_congruences(A, A.size) for m in _closed_transversals(A, omega)]
     return tuple(Homomorphism(A, A, m) for m in sorted(maps))
 
 

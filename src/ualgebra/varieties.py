@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .algebras import FiniteAlgebra, content_lines, parse_uint, row_major_columns
-from .errors import DuplicateName, ParseError, SignatureMismatch
+from .errors import DuplicateName, ParseError, SignatureMismatch, UAError
 from .terms import Identity, Signature, eval_block, parse_identity
 
 # Assignments are scanned in row-major blocks of at most this many.
@@ -137,7 +137,7 @@ def get_variety(name: str) -> VarietySpec:
     try:
         return REGISTRY[name]
     except KeyError:
-        raise ParseError(f"unknown variety {name!r}") from None
+        raise UAError(f"unknown variety {name!r}") from None
 
 
 for _spec in [

@@ -179,6 +179,44 @@ def brute_force_congruences(A):
     return sorted(found, key=lambda rep: (-len(set(rep)), rep))
 
 
+def _join_reps(r, s):
+    """The join of two least-member tuples: merge the classes of i and s[i]
+    for every i, relabelling the larger label's class by the smaller."""
+    label = list(r)
+    for i, j in enumerate(s):
+        lo, hi = sorted((label[i], label[j]))
+        if lo != hi:
+            label = [lo if x == hi else x for x in label]
+    return tuple(label)
+
+
+def principal_join_bfs(A):
+    """Every congruence of A by a breadth-first search from the identity
+    that joins each congruence found with each distinct principal
+    congruence (from `fixpoint_congruence_generated`) not already below it;
+    sorted like `brute_force_congruences`, with no cap on n."""
+    n = A.size
+    principals = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            principals.setdefault(fixpoint_congruence_generated(A, [(a, b)]), (a, b))
+    identity = tuple(range(n))
+    found = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for c in frontier:
+            for p, (a, b) in principals.items():
+                if c[a] == c[b]:
+                    continue
+                j = _join_reps(c, p)
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return sorted(found, key=lambda rep: (-len(set(rep)), rep))
+
+
 def fixpoint_congruence_generated(A, pairs):
     """Least congruence containing `pairs`: add f(.., a, ..) ~ f(.., b, ..)
     for every related a, b at every place, and close transitively, until

@@ -64,6 +64,7 @@ def test_check_fails_with_witness(workspace, capsys):
 def test_check_unknown_variety_is_input_error(workspace, capsys):
     code = main(["check", f"{workspace['algs']}#z4", "--variety", "nope"])
     assert code == 2
+    assert capsys.readouterr().err == "error: unknown variety 'nope'\n"
 
 
 def test_workspace_reference_errors_carry_no_position(workspace, tmp_path, capsys):
@@ -252,7 +253,7 @@ def ring_sdp_over_z2(tmp_path, maps_text):
 
 def test_ring_sdp_missing_lambda_block_is_input_error(tmp_path, capsys):
     assert ring_sdp_over_z2(tmp_path, "lambda 0\n0 0\nrho 0\n0 0\nrho 1\n0 1\n") == 2
-    assert "no 'lambda 1' table" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {tmp_path / 'maps.map'}: no 'lambda 1' table\n"
 
 
 def test_ring_sdp_out_of_range_entry_is_input_error(tmp_path, capsys):
@@ -289,7 +290,7 @@ def test_group_sdp_missing_phi_block_is_input_error(workspace, tmp_path, capsys)
         ]
     )
     assert code == 2
-    assert "no 'phi 1' table" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {phi}: no 'phi 1' table\n"
 
 
 def test_brace_check(workspace, capsys):

@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from ualgebra.algebras import FiniteAlgebra, Homomorphism, quotient
+from ualgebra.algebras import FiniteAlgebra, Homomorphism, product, quotient
 from ualgebra.catalog import (
     chain_lattice,
     cyclic_group,
@@ -28,6 +28,7 @@ from oracles import (
     brute_force_congruences,
     brute_force_is_congruence,
     fixpoint_congruence_generated,
+    principal_join_bfs,
 )
 
 
@@ -79,6 +80,44 @@ def test_all_congruences_matches_partition_scan():
     # independent oracle: the exhaustive pairwise check over every partition
     for A in [cyclic_group(4), chain_lattice(3), mult_semigroup(4), cyclic_heap(4)] + ORACLE_CORPUS:
         assert [p.rep for p in all_congruences(A)] == brute_force_congruences(A), A.name
+
+
+# above the Bell-number scan's reach: up to 12 elements and up to 4,140
+# congruences, against the breadth-first search over the principal joins
+BFS_CORPUS = (
+    [chain_lattice(k) for k in range(9, 13)]
+    + [mult_semigroup(k) for k in range(9, 13)]
+    + [cyclic_group(12), product(chain_lattice(3), chain_lattice(4)), left_zero_semigroup(8)]
+    + [heap_from_group(G) for G in groups_up_to_8() if G.size == 8]
+)
+
+
+@pytest.mark.parametrize("A", BFS_CORPUS, ids=lambda A: A.name)
+def test_all_congruences_matches_the_principal_join_bfs(A):
+    assert [p.rep for p in all_congruences(A, cap=12)] == principal_join_bfs(A)
+
+
+@st.composite
+def random_tables_6_to_8(draw):
+    """A random algebra of order 6-8 with one binary operation and maybe
+    one unary one, values drawn from a prefix of at least two elements (a
+    constant table makes all Bell(n) partitions congruences, which
+    `left_zero_semigroup(8)` already covers)."""
+    n = draw(st.integers(6, 8))
+    top = draw(st.integers(1, n - 1))
+    arities = [2] + draw(st.lists(st.just(1), max_size=1))
+    symbols = tuple((f"f{i}", arity) for i, arity in enumerate(arities))
+    tables = tuple(
+        tuple(draw(st.lists(st.integers(0, top), min_size=n**arity, max_size=n**arity)))
+        for arity in arities
+    )
+    return FiniteAlgebra("random", Signature(symbols), n, tables)
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=random_tables_6_to_8())
+def test_all_congruences_matches_the_principal_join_bfs_on_random_tables(A):
+    assert [p.rep for p in all_congruences(A)] == principal_join_bfs(A)
 
 
 def test_is_congruence_matches_pairwise_oracle():

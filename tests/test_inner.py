@@ -243,3 +243,14 @@ def test_idempotent_cache_is_bounded_and_serves_a_whole_heap_census():
     # one enumeration for the whole census, every later pair a hit
     assert (info.misses, info.hits) == (1, len(pairs) - 1)
     assert holds == len(idempotent_endomorphisms(X))
+
+
+def test_idempotent_cache_keeps_one_entry_per_algebra_whatever_the_cap():
+    A = mult_semigroup(6)
+    _enumerate_idempotents.cache_clear()
+    default, wider = idempotent_endomorphisms(A), idempotent_endomorphisms(A, cap=12)
+    info = _enumerate_idempotents.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert default == wider
+    with pytest.raises(SizeLimitExceeded):
+        idempotent_endomorphisms(A, cap=5)

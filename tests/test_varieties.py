@@ -22,7 +22,7 @@ from ualgebra.catalog import (
     zero_ring,
 )
 from ualgebra.digroups import all_digroups, trivial_digroup
-from ualgebra.errors import SignatureMismatch
+from ualgebra.errors import SignatureMismatch, UAError
 from ualgebra.terms import Identity, eval_block, parse_identity
 from ualgebra.varieties import (
     BLOCK_SIZE,
@@ -145,7 +145,7 @@ def test_variety_file_roundtrip():
 
 
 def test_get_variety_unknown():
-    with pytest.raises(Exception):
+    with pytest.raises(UAError, match=r"^unknown variety 'nope'$"):
         get_variety("nope")
 
 
