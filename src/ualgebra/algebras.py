@@ -8,6 +8,7 @@ and heap semidirect products."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 from math import prod
 
@@ -27,6 +28,11 @@ from .terms import Signature
 
 ISO_SIZE_CAP = 12
 SUBALGEBRA_ENUM_CAP = 12
+# Entries of each per-algebra memo, least recently used dropped first:
+# `quotient` here, `congruences.all_congruences` and the idempotent search.
+# A census asks each of them once per (B, omega) pair it scans, and a few
+# hundred algebras of desk size stay warm.
+IDEMPOTENT_CACHE_SIZE = 256
 
 
 def pack(args: tuple[int, ...], n: int) -> int:
@@ -259,11 +265,15 @@ def subalgebra_as_algebra(A: FiniteAlgebra, subset, name: str | None = None):
     return sub, tuple(members)
 
 
+@lru_cache(maxsize=IDEMPOTENT_CACHE_SIZE)
 def quotient(A: FiniteAlgebra, omega: Partition):
     """Quotient by a congruence; returns (algebra on blocks, projection).
 
     Blocks are ordered by least element. Well-definedness of every induced
     table entry is verified directly; a conflict raises NotACongruence.
+    Memoized on (A, omega), IDEMPOTENT_CACHE_SIZE entries: both values are
+    frozen, so a caller cannot change what the next one gets. Errors are
+    raised again on every call.
     """
     if omega.n != A.size:
         raise SizeMismatch("partition size differs from carrier size")

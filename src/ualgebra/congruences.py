@@ -16,11 +16,17 @@ of the table; the sections of two values line up entry by entry.
   each pair (a, b) it holds every join of the principal congruences seen so
   far, so a new Cg(a, b) is joined once with each member not already above
   it. That is at most |Con(A)| joins per distinct principal congruence.
+  Con(A) is built once per algebra: a memo keyed on A alone holds
+  IDEMPOTENT_CACHE_SIZE sorted tuples, whatever cap the caller passes, so
+  a caller's own call and the idempotent search share one build. Every
+  call returns a fresh list, so no caller can change a cached value.
 """
 
 from __future__ import annotations
 
-from .algebras import FiniteAlgebra, Homomorphism
+from functools import lru_cache
+
+from .algebras import IDEMPOTENT_CACHE_SIZE, FiniteAlgebra, Homomorphism
 from .errors import SizeLimitExceeded, SizeMismatch
 from .partitions import Partition, UnionFind
 
@@ -113,9 +119,17 @@ def all_congruences(A: FiniteAlgebra, cap: int = CONGRUENCE_ENUM_CAP) -> list[Pa
     `found` adds nothing. So each distinct principal congruence is joined
     once with each member of a subset of Con(A), at most |Con(A)| joins.
     Sorted by block count descending, then by representatives.
+
+    The cap is checked on every call; the closure is memoized on A alone
+    (IDEMPOTENT_CACHE_SIZE algebras), and each call gets a fresh list.
     """
     if A.size > cap:
         raise SizeLimitExceeded(f"congruence enumeration capped at {cap}")
+    return list(_congruence_closure(A))
+
+
+@lru_cache(maxsize=IDEMPOTENT_CACHE_SIZE)
+def _congruence_closure(A: FiniteAlgebra) -> tuple[Partition, ...]:
     n = A.size
     found = {Partition.identity(n)}
     for a in range(n):
@@ -123,7 +137,7 @@ def all_congruences(A: FiniteAlgebra, cap: int = CONGRUENCE_ENUM_CAP) -> list[Pa
             p = principal_congruence(A, a, b)
             if p not in found:
                 found.update([c.join(p) for c in found if c.rep[a] != c.rep[b]])
-    return sorted(found, key=lambda p: (-p.block_count(), p.rep))
+    return tuple(sorted(found, key=lambda p: (-p.block_count(), p.rep)))
 
 
 def kernel(h: Homomorphism) -> Partition:

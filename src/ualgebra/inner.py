@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebras import (
+    IDEMPOTENT_CACHE_SIZE,
     FiniteAlgebra,
     Homomorphism,
     is_homomorphism,
@@ -32,10 +33,6 @@ from .errors import NotIdempotent, SizeLimitExceeded, crosscheck
 from .partitions import Partition
 
 ENDO_ENUM_CAP = 8
-# Enumerations kept, least recently used dropped first: a heap census asks
-# for the same algebra once per (Y, omega) pair, and a few hundred distinct
-# algebras of order <= ENDO_ENUM_CAP stay warm.
-IDEMPOTENT_CACHE_SIZE = 256
 
 
 def idempotent_endomorphisms(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> tuple[Homomorphism, ...]:
@@ -177,11 +174,7 @@ class InnerSdpReport:
 
 def is_transversal(B: frozenset[int], omega: Partition) -> bool:
     """(a): B meets every omega-class in exactly one element."""
-    return _meets_each_once(B, omega.blocks())
-
-
-def _meets_each_once(B: frozenset[int], blocks) -> bool:
-    return all(len(B.intersection(block)) == 1 for block in blocks)
+    return all(len(B.intersection(block)) == 1 for block in omega.blocks())
 
 
 def endo_witness(
@@ -337,7 +330,17 @@ def idempotent_poset(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> PosetReport:
 
 
 def count_transversal_pairs(A: FiniteAlgebra, subalgebras, congruences) -> int:
-    """|{(B, omega) : B meets every omega-class exactly once}| by direct scan,
-    with the blocks of each omega listed once."""
-    blocks = [omega.blocks() for omega in congruences]
-    return sum(_meets_each_once(B, bl) for B in map(frozenset, subalgebras) for bl in blocks)
+    """|{(B, omega) : B meets every omega-class exactly once}| by direct scan.
+
+    B meets each of the k classes of omega once iff |B| = k and the members
+    of B lie in k different classes, so each omega is read once as its class
+    labels `rep` and k, and each pair costs one set of |B| labels. Nothing
+    is memoized here; the congruences usually come from the memoized
+    `all_congruences`, as a fresh list.
+    """
+    labels = [(omega.rep, omega.block_count()) for omega in congruences]
+    return sum(
+        len(B) == k and len({rep[x] for x in B}) == k
+        for B in map(frozenset, subalgebras)
+        for rep, k in labels
+    )

@@ -190,6 +190,21 @@ def _join_reps(r, s):
     return tuple(label)
 
 
+def transversal_pairs_by_blocks(subalgebras, congruences):
+    """|{(B, omega) : B meets every omega-class in exactly one element}|,
+    intersecting each B with every class of every omega; the classes are
+    read off `omega.rep` here."""
+    count = 0
+    for B in subalgebras:
+        B = set(B)
+        for omega in congruences:
+            classes = {}
+            for x, r in enumerate(omega.rep):
+                classes.setdefault(r, set()).add(x)
+            count += all(len(B & cls) == 1 for cls in classes.values())
+    return count
+
+
 def principal_join_bfs(A):
     """Every congruence of A by a breadth-first search from the identity
     that joins each congruence found with each distinct principal

@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from ualgebra.algebras import FiniteAlgebra, Homomorphism, product, quotient
+from ualgebra.algebras import IDEMPOTENT_CACHE_SIZE, FiniteAlgebra, Homomorphism, product, quotient
 from ualgebra.catalog import (
     chain_lattice,
     cyclic_group,
@@ -12,6 +12,7 @@ from ualgebra.catalog import (
     symmetric_group_s3,
 )
 from ualgebra.congruences import (
+    _congruence_closure,
     all_congruences,
     congruence_generated,
     is_congruence,
@@ -19,6 +20,7 @@ from ualgebra.congruences import (
 )
 from ualgebra.errors import NotACongruence, SizeLimitExceeded
 from ualgebra.heaps import heap_from_group
+from ualgebra.inner import _enumerate_idempotents, idempotent_endomorphisms
 from ualgebra.partitions import Partition, all_set_partitions
 from ualgebra.terms import Signature
 
@@ -199,3 +201,48 @@ def test_congruence_generated_is_a_closure_operator(pairs):
     # monotone: adding a pair only coarsens
     coarser = congruence_generated(A, list(pairs) + [(0, 3)])
     assert c.refines(coarser)
+
+
+def test_congruence_cache_is_bounded_and_serves_the_idempotent_search():
+    assert _congruence_closure.cache_info().maxsize == IDEMPOTENT_CACHE_SIZE
+    A = mult_semigroup(6)
+    _congruence_closure.cache_clear()
+    _enumerate_idempotents.cache_clear()
+    all_congruences(A)
+    idempotent_endomorphisms(A)
+    info = _congruence_closure.cache_info()
+    # the job's own call builds Con(A), the search's call reuses it
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_congruence_cache_keeps_one_entry_per_algebra_whatever_the_cap():
+    A = mult_semigroup(6)
+    _congruence_closure.cache_clear()
+    default, wider = all_congruences(A), all_congruences(A, cap=12)
+    info = _congruence_closure.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert default == wider
+    with pytest.raises(SizeLimitExceeded):
+        all_congruences(A, cap=5)
+
+
+def test_a_caller_cannot_change_the_cached_congruences():
+    A = chain_lattice(4)
+    want = [p.rep for p in all_congruences(A)]
+    assert want == brute_force_congruences(A)
+    appended = all_congruences(A)
+    appended.append(Partition.identity(4))
+    assert [p.rep for p in all_congruences(A)] == want
+    cleared = all_congruences(A)
+    cleared.clear()
+    assert [p.rep for p in all_congruences(A)] == want
+
+
+def test_a_refused_quotient_is_refused_on_every_call():
+    z4 = cyclic_group(4)
+    bad = Partition.from_blocks(4, [[0, 1], [2, 3]])
+    quotient.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NotACongruence):
+            quotient(z4, bad)
+    assert quotient.cache_info().currsize == 0

@@ -76,6 +76,39 @@ def test_only_algebras_skips_comment_lines(path):
     assert path.name == "algebras.py" or comment_tests == []
 
 
+# A memo of a single int holds one entry per size asked for; any other
+# unbounded memo grows with the algebras or files it is called on.
+UNBOUNDED_INT_MEMOS = {"catalog.py:all_group_tables", "digroups.py:all_digroups"}
+
+
+def _unbounded_memos(tree: ast.Module):
+    """Every function under `@cache` or `@lru_cache(maxsize=None)`, at any
+    depth; a bare `@lru_cache` holds 128 entries."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"] if call else []
+            if name == "cache" or name == "lru_cache" and any(
+                isinstance(v, ast.Constant) and v.value is None for v in sizes
+            ):
+                yield node
+
+
+def test_every_lru_cache_is_bounded_but_the_memos_of_one_int():
+    unbounded = {
+        f"{path.name}:{fn.name}": fn
+        for path in MODULES
+        for fn in _unbounded_memos(ast.parse(path.read_text()))
+    }
+    assert set(unbounded) == UNBOUNDED_INT_MEMOS
+    for fn in unbounded.values():
+        (arg,) = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        assert ast.unparse(arg.annotation) == "int"
+        assert fn.args.vararg is fn.args.kwarg is None
 
 
 ROOT = MODULES[0].parents[2]

@@ -1,10 +1,19 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ualgebra.algebras import Homomorphism, all_subalgebras, is_subalgebra
+from ualgebra.algebras import (
+    FiniteAlgebra,
+    Homomorphism,
+    all_subalgebras,
+    is_subalgebra,
+    product,
+    quotient,
+)
 from ualgebra.catalog import (
     chain_lattice,
     cyclic_group,
     cyclic_heap,
+    groups_up_to_8,
     klein_group,
     left_zero_semigroup,
     mult_semigroup,
@@ -27,8 +36,9 @@ from ualgebra.inner import (
     verify_inner_sdp,
 )
 from ualgebra.partitions import Partition
+from ualgebra.terms import Signature
 
-from oracles import brute_force_idempotent_endos
+from oracles import brute_force_idempotent_endos, transversal_pairs_by_blocks
 
 
 def test_counts_on_small_groups():
@@ -245,6 +255,18 @@ def test_idempotent_cache_is_bounded_and_serves_a_whole_heap_census():
     assert holds == len(idempotent_endomorphisms(X))
 
 
+def test_quotient_memo_builds_each_congruence_once_in_a_heap_census():
+    X = heap_from_group(klein_group())
+    subs, congs = all_subalgebras(X), all_congruences(X)
+    quotient.cache_clear()
+    for Y in subs:
+        for omega in congs:
+            heap_inner_report(X, Y, omega)
+    info = quotient.cache_info()
+    # (d) quotients once per omega, every later subheap paired with it hits
+    assert (info.misses, info.hits) == (len(congs), len(congs) * (len(subs) - 1))
+
+
 def test_idempotent_cache_keeps_one_entry_per_algebra_whatever_the_cap():
     A = mult_semigroup(6)
     _enumerate_idempotents.cache_clear()
@@ -254,3 +276,58 @@ def test_idempotent_cache_keeps_one_entry_per_algebra_whatever_the_cap():
     assert default == wider
     with pytest.raises(SizeLimitExceeded):
         idempotent_endomorphisms(A, cap=5)
+
+
+c, m, lz = chain_lattice, mult_semigroup, left_zero_semigroup
+TRANSVERSAL_CORPUS = (
+    [lz(n) for n in range(2, 7)]
+    + [c(n) for n in range(2, 9)]
+    + [m(n) for n in range(2, 9)]
+    + [
+        product(c(2), c(3)),
+        product(c(2), c(4)),
+        product(m(2), m(3)),
+        product(m(2), m(4)),
+        product(lz(2), m(3)),
+        product(m(3), lz(2)),
+    ]
+    + groups_up_to_8()
+    + [heap_from_group(G) for G in groups_up_to_8()]
+)
+
+
+@pytest.mark.parametrize("A", TRANSVERSAL_CORPUS, ids=lambda A: A.name)
+def test_transversal_count_matches_the_block_scan(A):
+    subs, congs = all_subalgebras(A), all_congruences(A)
+    count = count_transversal_pairs(A, subs, congs)
+    assert count == transversal_pairs_by_blocks(subs, congs)
+    assert count == len(idempotent_endomorphisms(A))
+
+
+@st.composite
+def random_tables_4_to_7(draw):
+    """A random algebra of order 4-7 with one binary operation, values drawn
+    from a prefix of the carrier so that congruences and subalgebras vary."""
+    n = draw(st.integers(4, 7))
+    top = draw(st.integers(1, n - 1))
+    table = draw(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n))
+    return FiniteAlgebra("random", Signature((("m", 2),)), n, (tuple(table),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=random_tables_4_to_7())
+def test_transversal_count_matches_the_block_scan_on_random_tables(A):
+    subs, congs = all_subalgebras(A), all_congruences(A)
+    assert count_transversal_pairs(A, subs, congs) == transversal_pairs_by_blocks(subs, congs)
+
+
+def test_transversal_count_takes_subalgebras_in_any_container():
+    A = heap_from_group(klein_group())
+    subs, congs = all_subalgebras(A), all_congruences(A)
+    want = transversal_pairs_by_blocks(subs, congs)
+    assert count_transversal_pairs(A, [sorted(B) for B in subs], congs) == want
+    assert count_transversal_pairs(A, [set(B) for B in subs], congs) == want
+    # a repeated element names the same subalgebra, not a larger one
+    repeated = [sorted(B) + [min(B)] for B in subs]
+    assert count_transversal_pairs(A, repeated, congs) == want
+    assert transversal_pairs_by_blocks(repeated, congs) == want

@@ -82,6 +82,7 @@ def test_quotients_and_subalgebras_equal_their_oracles(A):
     for omega in all_congruences(A):
         Q, proj = quotient(A, omega)
         assert (Q.tables, proj.map) == quotient_tables(A, omega.rep)
+        assert quotient(A, omega)[0] is Q  # the memoized value
     for S in all_subalgebras(A):
         sub, members = subalgebra_as_algebra(A, S)
         assert members == tuple(sorted(S))
