@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 from math import prod
 
 from .errors import (
@@ -80,6 +80,18 @@ def inverse_permutation(p) -> tuple[int, ...]:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def perms_fixing_zero(n: int):
+    """The permutations of {0..n-1} that fix 0, in lexicographic order."""
+    for tail in permutations(range(1, n)):
+        yield (0,) + tail
+
+
+def relabel_table(table: tuple[int, ...], p, arity: int) -> tuple[int, ...]:
+    """The table of an `arity`-ary operation after renaming each element x to p[x]."""
+    inv = inverse_permutation(p)
+    return tuple(p[table[i]] for i in pack_product([inv] * arity, len(p)))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
-"""Ready-made small algebras and exhaustive table enumeration for test corpora."""
+"""Ready-made small algebras for test corpora, with one group per
+isomorphism class of order 1..8; every group table with identity 0 of those
+orders is a relabelling of one of them."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
 
-from .algebras import FiniteAlgebra, product
+from .algebras import FiniteAlgebra, perms_fixing_zero, product, relabel_table
+from .errors import SizeLimitExceeded
 from .varieties import GROUP_SIG, HEAP_SIG, LATTICE_SIG, RING_SIG, Signature
 
 SEMIGROUP_SIG = Signature((("m", 2),))
@@ -73,8 +76,14 @@ def quaternion_group() -> FiniteAlgebra:
 
 def groups_up_to_8() -> list[FiniteAlgebra]:
     """One representative per isomorphism class of groups of order 1..8."""
+    return list(_catalog_groups())
+
+
+# built once: `all_group_tables` and `all_digroups` ask at every order
+@lru_cache(maxsize=1)
+def _catalog_groups() -> tuple[FiniteAlgebra, ...]:
     z = cyclic_group
-    return [
+    return (
         z(1), z(2), z(3),
         z(4), klein_group(),
         z(5),
@@ -83,7 +92,7 @@ def groups_up_to_8() -> list[FiniteAlgebra]:
         z(8), product(z(2), z(4)).rename("z2xz4"),
         product(z(2), klein_group()).rename("z2cube"),
         dihedral_group(4), quaternion_group(),
-    ]
+    )
 
 
 def cyclic_ring(n: int) -> FiniteAlgebra:
@@ -161,49 +170,18 @@ def cyclic_heap(n: int) -> FiniteAlgebra:
 
 @lru_cache(maxsize=None)
 def all_group_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every group Cayley table on {0..n-1} with identity 0.
+    """Every group Cayley table on {0..n-1} with identity 0, sorted.
 
-    Backtracking over rows under the Latin-square constraint with row 0 and
-    column 0 pinned to the identity permutation, followed by an associativity
-    filter. Self-contained: no classification facts are used.
+    Each is a relabelling, by a permutation fixing 0, of one of the
+    catalog's groups of order n, whose identity is 0; so the catalog's
+    largest order, 8, bounds n.
     """
-    if n == 1:
-        return ((0,),)
-    rows: list[tuple[int, ...]] = [tuple(range(n))]
-    out: list[tuple[int, ...]] = []
-
-    def place(r: int):
-        if r == n:
-            flat = tuple(v for row in rows for v in row)
-            if all(
-                flat[flat[a * n + b] * n + c] == flat[a * n + flat[b * n + c]]
-                for a in range(1, n)
-                for b in range(1, n)
-                for c in range(1, n)
-            ):
-                out.append(flat)
-            return
-        used_cols = [{rows[i][c] for i in range(r)} for c in range(n)]
-
-        def fill(row: list[int], c: int, used_row: set[int]):
-            if c == n:
-                rows.append(tuple(row))
-                place(r + 1)
-                rows.pop()
-                return
-            for v in range(n):
-                if v in used_row or v in used_cols[c]:
-                    continue
-                row.append(v)
-                used_row.add(v)
-                fill(row, c + 1, used_row)
-                row.pop()
-                used_row.remove(v)
-
-        fill([r], 1, {r})
-
-    place(1)
-    return tuple(out)
+    groups = [G for G in groups_up_to_8() if G.size == n]
+    if not groups:
+        raise SizeLimitExceeded(f"the catalog lists groups of order 1..8, not {n}")
+    return tuple(
+        sorted({relabel_table(G.tables[0], p, 2) for G in groups for p in perms_fixing_zero(n)})
+    )
 
 
 def group_algebra_from_table(table: tuple[int, ...], name: str) -> FiniteAlgebra:

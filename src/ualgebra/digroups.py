@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 
 from .algebras import (
     FiniteAlgebra,
@@ -33,12 +33,13 @@ from .algebras import (
     is_automorphism,
     is_homomorphism,
     is_subalgebra,
-    pack_product,
+    perms_fixing_zero,
     product,
     quotient,
+    relabel_table,
     subalgebra_as_algebra,
 )
-from .catalog import all_group_tables
+from .catalog import all_group_tables, groups_up_to_8
 from .congruences import congruence_generated, is_congruence
 from .errors import (
     AxiomFailure,
@@ -47,15 +48,12 @@ from .errors import (
     NotIdeal,
     NotSubdigroup,
     SignatureMismatch,
-    SizeLimitExceeded,
     crosscheck,
 )
 from .inner import endo_witness, unique_factorizations
 from .outer import ActionFamily, PointedFamily, union_algebra
 from .partitions import Partition
 from .varieties import DIGROUP_SIG, GROUP_SIG, REGISTRY, VarietySpec, check_identities
-
-DIGROUP_ENUM_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -609,47 +607,30 @@ def brace_center(D: Digroup) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def all_digroups(n: int) -> tuple[Digroup, ...]:
-    """All digroups on n elements up to simultaneous isomorphism.
+    """All digroups on n elements up to simultaneous isomorphism, for n up
+    to 8, the catalog's largest group order.
 
-    Every digroup can be relabeled so that its star table is a canonical
-    representative with identity 0; the circ table is then deduplicated under
-    the automorphisms of that representative. The underlying Latin-square
-    search explodes past six elements, hence DIGROUP_ENUM_CAP.
+    Every digroup can be relabeled so that its star table is the least
+    relabelling, fixing 0, of one of the catalog's groups; each circ table
+    orbit under the automorphisms of that star is then taken once, at its
+    least member.
     """
-    if n > DIGROUP_ENUM_CAP:
-        raise SizeLimitExceeded(f"digroup enumeration capped at {DIGROUP_ENUM_CAP}")
     tables = all_group_tables(n)
-    # canonical star representatives under relabelings fixing 0
-    perms = [p for p in _perms_fixing_zero(n)]
-    reps: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for table in tables:
-        if table in seen:
-            continue
-        orbit = {_relabel(table, p, n) for p in perms}
-        seen |= orbit
-        reps.append(min(orbit))
+    perms = list(perms_fixing_zero(n))
+    stars = sorted(
+        min(relabel_table(G.tables[0], p, 2) for p in perms)
+        for G in groups_up_to_8()
+        if G.size == n
+    )
     out: list[Digroup] = []
-    for rep in reps:
-        autos = [p for p in perms if _relabel(rep, p, n) == rep]
-        chosen: set[tuple[int, ...]] = set()
+    for star in stars:
+        autos = [p for p in perms if relabel_table(star, p, 2) == star]
+        marked: set[tuple[int, ...]] = set()
         for circ in tables:
-            canon = min(_relabel(circ, p, n) for p in autos)
-            if canon in chosen:
-                continue
-            chosen.add(canon)
-            out.append(digroup_from_tables(rep, canon, name=f"dg{n}_{len(out)}"))
+            if circ not in marked:
+                marked.update(relabel_table(circ, p, 2) for p in autos)
+                out.append(digroup_from_tables(star, circ, name=f"dg{n}_{len(out)}"))
     return tuple(out)
-
-
-def _perms_fixing_zero(n: int):
-    for tail in permutations(range(1, n)):
-        yield (0,) + tail
-
-
-def _relabel(table: tuple[int, ...], p: tuple[int, ...], n: int) -> tuple[int, ...]:
-    inv = inverse_permutation(p)
-    return tuple(p[table[i]] for i in pack_product([inv, inv], n))
 
 
 def all_skew_braces(n: int) -> tuple[Digroup, ...]:

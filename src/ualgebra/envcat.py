@@ -98,12 +98,12 @@ def functor_object(F: OuterProduct, obj: TupleObject) -> ProductPointedSet:
     return ProductPointedSet(sizes, basepoint)
 
 
-def _term_table(F: OuterProduct, obj: TupleObject, t: Term) -> tuple[tuple[int, ...], int]:
-    """The map F(t): product of fibers over obj -> fiber over t's value.
+def _term_table(F: OuterProduct, obj: TupleObject, t: Term, value: int) -> tuple[int, ...]:
+    """The map F(t): product of fibers over obj -> fiber over t's base value
+    at obj, which the caller passes as `value`.
 
     The rows of the fiber product, shifted by their fibers' offsets, are one
-    block of assignments in the union algebra. Returns (flat table, base
-    value of t at obj).
+    block of assignments in the union algebra.
     """
     offsets = F.family.offsets
     sizes = functor_object(F, obj).sizes
@@ -111,20 +111,15 @@ def _term_table(F: OuterProduct, obj: TupleObject, t: Term) -> tuple[tuple[int, 
         [offsets[a] + i for i in column]
         for a, column in zip(obj.elements, row_major_columns(sizes))
     ]
-    value = eval_term(t, F.family.base, obj.elements)
     shift = offsets[value]
-    return tuple(x - shift for x in eval_block(t, F.algebra, columns, prod(sizes))), value
+    return tuple(x - shift for x in eval_block(t, F.algebra, columns, prod(sizes)))
 
 
 def functor_morphism(F: OuterProduct, p: TermTupleMorphism) -> tuple[tuple[int, ...], ...]:
-    """One flat table per target coordinate, each over the source product."""
-    out = []
-    for t, b in zip(p.terms, p.target.elements):
-        table, value = _term_table(F, p.source, t)
-        if value != b:
-            raise ShapeMismatch("term value disagrees with the target")
-        out.append(table)
-    return tuple(out)
+    """One flat table per target coordinate, each over the source product;
+    p's construction already checked that each term sends the source to its
+    target entry."""
+    return tuple(_term_table(F, p.source, t, b) for t, b in zip(p.terms, p.target.elements))
 
 
 def tables_compose(

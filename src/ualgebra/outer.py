@@ -22,13 +22,13 @@ from .algebras import (
     FiniteAlgebra,
     Homomorphism,
     content_lines,
-    inverse_permutation,
     is_homomorphism,
     pack,
     pack_columns,
     pack_product,
     parse_uint,
     product,
+    relabel_table,
     row_major_columns,
     subalgebra_as_algebra,
 )
@@ -189,11 +189,10 @@ def fiber_major(F: OuterProduct) -> FiniteAlgebra:
     """
     A, nb = F.algebra, F.family.base.size
     nk = F.family.fibers[0][0]
-    # new element k*|B| + b is old element b*|K| + k
-    old = [b * nk + k for k in range(nk) for b in range(nb)]
-    new = inverse_permutation(old)
+    # old element b*|K| + k becomes k*|B| + b
+    new = [k * nb + b for b in range(nb) for k in range(nk)]
     tables = tuple(
-        tuple(new[table[i]] for i in pack_product([old] * arity, A.size))
+        relabel_table(table, new, arity)
         for (_, arity), table in zip(A.signature.symbols, A.tables)
     )
     return FiniteAlgebra(A.name, A.signature, A.size, tables)

@@ -771,3 +771,51 @@ def fiber_major_tables(A, nb, nk):
             for args in product(range(A.size), repeat=arity)
         ))
     return tuple(tables)
+
+
+def latin_square_group_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every group Cayley table on {0..n-1} with identity 0.
+
+    Backtracking over rows under the Latin-square constraint with row 0 and
+    column 0 pinned to the identity permutation, followed by an associativity
+    filter. Self-contained: no classification facts are used, so it checks
+    the library's relabellings of the catalog's groups; it explodes past six
+    elements.
+    """
+    if n == 1:
+        return ((0,),)
+    rows: list[tuple[int, ...]] = [tuple(range(n))]
+    out: list[tuple[int, ...]] = []
+
+    def place(r: int):
+        if r == n:
+            flat = tuple(v for row in rows for v in row)
+            if all(
+                flat[flat[a * n + b] * n + c] == flat[a * n + flat[b * n + c]]
+                for a in range(1, n)
+                for b in range(1, n)
+                for c in range(1, n)
+            ):
+                out.append(flat)
+            return
+        used_cols = [{rows[i][c] for i in range(r)} for c in range(n)]
+
+        def fill(row: list[int], c: int, used_row: set[int]):
+            if c == n:
+                rows.append(tuple(row))
+                place(r + 1)
+                rows.pop()
+                return
+            for v in range(n):
+                if v in used_row or v in used_cols[c]:
+                    continue
+                row.append(v)
+                used_row.add(v)
+                fill(row, c + 1, used_row)
+                row.pop()
+                used_row.remove(v)
+
+        fill([r], 1, {r})
+
+    place(1)
+    return tuple(out)

@@ -366,7 +366,7 @@ def test_criterion_10_functor_laws_on_the_twisted_product():
             classes: dict[int, dict] = {}
             for t in pools[len(src)]:
                 value = eval_term(t, base, src.elements)
-                table, _ = _term_table(F, src, t)
+                table = _term_table(F, src, t, value)
                 classes.setdefault(value, {})[table] = t
             for mid in objects:
                 if any(v not in classes for v in mid.elements):
@@ -374,7 +374,8 @@ def test_criterion_10_functor_laws_on_the_twisted_product():
                 slot_reps = [list(classes[v].values()) for v in mid.elements]
                 mid_product = functor_object(F, mid)
                 for q in pools[len(mid)]:
-                    q_table, q_value = _term_table(F, mid, q)
+                    q_value = eval_term(q, base, mid.elements)
+                    q_table = _term_table(F, mid, q, q_value)
                     # basepoint preservation is inherited from the actions
                     assert (
                         q_table[mid_product.flat_basepoint()]

@@ -27,7 +27,13 @@ from ualgebra.digroups import (
     trivial_digroup,
     trivial_triple,
 )
-from ualgebra.errors import AxiomFailure, HypothesisViolation, NotIdeal, SizeMismatch
+from ualgebra.errors import (
+    AxiomFailure,
+    HypothesisViolation,
+    NotIdeal,
+    SizeLimitExceeded,
+    SizeMismatch,
+)
 from ualgebra.varieties import REGISTRY, check_identities
 
 def klein_z4_digroup() -> Digroup:
@@ -321,3 +327,14 @@ def test_digroup_corpus_counts():
     assert len(all_digroups(4)) == 5
     assert len(all_skew_braces(4)) == 4
     assert len(all_skew_braces(6)) == 6
+    # orders 7 and 8; Guarnieri and Vendramin (Math. Comp. 86, 2017)
+    # tabulate 1 and 47 skew braces
+    assert len(all_digroups(7)) == 24
+    assert len(all_digroups(8)) == 1684
+    assert len(all_skew_braces(7)) == 1
+    assert len(all_skew_braces(8)) == 47
+
+
+def test_digroup_enumeration_stops_at_the_catalogs_largest_order():
+    with pytest.raises(SizeLimitExceeded):
+        all_digroups(9)
