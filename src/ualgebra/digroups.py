@@ -422,8 +422,14 @@ def digroup_direct_criterion(triple: DigroupActionTriple) -> bool:
     """True iff all three families are constantly the identity of K.
 
     Agreement with the canonical comparison is asserted: the outer tables
-    coincide with the componentwise product exactly in that case.
+    coincide with the componentwise product exactly in that case. That needs
+    a Lambda fixing K's unit (equal tables then force phi_star = Lambda, so
+    Lambda = id and phi_circ = id), so any other Lambda is a
+    HypothesisViolation.
     """
+    _validate_triple(triple)  # a malformed triple fails here, not in the unit test
+    if not triple.lambda_fixes_unit():
+        raise HypothesisViolation("the direct-product criterion needs Lambda to fix K's unit")
     ident = tuple(range(triple.K.n))
     criterion = all(
         triple.phi_star[y] == ident and triple.phi_circ[y] == ident and triple.Lambda[y] == ident

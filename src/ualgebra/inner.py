@@ -3,9 +3,10 @@
 A decomposition of A consists of a subalgebra B and a congruence omega such
 that B meets every omega-class in exactly one point. Decompositions biject
 with idempotent endomorphisms, and every carrier splits into pointed blocks.
-`idempotent_endomorphisms` walks that bijection backwards: for each
-congruence it backtracks over one representative per block, keeping the
-chosen set closed, and each closed transversal is one endomorphism.
+`idempotent_endomorphisms` reads that bijection as its definition: for each
+congruence and each choice of one representative per block, the retraction
+x -> the representative of x's block is one endomorphism when it is a
+homomorphism.
 Each of the four equivalent conditions of `verify_inner_sdp` is one public
 function: (a) `is_transversal`, (b) `endo_witness`, (c) `retraction_witness`,
 (d) `canonical_iso_witness`. The group, digroup, heap and near-truss reports
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from operator import attrgetter
 
 from .algebras import (
     IDEMPOTENT_CACHE_SIZE,
@@ -29,7 +32,7 @@ from .algebras import (
     subalgebra_as_algebra,
 )
 from .congruences import all_congruences, is_congruence, kernel
-from .errors import NotIdempotent, SizeLimitExceeded, crosscheck
+from .errors import NotAHomomorphism, NotIdempotent, SizeLimitExceeded, crosscheck
 from .partitions import Partition
 
 ENDO_ENUM_CAP = 8
@@ -41,8 +44,9 @@ def idempotent_endomorphisms(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> tupl
     e <-> (im e, ker e) is a bijection onto the pairs (B, omega) with omega a
     congruence and B a subalgebra meeting every omega-class once, and e sends
     x to the element of B in x's class. So for each congruence omega in
-    `all_congruences(A)` the search chooses one representative per
-    block, keeping the chosen set closed, and reads e off each full choice.
+    `all_congruences(A)` and each choice of one representative per block,
+    the retraction onto the chosen set is kept when the `Homomorphism`
+    constructor accepts it. Each of these candidates is tested once.
     """
     if A.size > cap:
         raise SizeLimitExceeded(f"endomorphism enumeration capped at {cap}")
@@ -51,79 +55,19 @@ def idempotent_endomorphisms(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> tupl
 
 @lru_cache(maxsize=IDEMPOTENT_CACHE_SIZE)
 def _enumerate_idempotents(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
-    # the cap is checked by the caller, so one entry serves every cap
-    maps = [m for omega in all_congruences(A, A.size) for m in _closed_transversals(A, omega)]
-    return tuple(Homomorphism(A, A, m) for m in sorted(maps))
-
-
-def _closed_transversals(A: FiniteAlgebra, omega: Partition) -> list[tuple[int, ...]]:
-    """x -> the representative of x's block, for every choice of one
-    representative per omega-block whose set is closed under the operations.
-
-    Constants pin their own block. Choosing x evaluates every instance over
-    the chosen elements that contains x: a value in an unchosen block is
-    forced to represent it, a value in a block represented by another
-    element ends the branch. Forced choices are undone on backtracking.
-    """
-    n, rep = A.size, omega.rep
-    chosen = [-1] * n  # indexed by block representative
-    trail: list[int] = []  # chosen elements, in the order chosen
-    places = [
-        (table, [n ** (arity - 1 - j) for j in range(arity)])
-        for (_, arity), table in zip(A.signature.symbols, A.tables)
-        if arity
-    ]
-
-    def choose(x: int) -> bool:
-        """Choose x for its block and close; False on a conflict."""
-        chosen[rep[x]] = x
-        trail.append(x)
-        pending = [x]
-        while pending:
-            y = pending.pop()
-            for table, strides in places:
-                # each instance once: place j is y's first occurrence
-                for j, sj in enumerate(strides):
-                    idx = [y * sj]
-                    for i, si in enumerate(strides):
-                        if i != j:
-                            idx = [p + z * si for p in idx for z in trail if i > j or z != y]
-                    for v in [table[i] for i in idx]:
-                        r = chosen[rep[v]]
-                        if r < 0:
-                            chosen[rep[v]] = v
-                            trail.append(v)
-                            pending.append(v)
-                        elif r != v:
-                            return False
-        return True
-
-    def undo(mark: int) -> None:
-        for x in trail[mark:]:
-            chosen[rep[x]] = -1
-        del trail[mark:]
-
-    for c in sorted(set(A.constants().values())):
-        r = chosen[rep[c]]
-        if r != c and (r >= 0 or not choose(c)):
-            return []  # two constants share a block, or their closure does
-    blocks = omega.blocks()
-    found: list[tuple[int, ...]] = []
-
-    def search(k: int) -> None:
-        while k < len(blocks) and chosen[blocks[k][0]] >= 0:
-            k += 1
-        if k == len(blocks):
-            found.append(tuple(chosen[r] for r in rep))
-            return
-        mark = len(trail)
-        for x in blocks[k]:
-            if choose(x):
-                search(k + 1)
-            undo(mark)
-
-    search(0)
-    return found
+    # the cap is checked by the caller, so one entry serves every cap; each
+    # retraction is tested once, by the Homomorphism constructor
+    found = []
+    for omega in all_congruences(A, A.size):
+        blocks = omega.blocks()
+        index = {block[0]: i for i, block in enumerate(blocks)}
+        where = [index[r] for r in omega.rep]  # reps[where[x]] represents x's block
+        for reps in product(*blocks):
+            try:
+                found.append(Homomorphism(A, A, tuple([reps[i] for i in where])))
+            except NotAHomomorphism:
+                pass
+    return tuple(sorted(found, key=attrgetter("map")))
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,22 @@ def test_outer_accepts_lambda_that_moves_the_unit():
     assert not flags[2] and not flags[3]
 
 
+def test_direct_criterion_needs_lambda_to_fix_the_unit():
+    # a valid triple whose outer tables are those of the direct product,
+    # though Lambda swaps K's two elements: the criterion cannot say True,
+    # so it refuses the triple before building anything
+    Y = K = trivial_digroup(cyclic_group(2))
+    ident, swap = (0, 1), (1, 0)
+    triple = DigroupActionTriple(Y, K, (ident, ident), (ident, ident), (ident, swap))
+    assert digroup_outer(triple).algebra.tables == product(Y.algebra, K.algebra).tables
+    assert not triple.lambda_fixes_unit()
+    with pytest.raises(HypothesisViolation, match="fix K's unit"):
+        digroup_direct_criterion(triple)
+    # a malformed triple is refused by the triple's own validation
+    with pytest.raises(HypothesisViolation, match="one table per element of Y"):
+        digroup_direct_criterion(DigroupActionTriple(Y, K, (ident, ident), (ident, ident), (ident,)))
+
+
 def test_outer_rejects_bad_hypotheses():
     Y = trivial_digroup(cyclic_group(2))
     K = trivial_digroup(cyclic_group(3))

@@ -1,16 +1,19 @@
-"""Idempotent endomorphisms, found per congruence as closed transversals, and
-the column-wise homomorphism test, pinned to the map-by-map search and the
-tuple-by-tuple check of `tests/oracles.py`."""
+"""Idempotent endomorphisms, found per congruence as the retractions onto one
+representative per class that are homomorphisms, and the column-wise
+homomorphism test, pinned to the map-by-map search and the tuple-by-tuple
+check of `tests/oracles.py`."""
 
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import _is_hom, backtracking_idempotents
+from ualgebra import algebras
 from ualgebra.algebras import FiniteAlgebra, is_homomorphism, quotient
 from ualgebra.catalog import (
     chain_lattice,
@@ -23,26 +26,30 @@ from ualgebra.catalog import (
 from ualgebra.congruences import all_congruences
 from ualgebra.errors import SignatureMismatch, SizeMismatch
 from ualgebra.heaps import heap_from_group
-from ualgebra.inner import idempotent_endomorphisms
+from ualgebra.inner import _enumerate_idempotents, idempotent_endomorphisms
 from ualgebra.terms import Signature
 
 TESTS = Path(__file__).resolve().parent
+
+
+def algebra(n, arities, tables, name="random"):
+    symbols = tuple((f"f{p}", k) for p, k in enumerate(arities))
+    return FiniteAlgebra(name, Signature(symbols), n, tuple(tuple(t) for t in tables))
+
+
 SMALL = (
     [A for A, _ in standard_corpus() if A.size <= 6]
     + [left_zero_semigroup(n) for n in range(1, 7)]
     + [chain_lattice(n) for n in range(1, 7)]
     + [mult_semigroup(n) for n in range(1, 7)]
     + [heap_from_group(G) for G in groups_up_to_8() if G.size <= 6]
+    # null semigroups: every product is 0, so most retractions fail to fix 0
+    + [algebra(n, [2], [[0] * n * n], name=f"null{n}") for n in range(1, 7)]
 )
 
 
 def idempotent_maps(A):
     return [e.map for e in idempotent_endomorphisms(A)]
-
-
-def algebra(n, arities, tables, name="random"):
-    symbols = tuple((f"f{p}", k) for p, k in enumerate(arities))
-    return FiniteAlgebra(name, Signature(symbols), n, tuple(tuple(t) for t in tables))
 
 
 @st.composite
@@ -73,14 +80,45 @@ def test_idempotents_of_random_tables_match_the_map_by_map_search(A):
 
 
 def test_constants_in_one_block_leave_no_transversal():
-    # constants 0 and 1 and f = (1, 1, 2): no congruence joining 0 and 1 has
-    # a closed transversal, and on {{0}, {1, 2}} the constant 0 forces f(0) = 1
-    # to represent the block the constant 1 pins
+    # constants 0 and 1 and f = (1, 1, 2): a kept retraction fixes both
+    # constants, which are 0-ary operations, so no congruence joining 0 and 1
+    # keeps one, and on {{0}, {1, 2}} only the representative 1 is kept
     A = algebra(3, [0, 0, 1], [[0], [1], [1, 1, 2]])
     found = idempotent_maps(A)
     assert found == backtracking_idempotents(A) == [(0, 1, 1), (0, 1, 2)]
     joined = [omega for omega in all_congruences(A) if omega.same(0, 1)]
     assert joined and not any(m[0] == m[1] for m in found)
+
+
+def test_left_zero_semigroups_keep_every_candidate():
+    # x * y = x: every self-map is a homomorphism, so each retraction is kept
+    # and the count is that of idempotent self-maps (OEIS A000248); n = 8 is
+    # the largest workload at the cap
+    counts = [len(idempotent_endomorphisms(left_zero_semigroup(n))) for n in range(1, 9)]
+    assert counts == [1, 3, 10, 41, 196, 1057, 6322, 41393]
+
+
+@pytest.mark.parametrize(
+    "A",
+    [mult_semigroup(8), heap_from_group(next(G for G in groups_up_to_8() if G.name == "q8"))],
+    ids=lambda A: A.name,
+)
+def test_each_candidate_is_tested_once(A, monkeypatch):
+    # one retraction per congruence and choice of representatives, and one
+    # homomorphism test per retraction: a kept map is never checked again
+    congruences = all_congruences(A)
+    candidates = sum(prod(len(block) for block in omega.blocks()) for omega in congruences)
+    calls = []
+    real = algebras.is_homomorphism
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algebras, "is_homomorphism", counted)
+    _enumerate_idempotents.cache_clear()
+    maps = idempotent_maps(A)
+    assert len(calls) == candidates > len(maps)
 
 
 @settings(max_examples=200, deadline=None)
