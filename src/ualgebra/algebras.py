@@ -26,8 +26,9 @@ from .errors import (
 from .partitions import Partition
 from .terms import Signature
 
-ISO_SIZE_CAP = 12
-SUBALGEBRA_ENUM_CAP = 12
+# The largest carrier that the isomorphism search, the subalgebra scan and
+# the congruence lattice take.
+CARRIER_CAP = 12
 # Entries of each per-algebra memo, least recently used dropped first:
 # `quotient` here, `congruences.all_congruences` and the idempotent search.
 # A census asks each of them once per (B, omega) pair it scans, and a few
@@ -128,13 +129,6 @@ class FiniteAlgebra:
 
     def apply(self, symbol: str, args: tuple[int, ...]) -> int:
         return self.tables[self.signature.position(symbol)][pack(args, self.size)]
-
-    def constants(self) -> dict[str, int]:
-        return {
-            sym: self.tables[p][0]
-            for p, (sym, arity) in enumerate(self.signature.symbols)
-            if arity == 0
-        }
 
     def rename(self, name: str) -> "FiniteAlgebra":
         return FiniteAlgebra(name, self.signature, self.size, self.tables)
@@ -242,9 +236,9 @@ def is_subalgebra(A: FiniteAlgebra, subset) -> bool:
 
 def all_subalgebras(A: FiniteAlgebra) -> list[frozenset[int]]:
     """All nonempty closed subsets, by testing every subset (carrier at most
-    SUBALGEBRA_ENUM_CAP), ordered by size, then by sorted members."""
-    if A.size > SUBALGEBRA_ENUM_CAP:
-        raise SizeLimitExceeded(f"subalgebra enumeration capped at {SUBALGEBRA_ENUM_CAP}")
+    CARRIER_CAP), ordered by size, then by sorted members."""
+    if A.size > CARRIER_CAP:
+        raise SizeLimitExceeded(f"subalgebra enumeration capped at {CARRIER_CAP}")
     found = []
     for mask in range(1, 2**A.size):
         subset = frozenset(i for i in range(A.size) if mask >> i & 1)
@@ -331,15 +325,15 @@ def isomorphisms(A: FiniteAlgebra, B: FiniteAlgebra):
     the step max(args + (out,)), where it becomes decidable, and is checked
     once there; constants are the 0-ary case. At the call, in this order: a
     signature mismatch raises SignatureMismatch, unequal sizes give no maps,
-    and carriers above ISO_SIZE_CAP raise SizeLimitExceeded.
+    and carriers above CARRIER_CAP raise SizeLimitExceeded.
     """
     if A.signature != B.signature:
         raise SignatureMismatch("isomorphism needs a shared signature")
     if A.size != B.size:
         return iter(())
     n = A.size
-    if n > ISO_SIZE_CAP:
-        raise SizeLimitExceeded(f"isomorphism search capped at {ISO_SIZE_CAP}")
+    if n > CARRIER_CAP:
+        raise SizeLimitExceeded(f"isomorphism search capped at {CARRIER_CAP}")
     due = [[] for _ in range(n)]
     for (_, arity), ta, tb in zip(A.signature.symbols, A.tables, B.tables):
         for args, out in zip(tuples(n, arity), ta):

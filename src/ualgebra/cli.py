@@ -9,7 +9,6 @@ exception), reported as one `internal error:` line on stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -64,13 +63,6 @@ def _elements(text: str, option: str) -> tuple[int, ...]:
     return tuple(_uint(x, option) for x in tokens if x)
 
 
-def _size_cap(args, default: int) -> int:
-    if args.size_cap is not None:
-        return args.size_cap
-    env = os.environ.get("UA_SIZE_CAP")
-    return _uint(env, "UA_SIZE_CAP") if env else default
-
-
 def _parse_map_file(path: str, keywords) -> dict[str, dict[int, list[int]]]:
     """The tables of a map file: a header `<keyword> <element>` opens the
     table of that element, and the lines up to the next header are its entries."""
@@ -113,7 +105,7 @@ def cmd_check(args, ws: Workspace) -> int:
 
 def cmd_congruences(args, ws: Workspace) -> int:
     A = ws.algebra(args.ref)
-    found = congruences.all_congruences(A, cap=_size_cap(args, congruences.CONGRUENCE_ENUM_CAP))
+    found = congruences.all_congruences(A)
     print(len(found))
     for part in found:
         print(part)
@@ -122,7 +114,7 @@ def cmd_congruences(args, ws: Workspace) -> int:
 
 def cmd_idempotents(args, ws: Workspace) -> int:
     A = ws.algebra(args.ref)
-    endos = inner.idempotent_endomorphisms(A, cap=_size_cap(args, inner.ENDO_ENUM_CAP))
+    endos = inner.idempotent_endomorphisms(A)
     print(len(endos))
     for endo in endos:
         print(" ".join(map(str, endo.map)))
@@ -132,8 +124,8 @@ def cmd_idempotents(args, ws: Workspace) -> int:
 def cmd_decompose(args, ws: Workspace) -> int:
     A = ws.algebra(args.ref)
     B = _elements(args.B, "--B")
-    omega = parse_partition(args.omega, A.size)
-    report = inner.verify_inner_sdp(A, B, omega, cap=_size_cap(args, inner.ENDO_ENUM_CAP))
+    omega = parse_partition(args.omega, A.size, "--omega")
+    report = inner.verify_inner_sdp(A, B, omega)
     print(f"subalgebra: {report.b_is_subalgebra}")
     print(f"congruence: {report.omega_is_congruence}")
     for label, value in zip("abcd", (report.a, report.b, report.c, report.d)):
@@ -231,7 +223,7 @@ def cmd_heap(args, ws: Workspace) -> int:
         return 0
     # argparse's choices leave "decompose"
     Y = _elements(args.Y, "--Y")
-    omega = parse_partition(args.omega, A.size)
+    omega = parse_partition(args.omega, A.size, "--omega")
     report = heaps.heap_inner_report(A, Y, omega, basepoint)
     for label, value in zip("abcde", (report.a, report.b, report.c, report.d, report.e)):
         print(f"({label}): {value}")
@@ -246,7 +238,7 @@ def cmd_truss(args, ws: Workspace) -> int:
         return 0 if ok else 1
     # argparse's choices leave "decompose"
     Y = _elements(args.Y, "--Y")
-    omega = parse_partition(args.omega, A.size)
+    omega = parse_partition(args.omega, A.size, "--omega")
     report = heaps.near_truss_report(A, Y, omega, side=args.side)
     for label, value in zip("abcd", (report.a, report.b, report.c, report.d)):
         print(f"({label}): {value}")
@@ -278,9 +270,6 @@ def cmd_envcat(args, ws: Workspace) -> int:
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ua", description=__doc__)
-    # integer options stay text here and are read by `parse_uint` inside
-    # main's error handler, so a bad one exits 2 with an `error:` line
-    parser.add_argument("--size-cap", default=None, help="enumeration cap override")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("check", help="check an algebra against a variety")
@@ -328,6 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heap", help="heap reports and conversions")
     p.add_argument("action", choices=["check", "convert", "decompose"])
     p.add_argument("ref")
+    # an integer option stays text here and is read by `parse_uint` inside
+    # main's error handler, so a bad one exits 2 with an `error:` line
     p.add_argument("--basepoint", default=None)
     p.add_argument("--Y", default="")
     p.add_argument("--omega", default="")
@@ -367,8 +358,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.size_cap is not None:
-            args.size_cap = _uint(args.size_cap, "--size-cap")
         return _HANDLERS[args.verb](args, Workspace())
     except (UAError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,20 +17,21 @@ of the table; the sections of two values line up entry by entry.
   far, so a new Cg(a, b) is joined once with each member not already above
   it. That is at most |Con(A)| joins per distinct principal congruence.
   Con(A) is built once per algebra: a memo keyed on A alone holds
-  IDEMPOTENT_CACHE_SIZE sorted tuples, whatever cap the caller passes, so
-  a caller's own call and the idempotent search share one build. Every
-  call returns a fresh list, so no caller can change a cached value.
+  IDEMPOTENT_CACHE_SIZE sorted tuples, so a caller's own call and the
+  idempotent search share one build. Every call returns a fresh list, so
+  no caller can change a cached value.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebras import IDEMPOTENT_CACHE_SIZE, FiniteAlgebra, Homomorphism
+from .algebras import CARRIER_CAP, IDEMPOTENT_CACHE_SIZE, FiniteAlgebra, Homomorphism
 from .errors import SizeLimitExceeded, SizeMismatch
 from .partitions import Partition, UnionFind
 
-CONGRUENCE_ENUM_CAP = 8
+# Bell(8): Con(A) of an n-element algebra has at most Bell(n) members
+CONGRUENCE_LIMIT = 4140
 
 
 def _section(table, n: int, stride: int, a: int) -> list[int]:
@@ -108,7 +109,7 @@ def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Partition:
     return congruence_generated(A, [(a, b)])
 
 
-def all_congruences(A: FiniteAlgebra, cap: int = CONGRUENCE_ENUM_CAP) -> list[Partition]:
+def all_congruences(A: FiniteAlgebra) -> list[Partition]:
     """Every congruence of A, as the join-closure of its principal congruences.
 
     Each congruence is the join of the principal congruences Cg(a, b) of its
@@ -120,23 +121,30 @@ def all_congruences(A: FiniteAlgebra, cap: int = CONGRUENCE_ENUM_CAP) -> list[Pa
     once with each member of a subset of Con(A), at most |Con(A)| joins.
     Sorted by block count descending, then by representatives.
 
-    The cap is checked on every call; the closure is memoized on A alone
-    (IDEMPOTENT_CACHE_SIZE algebras), and each call gets a fresh list.
+    A carrier above CARRIER_CAP raises SizeLimitExceeded, and so does a
+    closure holding more than CONGRUENCE_LIMIT members, as soon as it does;
+    no algebra of at most 8 elements reaches that limit. The closure is
+    memoized on A alone (IDEMPOTENT_CACHE_SIZE algebras), errors are not,
+    and each call gets a fresh list.
     """
-    if A.size > cap:
-        raise SizeLimitExceeded(f"congruence enumeration capped at {cap}")
     return list(_congruence_closure(A))
 
 
 @lru_cache(maxsize=IDEMPOTENT_CACHE_SIZE)
 def _congruence_closure(A: FiniteAlgebra) -> tuple[Partition, ...]:
     n = A.size
+    if n > CARRIER_CAP:
+        raise SizeLimitExceeded(f"congruence enumeration capped at {CARRIER_CAP}")
     found = {Partition.identity(n)}
     for a in range(n):
         for b in range(a + 1, n):
             p = principal_congruence(A, a, b)
             if p not in found:
                 found.update([c.join(p) for c in found if c.rep[a] != c.rep[b]])
+                if len(found) > CONGRUENCE_LIMIT:
+                    raise SizeLimitExceeded(
+                        f"congruence enumeration capped at {CONGRUENCE_LIMIT} congruences"
+                    )
     return tuple(sorted(found, key=lambda p: (-p.block_count(), p.rep)))
 
 

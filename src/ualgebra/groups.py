@@ -93,7 +93,7 @@ def is_normal_subgroup(G: FiniteAlgebra, S) -> bool:
 
 def automorphism_group(G: FiniteAlgebra) -> list[tuple[int, ...]]:
     """All automorphisms of G in lexicographic order: the maps of
-    `isomorphisms(G, G)`, which raises SizeLimitExceeded above ISO_SIZE_CAP.
+    `isomorphisms(G, G)`, which raises SizeLimitExceeded above CARRIER_CAP.
     Off GROUP_SIG it raises SignatureMismatch."""
     if G.signature != GROUP_SIG:
         raise SignatureMismatch("expected the group signature m/2, i/1, e/0")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 from operator import attrgetter
 
 from .algebras import (
@@ -35,10 +36,13 @@ from .congruences import all_congruences, is_congruence, kernel
 from .errors import NotAHomomorphism, NotIdempotent, SizeLimitExceeded, crosscheck
 from .partitions import Partition
 
-ENDO_ENUM_CAP = 8
+# The idempotent self-maps of an 8-set: no algebra of at most 8 elements
+# has more candidate retractions
+CANDIDATE_LIMIT = 41393
 
 
-def idempotent_endomorphisms(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> tuple[Homomorphism, ...]:
+@lru_cache(maxsize=IDEMPOTENT_CACHE_SIZE)
+def idempotent_endomorphisms(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     """All idempotent endomorphisms of A, in lexicographic map order.
 
     e <-> (im e, ker e) is a bijection onto the pairs (B, omega) with omega a
@@ -47,21 +51,19 @@ def idempotent_endomorphisms(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> tupl
     `all_congruences(A)` and each choice of one representative per block,
     the retraction onto the chosen set is kept when the `Homomorphism`
     constructor accepts it. Each of these candidates is tested once.
+
+    The candidates number the sum over omega of the product of its block
+    sizes; above CANDIDATE_LIMIT, SizeLimitExceeded is raised before any is
+    tested. Memoized on A alone (IDEMPOTENT_CACHE_SIZE algebras); errors
+    are not memoized.
     """
-    if A.size > cap:
-        raise SizeLimitExceeded(f"endomorphism enumeration capped at {cap}")
-    return _enumerate_idempotents(A)
-
-
-@lru_cache(maxsize=IDEMPOTENT_CACHE_SIZE)
-def _enumerate_idempotents(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
-    # the cap is checked by the caller, so one entry serves every cap; each
-    # retraction is tested once, by the Homomorphism constructor
+    congruences = [(omega.rep, omega.blocks()) for omega in all_congruences(A)]
+    if sum(prod(map(len, blocks)) for _, blocks in congruences) > CANDIDATE_LIMIT:
+        raise SizeLimitExceeded(f"idempotent search capped at {CANDIDATE_LIMIT} candidates")
     found = []
-    for omega in all_congruences(A, A.size):
-        blocks = omega.blocks()
+    for rep, blocks in congruences:
         index = {block[0]: i for i, block in enumerate(blocks)}
-        where = [index[r] for r in omega.rep]  # reps[where[x]] represents x's block
+        where = [index[r] for r in rep]  # reps[where[x]] represents x's block
         for reps in product(*blocks):
             try:
                 found.append(Homomorphism(A, A, tuple([reps[i] for i in where])))
@@ -121,11 +123,9 @@ def is_transversal(B: frozenset[int], omega: Partition) -> bool:
     return all(len(B.intersection(block)) == 1 for block in omega.blocks())
 
 
-def endo_witness(
-    A: FiniteAlgebra, B: frozenset[int], omega: Partition, cap: int = ENDO_ENUM_CAP
-) -> bool:
+def endo_witness(A: FiniteAlgebra, B: frozenset[int], omega: Partition) -> bool:
     """(b): some idempotent endomorphism has image B and kernel omega."""
-    return any(e.image() == B and kernel(e) == omega for e in idempotent_endomorphisms(A, cap))
+    return any(e.image() == B and kernel(e) == omega for e in idempotent_endomorphisms(A))
 
 
 def _retraction(A: FiniteAlgebra, B: frozenset[int], omega: Partition) -> tuple[int, ...] | None:
@@ -164,7 +164,7 @@ def unique_factorizations(n: int, left, right, op) -> bool:
     return sorted(op(l, r) for l in left for r in right) == list(range(n))
 
 
-def verify_inner_sdp(A: FiniteAlgebra, B, omega: Partition, cap: int = ENDO_ENUM_CAP) -> InnerSdpReport:
+def verify_inner_sdp(A: FiniteAlgebra, B, omega: Partition) -> InnerSdpReport:
     """Evaluate the four equivalent decomposition conditions independently.
 
     Violated preconditions (B not a subalgebra, omega not a congruence) are
@@ -176,7 +176,7 @@ def verify_inner_sdp(A: FiniteAlgebra, B, omega: Partition, cap: int = ENDO_ENUM
     if not (sub_ok and cong_ok):
         return InnerSdpReport(sub_ok, cong_ok, False, False, False, False, None)
     flag_a = is_transversal(B, omega)
-    flag_b = endo_witness(A, B, omega, cap)
+    flag_b = endo_witness(A, B, omega)
     flag_c = retraction_witness(A, B, omega)
     flag_d = canonical_iso_witness(A, B, omega)
     crosscheck(flag_a == flag_b == flag_c == flag_d, "the four conditions must agree")
@@ -237,7 +237,7 @@ class PosetReport:
     class_reports: tuple[BlockClassReport, ...]
 
 
-def idempotent_poset(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> PosetReport:
+def idempotent_poset(A: FiniteAlgebra) -> PosetReport:
     """Order the idempotent endomorphisms and grade every block of every
     decomposition by the three equivalent class conditions.
 
@@ -247,7 +247,7 @@ def idempotent_poset(A: FiniteAlgebra, cap: int = ENDO_ENUM_CAP) -> PosetReport:
     constant endomorphism below e lands inside K; the three are asserted
     equivalent.
     """
-    endos = idempotent_endomorphisms(A, cap)
+    endos = idempotent_endomorphisms(A)
     matrix = tuple(tuple(endo_leq(e, f) for f in endos) for e in endos)
     identity_index = endos.index(Homomorphism(A, A, tuple(range(A.size))))
     crosscheck(all(row[identity_index] for row in matrix), "identity must be greatest")

@@ -118,9 +118,6 @@ class OuterProduct:
         b = bisect_right(self.family.offsets, x) - 1
         return x - self.family.offsets[b], b
 
-    def fiber(self, b: int) -> tuple[int, int]:
-        return self.family.fibers[b]
-
     def section_map(self) -> tuple[int, ...]:
         """b -> the basepoint of its fiber, as a global element."""
         return tuple(self.encode(b, self.family.fibers[b][1]) for b in range(self.family.base.size))

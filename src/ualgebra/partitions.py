@@ -118,13 +118,14 @@ class UnionFind:
         return Partition(tuple(self.find(x) for x in range(len(self.parent))))
 
 
-def parse_partition(text: str, n: int) -> Partition:
-    """Parse the `{{0,2},{1,3}}` form back into a Partition over {0..n-1}."""
+def parse_partition(text: str, n: int, source: str = "<input>") -> Partition:
+    """Parse the `{{0,2},{1,3}}` form back into a Partition over {0..n-1};
+    an error cites `source`:1:<column>."""
     from .algebras import parse_uint  # algebras imports this module
 
     s = "".join(text.split())
     if not (s.startswith("{") and s.endswith("}")):
-        raise ParseError("partition must be wrapped in braces", line=1, column=1)
+        raise ParseError("partition must be wrapped in braces", source, 1, 1)
     body = s[1:-1]
     blocks: list[list[int]] = []
     i = 0
@@ -133,17 +134,17 @@ def parse_partition(text: str, n: int) -> Partition:
             i += 1
             continue
         if body[i] != "{":
-            raise ParseError("expected '{' opening a block", line=1, column=i + 2)
+            raise ParseError("expected '{' opening a block", source, 1, i + 2)
         j = body.find("}", i)
         if j < 0:
-            raise ParseError("unterminated block", line=1, column=i + 2)
+            raise ParseError("unterminated block", source, 1, i + 2)
         inner = body[i + 1 : j]
         message = "block entries must be integers"
-        block = [parse_uint(p, message, "<input>", 1, i + 2) for p in inner.split(",") if p != ""]
+        block = [parse_uint(p, message, source, 1, i + 2) for p in inner.split(",") if p != ""]
         if not block:
-            raise ParseError("empty block", line=1, column=i + 2)
+            raise ParseError("empty block", source, 1, i + 2)
         if any(x >= n for x in block):
-            raise ParseError(f"block entry out of range 0..{n - 1}", line=1, column=i + 2)
+            raise ParseError(f"block entry out of range 0..{n - 1}", source, 1, i + 2)
         blocks.append(block)
         i = j + 1
     return Partition.from_blocks(n, blocks)

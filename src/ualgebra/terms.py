@@ -61,9 +61,6 @@ class Signature:
     def arity(self, name: str) -> int:
         return self.symbols[self.position(name)][1]
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.symbols)
-
 
 @dataclass(frozen=True)
 class Var:
@@ -115,12 +112,6 @@ class _Parser:
 
     def fail(self, message: str):
         raise TermSyntaxError(message, self.pos + 1)
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
 
     def parse(self) -> Term:
         t = self.term()

@@ -1,5 +1,4 @@
 import contextlib
-import importlib
 import io
 import os
 import subprocess
@@ -11,7 +10,13 @@ import pytest
 
 from ualgebra import cli, heaps
 from ualgebra.algebras import emit_algebra, parse_algebras, parse_uint
-from ualgebra.catalog import cyclic_group, subtraction_algebra, symmetric_group_s3
+from ualgebra.catalog import (
+    chain_lattice,
+    cyclic_group,
+    left_zero_semigroup,
+    subtraction_algebra,
+    symmetric_group_s3,
+)
 from ualgebra.cli import main
 from ualgebra.digroups import trivial_digroup
 from ualgebra.errors import InternalInconsistency, ParseError
@@ -507,7 +512,7 @@ _OMEGA = ["--omega", "{{0,1,2,3}}"]
         (["decompose", "$algs#z4", "--B", "x", *_OMEGA], "--B:1:0: bad integer 'x'"),
         (
             ["decompose", "$algs#z4", "--B", "0", "--omega", "{{0,+1,2,3}}"],
-            "<input>:1:2: block entries must be integers",
+            "--omega:1:2: block entries must be integers",
         ),
         (["heap", "decompose", "$heap#hz4", "--Y", "-1", *_OMEGA], "--Y:1:0: bad integer '-1'"),
         (["brace", "commutator", "$dg#dgs3", "--I", "0", "--J", "+0"], "--J:1:0: bad integer '+0'"),
@@ -542,38 +547,62 @@ def test_missing_file_is_input_error(capsys):
     assert main(["check", "nosuch.alg#x", "--variety", "group"]) == 2
 
 
-def test_size_cap_flag_and_env(tmp_path, capsys, monkeypatch):
-    from ualgebra.catalog import cyclic_group as zn
-
-    big = tmp_path / "big.alg"
-    big.write_text(emit_algebra(zn(9)))
-    # the default cap of 8 rejects a 9-element carrier
-    assert main(["idempotents", f"{big}#z9"]) == 2
-    assert capsys.readouterr().err == "error: endomorphism enumeration capped at 8\n"
-    assert main(["--size-cap", "9", "idempotents", f"{big}#z9"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "2"  # only the zero and identity multipliers are idempotent mod 9
-    monkeypatch.setenv("UA_SIZE_CAP", "9")
-    assert main(["idempotents", f"{big}#z9"]) == 0
+NINE = "{{0,1,2,3,4,5,6,7,8}}"
+HOLDS = "".join(f"({c}): True\n" for c in "abcde")
 
 
 @pytest.mark.parametrize(
-    "module, cap, verb",
+    "argv, out",
     [
-        ("congruences", "CONGRUENCE_ENUM_CAP", ["congruences"]),
-        ("inner", "ENDO_ENUM_CAP", ["idempotents"]),
-        ("inner", "ENDO_ENUM_CAP", ["decompose", "--B", "0", "--omega", "{{0,1,2,3,4,5,6,7,8}}"]),
+        (
+            ["congruences", "$big#z9"],
+            "3\n{{0},{1},{2},{3},{4},{5},{6},{7},{8}}\n{{0,3,6},{1,4,7},{2,5,8}}\n" + NINE + "\n",
+        ),
+        (["idempotents", "$big#z9"], "2\n0 0 0 0 0 0 0 0 0\n0 1 2 3 4 5 6 7 8\n"),
+        (
+            ["decompose", "$big#z9", "--B", "0", "--omega", NINE],
+            "subalgebra: True\ncongruence: True\n" + HOLDS[: -len("(e): True\n")],
+        ),
+        (["heap", "decompose", "$big#hz9", "--Y", "0", "--omega", NINE], HOLDS),
     ],
+    ids=["congruences", "idempotents", "decompose", "heap-decompose"],
 )
-def test_default_size_cap_is_the_library_cap(tmp_path, capsys, monkeypatch, module, cap, verb):
+def test_nine_element_carriers_answer(tmp_path, capsys, argv, out):
+    # every verb reaches the carrier cap of 12; only the size of the answer stops it
     big = tmp_path / "big.alg"
-    big.write_text(emit_algebra(cyclic_group(9)))
-    argv = [verb[0], f"{big}#z9", *verb[1:]]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.endswith("capped at 8\n")
-    monkeypatch.setattr(importlib.import_module(f"ualgebra.{module}"), cap, 9)
-    assert main(argv) in (0, 1)
-    assert capsys.readouterr().err == ""
+    hz9 = heap_from_group(cyclic_group(9)).rename("hz9")
+    big.write_text(emit_algebra(cyclic_group(9)) + emit_algebra(hz9))
+    assert main([Template(a).substitute(big=big) for a in argv]) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize(
+    "algebra, verb, err",
+    [
+        (
+            lambda: left_zero_semigroup(9),
+            "congruences",
+            "congruence enumeration capped at 4140 congruences",
+        ),
+        (lambda: chain_lattice(12), "idempotents", "idempotent search capped at 41393 candidates"),
+        (lambda: cyclic_group(13), "idempotents", "congruence enumeration capped at 12"),
+    ],
+    ids=["congruence-limit", "candidate-limit", "carrier-cap"],
+)
+def test_size_limits_are_input_errors(tmp_path, capsys, algebra, verb, err):
+    path = tmp_path / "a.alg"
+    path.write_text(emit_algebra(algebra().rename("a")))
+    assert main([verb, f"{path}#a"]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [["--size-cap", "9"], ["--size-cap=9"]], ids=["separate", "joined"])
+def test_size_cap_is_not_an_option(workspace, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "idempotents", f"{workspace['algs']}#z4"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "ua: error:" in err
 
 
 def test_check_against_variety_file(tmp_path, capsys):
@@ -590,8 +619,6 @@ def test_check_against_variety_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["--size-cap", "+9", "idempotents", "$algs#z4"], "--size-cap:1:0: bad integer '+9'"),
-        (["--size-cap", "x", "check", "$algs#z4", "--variety", "group"], "--size-cap:1:0: bad integer 'x'"),
         (["heap", "convert", "$heap#hz4", "--basepoint", "+2"], "--basepoint:1:0: bad integer '+2'"),
         (["heap", "check", "$heap#hz4", "--basepoint", "x"], "--basepoint:1:0: bad integer 'x'"),
         (
@@ -599,19 +626,11 @@ def test_check_against_variety_file(tmp_path, capsys):
             "--basepoint:1:0: bad integer '-1'",
         ),
     ],
-    ids=["size-cap+9", "size-cap-x", "basepoint+2", "basepoint-x", "basepoint-1"],
+    ids=["basepoint+2", "basepoint-x", "basepoint-1"],
 )
 def test_integer_options_are_unsigned_numerals(workspace, capsys, argv, err):
     assert main([Template(a).substitute(workspace) for a in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
-
-
-def test_size_cap_variable_must_be_a_numeral(workspace, capsys, monkeypatch):
-    monkeypatch.setenv("UA_SIZE_CAP", "x")
-    assert main(["idempotents", f"{workspace['algs']}#z4"]) == 2
-    assert capsys.readouterr() == ("", "error: UA_SIZE_CAP:1:0: bad integer 'x'\n")
-    # a verb without a cap does not read it
-    assert main(["check", f"{workspace['algs']}#z4", "--variety", "group"]) == 0
 
 
 @pytest.mark.parametrize("digit", ["٣", "３"], ids=["arabic-indic-3", "full-width-3"])
@@ -628,23 +647,27 @@ def test_digits_of_other_scripts_are_not_numerals(workspace, tmp_path, capsys, d
     assert capsys.readouterr() == ("", f"error: --B:1:0: bad integer {digit!r}\n")
 
 
-def test_calls_do_not_leak_options_into_each_other(tmp_path, capsys):
-    big = tmp_path / "big.alg"
-    big.write_text(emit_algebra(cyclic_group(9)))
-    assert main(["--size-cap", "9", "idempotents", f"{big}#z9"]) == 0
-    capsys.readouterr()
-    assert main(["idempotents", f"{big}#z9"]) == 2
-    assert capsys.readouterr() == ("", "error: endomorphism enumeration capped at 8\n")
+def test_calls_do_not_leak_options_into_each_other(workspace, capsys):
+    heap = f"{workspace['heap']}#hz4"
+    assert main(["heap", "convert", heap, "--basepoint", "1"]) == 0
+    first = capsys.readouterr()
+    # the shared parser keeps no value of an earlier call
+    assert main(["heap", "convert", heap]) == 2
+    assert capsys.readouterr() == ("", "error: heap convert needs --basepoint\n")
     with pytest.raises(SystemExit) as exc:
-        main(["--size-cap", "9", "idempotents"])
+        main(["heap", "convert", "--basepoint", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
     with pytest.raises(SystemExit):
-        main(["idempotents", f"{big}#z9", "--B", "0"])
+        main(["heap", "convert", heap, "--B", "0"])
     capsys.readouterr()
-    assert main(["--size-cap", "9", "idempotents", f"{big}#z9"]) == 0
-    out, err = capsys.readouterr()
-    assert out.splitlines()[0] == "2" and err == ""
+    outer = ["outer", "--action", str(workspace["act"]), "--variety", "group"]
+    assert main([*outer, "--name", "s3"]) == 0
+    assert capsys.readouterr().out.startswith("algebra s3\n")
+    assert main(outer) == 0
+    assert capsys.readouterr().out.startswith("algebra outer\n")
+    assert main(["heap", "convert", heap, "--basepoint", "1"]) == 0
+    assert capsys.readouterr() == first
 
 
 def _help(argv, parse) -> str:

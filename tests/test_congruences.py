@@ -20,7 +20,7 @@ from ualgebra.congruences import (
 )
 from ualgebra.errors import NotACongruence, SizeLimitExceeded
 from ualgebra.heaps import heap_from_group
-from ualgebra.inner import _enumerate_idempotents, idempotent_endomorphisms
+from ualgebra.inner import idempotent_endomorphisms
 from ualgebra.partitions import Partition, all_set_partitions
 from ualgebra.terms import Signature
 
@@ -96,7 +96,7 @@ BFS_CORPUS = (
 
 @pytest.mark.parametrize("A", BFS_CORPUS, ids=lambda A: A.name)
 def test_all_congruences_matches_the_principal_join_bfs(A):
-    assert [p.rep for p in all_congruences(A, cap=12)] == principal_join_bfs(A)
+    assert [p.rep for p in all_congruences(A)] == principal_join_bfs(A)
 
 
 @st.composite
@@ -166,9 +166,16 @@ def test_congruence_iff_quotient_succeeds():
                     quotient(A, p)
 
 
-def test_enumeration_cap():
-    with pytest.raises(SizeLimitExceeded):
-        all_congruences(cyclic_group(9))
+def test_the_carrier_cap_and_the_congruence_limit():
+    assert len(all_congruences(cyclic_group(12))) == 6
+    with pytest.raises(SizeLimitExceeded, match="^congruence enumeration capped at 12$"):
+        all_congruences(cyclic_group(13))
+    # every partition of a left-zero semigroup is a congruence: Bell(8) = 4140
+    # is the largest lattice the closure holds, and Bell(9) = 21147 stops it
+    assert len(all_congruences(left_zero_semigroup(8))) == 4140
+    message = "^congruence enumeration capped at 4140 congruences$"
+    with pytest.raises(SizeLimitExceeded, match=message):
+        all_congruences(left_zero_semigroup(9))
 
 
 def test_kernels():
@@ -207,7 +214,7 @@ def test_congruence_cache_is_bounded_and_serves_the_idempotent_search():
     assert _congruence_closure.cache_info().maxsize == IDEMPOTENT_CACHE_SIZE
     A = mult_semigroup(6)
     _congruence_closure.cache_clear()
-    _enumerate_idempotents.cache_clear()
+    idempotent_endomorphisms.cache_clear()
     all_congruences(A)
     idempotent_endomorphisms(A)
     info = _congruence_closure.cache_info()
@@ -215,15 +222,13 @@ def test_congruence_cache_is_bounded_and_serves_the_idempotent_search():
     assert (info.misses, info.hits) == (1, 1)
 
 
-def test_congruence_cache_keeps_one_entry_per_algebra_whatever_the_cap():
-    A = mult_semigroup(6)
+def test_a_size_limit_is_not_memoized():
     _congruence_closure.cache_clear()
-    default, wider = all_congruences(A), all_congruences(A, cap=12)
+    for A in [cyclic_group(13), left_zero_semigroup(9)] * 2:
+        with pytest.raises(SizeLimitExceeded):
+            all_congruences(A)
     info = _congruence_closure.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    assert default == wider
-    with pytest.raises(SizeLimitExceeded):
-        all_congruences(A, cap=5)
+    assert (info.misses, info.hits, info.currsize) == (4, 0, 0)
 
 
 def test_a_caller_cannot_change_the_cached_congruences():

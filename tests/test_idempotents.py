@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import _is_hom, backtracking_idempotents
 from ualgebra import algebras
-from ualgebra.algebras import FiniteAlgebra, is_homomorphism, quotient
+from ualgebra.algebras import FiniteAlgebra, is_homomorphism, product, quotient
 from ualgebra.catalog import (
     chain_lattice,
     cyclic_group,
@@ -24,9 +24,9 @@ from ualgebra.catalog import (
     standard_corpus,
 )
 from ualgebra.congruences import all_congruences
-from ualgebra.errors import SignatureMismatch, SizeMismatch
+from ualgebra.errors import SignatureMismatch, SizeLimitExceeded, SizeMismatch
 from ualgebra.heaps import heap_from_group
-from ualgebra.inner import _enumerate_idempotents, idempotent_endomorphisms
+from ualgebra.inner import CANDIDATE_LIMIT, idempotent_endomorphisms
 from ualgebra.terms import Signature
 
 TESTS = Path(__file__).resolve().parent
@@ -93,9 +93,9 @@ def test_constants_in_one_block_leave_no_transversal():
 def test_left_zero_semigroups_keep_every_candidate():
     # x * y = x: every self-map is a homomorphism, so each retraction is kept
     # and the count is that of idempotent self-maps (OEIS A000248); n = 8 is
-    # the largest workload at the cap
+    # CANDIDATE_LIMIT, the largest search that runs
     counts = [len(idempotent_endomorphisms(left_zero_semigroup(n))) for n in range(1, 9)]
-    assert counts == [1, 3, 10, 41, 196, 1057, 6322, 41393]
+    assert counts == [1, 3, 10, 41, 196, 1057, 6322, CANDIDATE_LIMIT]
 
 
 @pytest.mark.parametrize(
@@ -116,9 +116,50 @@ def test_each_candidate_is_tested_once(A, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(algebras, "is_homomorphism", counted)
-    _enumerate_idempotents.cache_clear()
+    idempotent_endomorphisms.cache_clear()
     maps = idempotent_maps(A)
     assert len(calls) == candidates > len(maps)
+
+
+# 9-12 elements: below the carrier cap, with answers inside both limits
+LARGE = (
+    [mult_semigroup(n) for n in range(9, 13)]
+    + [cyclic_group(n) for n in (9, 10, 12)]
+    + [heap_from_group(cyclic_group(n)) for n in (9, 12)]
+    + [product(chain_lattice(3), chain_lattice(4)), chain_lattice(9)]
+)
+
+
+@pytest.mark.parametrize("A", LARGE, ids=lambda A: A.name)
+def test_idempotents_of_9_to_12_elements_match_the_map_by_map_search(A):
+    assert idempotent_maps(A) == backtracking_idempotents(A)
+
+
+def candidates(A):
+    return sum(prod(len(block) for block in omega.blocks()) for omega in all_congruences(A))
+
+
+def test_the_candidate_limit_is_checked_before_any_candidate(monkeypatch):
+    # the retractions of a chain are its interval partitions with a chosen
+    # point per interval: Fibonacci numbers, F(22) = 17711 and F(24) = 46368
+    assert candidates(chain_lattice(11)) == 17711 == len(idempotent_maps(chain_lattice(11)))
+    A = chain_lattice(12)
+    assert candidates(A) == 46368 > CANDIDATE_LIMIT
+    calls = []
+    monkeypatch.setattr(algebras, "is_homomorphism", lambda *args: calls.append(args))
+    idempotent_endomorphisms.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SizeLimitExceeded, match="^idempotent search capped at 41393 candidates$"):
+            idempotent_endomorphisms(A)
+    assert calls == []
+    assert idempotent_endomorphisms.cache_info().currsize == 0
+
+
+def test_the_congruence_limit_stops_the_search_first():
+    # Con(left_zero_semigroup(9)) holds all Bell(9) = 21147 partitions
+    message = "^congruence enumeration capped at 4140 congruences$"
+    with pytest.raises(SizeLimitExceeded, match=message):
+        idempotent_endomorphisms(left_zero_semigroup(9))
 
 
 @settings(max_examples=200, deadline=None)

@@ -76,6 +76,23 @@ def test_only_algebras_skips_comment_lines(path):
     assert path.name == "algebras.py" or comment_tests == []
 
 
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # every setting of the library is an argument, so no run depends on a
+    # variable of the shell that started it
+    tree = ast.parse(path.read_text())
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+        or isinstance(node, ast.ImportFrom) and any(a.name in ENVIRONMENT for a in node.names)
+    ]
+    assert reads == []
+
+
 # A memo of a single int holds one entry per size asked for; any other
 # unbounded memo grows with the algebras or files it is called on.
 UNBOUNDED_INT_MEMOS = {"catalog.py:all_group_tables", "digroups.py:all_digroups"}
@@ -133,13 +150,13 @@ def _public_definitions(tree: ast.Module):
 
 
 def _reads(node: ast.AST, scope: str):
-    """(name, scope) for each name read as a variable or an attribute under
-    `node`; a function or class opens the scope `<enclosing>.<its name>`.
-    A name assigned to is not read."""
+    """(name, scope, is_attribute) for each name read as a variable or an
+    attribute under `node`; a function or class opens the scope
+    `<enclosing>.<its name>`. A name assigned to is not read."""
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-        yield node.id, scope
+        yield node.id, scope, False
     elif isinstance(node, ast.Attribute):
-        yield node.attr, scope
+        yield node.attr, scope, True
     elif isinstance(node, DEFINITIONS):
         scope = f"{scope}.{node.name}" if scope else node.name
     for child in ast.iter_child_nodes(node):
@@ -147,27 +164,32 @@ def _reads(node: ast.AST, scope: str):
 
 
 def test_every_public_definition_is_referenced():
-    """Each public function, class, method and top-level assigned name of the
-    package is read, as a name or an attribute, somewhere outside its own
-    definition in `src`, `tests` or `perfbench`, or is named in the README.
+    """Each public function, class and top-level assigned name of the package
+    is read, as a name or an attribute, somewhere outside its own definition
+    in `src`, `tests` or `perfbench`, or is named in the README. A method
+    `Class.name` is only ever called as `.name`, so it counts as referenced
+    only where `.name` is read as an attribute outside its own definition.
     An import or an `__all__` entry names a definition without using it, so
     neither counts."""
     definitions = []
     reads: dict[str, list[str]] = {}
+    attribute_reads: dict[str, list[str]] = {}
     for path in sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
         key = path.relative_to(ROOT).as_posix()
         tree = ast.parse(path.read_text())
         if path in MODULES:
-            definitions += [
-                (f"{key}:{q}", q.rpartition(".")[2]) for q in _public_definitions(tree)
-            ]
-        for name, scope in _reads(tree, ""):
+            definitions += [(f"{key}:{q}", q) for q in _public_definitions(tree)]
+        for name, scope, is_attribute in _reads(tree, ""):
             reads.setdefault(name, []).append(f"{key}:{scope}")
+            if is_attribute:
+                attribute_reads.setdefault(name, []).append(f"{key}:{scope}")
     readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    unreferenced = [
-        own
-        for own, name in definitions
-        if name not in readme
-        and all(at == own or at.startswith(own + ".") for at in reads.get(name, ()))
-    ]
-    assert unreferenced == []
+
+    def referenced(own: str, qualified: str) -> bool:
+        _, dot, name = qualified.rpartition(".")
+        if not dot and name in readme:
+            return True
+        at_reads = (attribute_reads if dot else reads).get(name, ())
+        return any(at != own and not at.startswith(own + ".") for at in at_reads)
+
+    assert [own for own, qualified in definitions if not referenced(own, qualified)] == []

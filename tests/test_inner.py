@@ -26,7 +26,6 @@ from ualgebra.errors import NotIdempotent, SizeLimitExceeded
 from ualgebra.heaps import heap_from_group, heap_inner_report
 from ualgebra.inner import (
     IDEMPOTENT_CACHE_SIZE,
-    _enumerate_idempotents,
     constant_endomorphisms,
     count_transversal_pairs,
     decomposition_from_idempotent,
@@ -62,13 +61,13 @@ def test_matches_brute_force_oracle_on_mixed_corpus():
         assert ours == brute_force_idempotent_endos(A)
 
 
-def test_enumeration_cap():
-    # checked before the congruences, whose own cap is also 8
-    with pytest.raises(SizeLimitExceeded, match="endomorphism enumeration capped at 8"):
-        idempotent_endomorphisms(cyclic_group(9))
-    # a raised cap reaches the congruence enumeration too
-    endos = idempotent_endomorphisms(cyclic_group(9), cap=9)
+def test_enumeration_reaches_the_carrier_cap():
+    endos = idempotent_endomorphisms(cyclic_group(9))
     assert [e.map for e in endos] == [(0,) * 9, tuple(range(9))]
+    assert len(idempotent_endomorphisms(cyclic_group(12))) == 4
+    # the carrier cap is the congruence enumeration's
+    with pytest.raises(SizeLimitExceeded, match="^congruence enumeration capped at 12$"):
+        idempotent_endomorphisms(cyclic_group(13))
 
 
 def test_decomposition_from_identity_and_constant():
@@ -244,12 +243,12 @@ def test_theorem_agreement_across_exhaustive_sweep():
 
 
 def test_idempotent_cache_is_bounded_and_serves_a_whole_heap_census():
-    assert _enumerate_idempotents.cache_info().maxsize == IDEMPOTENT_CACHE_SIZE
+    assert idempotent_endomorphisms.cache_info().maxsize == IDEMPOTENT_CACHE_SIZE
     X = heap_from_group(klein_group())
     pairs = [(Y, omega) for Y in all_subalgebras(X) for omega in all_congruences(X)]
-    _enumerate_idempotents.cache_clear()
+    idempotent_endomorphisms.cache_clear()
     holds = sum(heap_inner_report(X, Y, omega).holds for Y, omega in pairs)
-    info = _enumerate_idempotents.cache_info()
+    info = idempotent_endomorphisms.cache_info()
     # one enumeration for the whole census, every later pair a hit
     assert (info.misses, info.hits) == (1, len(pairs) - 1)
     assert holds == len(idempotent_endomorphisms(X))
@@ -265,17 +264,6 @@ def test_quotient_memo_builds_each_congruence_once_in_a_heap_census():
     info = quotient.cache_info()
     # (d) quotients once per omega, every later subheap paired with it hits
     assert (info.misses, info.hits) == (len(congs), len(congs) * (len(subs) - 1))
-
-
-def test_idempotent_cache_keeps_one_entry_per_algebra_whatever_the_cap():
-    A = mult_semigroup(6)
-    _enumerate_idempotents.cache_clear()
-    default, wider = idempotent_endomorphisms(A), idempotent_endomorphisms(A, cap=12)
-    info = _enumerate_idempotents.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    assert default == wider
-    with pytest.raises(SizeLimitExceeded):
-        idempotent_endomorphisms(A, cap=5)
 
 
 c, m, lz = chain_lattice, mult_semigroup, left_zero_semigroup

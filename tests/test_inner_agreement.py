@@ -10,7 +10,7 @@ Wherever B is a subalgebra, those flags must equal the general report's.
 import pytest
 
 from ualgebra.algebras import all_subalgebras
-from ualgebra.catalog import cyclic_ring, groups_up_to_8, zero_ring
+from ualgebra.catalog import cyclic_group, cyclic_ring, groups_up_to_8, zero_ring
 from ualgebra.congruences import all_congruences
 from ualgebra.digroups import (
     all_digroups,
@@ -24,8 +24,9 @@ from ualgebra.heaps import heap_from_group, heap_inner_report, near_truss_report
 from ualgebra.inner import verify_inner_sdp
 from ualgebra.partitions import Partition
 
-GROUPS = [G for G in groups_up_to_8() if G.size <= 6]
-HEAPS = [heap_from_group(G) for G in GROUPS if G.size <= 4]
+# Z12 and its heap: the reports reach the carrier cap of 12
+GROUPS = [G for G in groups_up_to_8() if G.size <= 6] + [cyclic_group(12)]
+HEAPS = [heap_from_group(G) for G in GROUPS if G.size <= 4 or G.size == 12]
 TRUSSES = [truss_from_ring(R(n)) for n in (1, 2, 3) for R in (cyclic_ring, zero_ring)]
 DIGROUPS = [D for n in (1, 2, 3) for D in all_digroups(n)]
 
