@@ -8,7 +8,7 @@ and heap semidirect products."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product as iproduct
 from math import prod
 
@@ -24,7 +24,7 @@ from .errors import (
     TableRangeError,
 )
 from .partitions import Partition
-from .terms import Signature
+from .terms import TABLE_PAD, Signature
 
 # The largest carrier that the isomorphism search, the subalgebra scan and
 # the congruence lattice take.
@@ -123,6 +123,19 @@ class FiniteAlgebra:
     @property
     def elements(self) -> range:
         return range(self.size)
+
+    @cached_property
+    def byte_tables(self) -> tuple[bytes | None, ...]:
+        """Each table of at most 256 entries as a `bytes.translate` map: the
+        table's bytes, padded to 256 with TABLE_PAD, which no carrier of at
+        most 255 elements holds. None for a longer table or a larger carrier.
+        Derived from `tables`, which equality, hashing and the text formats use."""
+        return tuple(
+            bytes(table).ljust(256, bytes((TABLE_PAD,)))
+            if len(table) <= 256 and self.size <= TABLE_PAD
+            else None
+            for table in self.tables
+        )
 
     def table(self, symbol: str) -> tuple[int, ...]:
         return self.tables[self.signature.position(symbol)]

@@ -22,6 +22,19 @@ from .partitions import parse_partition
 from .terms import eval_term, parse_term, term_to_str
 from .varieties import check_identities, get_variety, parse_varieties
 
+
+def _read(path: str) -> str:
+    """The text of a workspace, variety, action or map file, decoded as
+    UTF-8 whatever the locale; a byte that is not UTF-8 is a ParseError at
+    its line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines before it end in \n, \r\n or \r, as for universal newlines
+        line = len((exc.object[: exc.start] + b".").splitlines())
+        raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8", path, line) from None
+
+
 class Workspace:
     """Lazy `<file>#<name>` reference resolution with per-file caching."""
 
@@ -34,7 +47,7 @@ class Workspace:
         if not name:
             raise UAError(f"reference {ref!r} needs the form <file>#<name>")
         if path not in self._algebra_files:
-            self._algebra_files[path] = parse_algebras(Path(path).read_text(), source=path)
+            self._algebra_files[path] = parse_algebras(_read(path), source=path)
         try:
             return self._algebra_files[path][name]
         except KeyError:
@@ -45,7 +58,7 @@ class Workspace:
             return get_variety(ref)
         path, _, name = ref.partition("#")
         if path not in self._variety_files:
-            self._variety_files[path] = parse_varieties(Path(path).read_text(), source=path)
+            self._variety_files[path] = parse_varieties(_read(path), source=path)
         try:
             return self._variety_files[path][name]
         except KeyError:
@@ -68,7 +81,7 @@ def _parse_map_file(path: str, keywords) -> dict[str, dict[int, list[int]]]:
     table of that element, and the lines up to the next header are its entries."""
     out: dict[str, dict[int, list[int]]] = {k: {} for k in keywords}
     table: list[int] | None = None
-    for no, line in content_lines(Path(path).read_text()):
+    for no, line in content_lines(_read(path)):
         parts = line.split()
         if parts[0] in keywords:
             if len(parts) != 2:
@@ -135,7 +148,7 @@ def cmd_decompose(args, ws: Workspace) -> int:
 
 def cmd_outer(args, ws: Workspace) -> int:
     family, actions = outer.parse_action_file(
-        Path(args.action).read_text(), ws.algebra, source=args.action
+        _read(args.action), ws.algebra, source=args.action
     )
     V = ws.variety(args.variety)
     built = outer.build_outer_product(family, actions, V, name=args.name)
@@ -247,7 +260,7 @@ def cmd_truss(args, ws: Workspace) -> int:
 
 def cmd_envcat(args, ws: Workspace) -> int:
     family, actions = outer.parse_action_file(
-        Path(args.action).read_text(), ws.algebra, source=args.action
+        _read(args.action), ws.algebra, source=args.action
     )
     V = ws.variety(args.variety)
     built = outer.build_outer_product(family, actions, V)

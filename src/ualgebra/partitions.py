@@ -149,24 +149,3 @@ def parse_partition(text: str, n: int, source: str = "<input>") -> Partition:
         i = j + 1
     return Partition.from_blocks(n, blocks)
 
-
-def all_set_partitions(n: int):
-    """Yield every partition of {0..n-1} (restricted-growth enumeration)."""
-    if n == 0:
-        yield Partition(())
-        return
-    # restricted growth strings: code[0] = 0 and code[i] <= max(code[:i]) + 1
-    code = [0] * n
-
-    def rec(i: int, top: int):
-        if i == n:
-            blocks: dict[int, list[int]] = {}
-            for idx, c in enumerate(code):
-                blocks.setdefault(c, []).append(idx)
-            yield Partition.from_blocks(n, blocks.values())
-            return
-        for c in range(top + 2):
-            code[i] = c
-            yield from rec(i + 1, max(top, c))
-
-    yield from rec(1, 0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Union
@@ -23,6 +24,13 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # Deeper terms are rejected at parse time: evaluation, substitution and
 # printing recurse once or twice per level, within Python's default limit.
 MAX_TERM_DEPTH = 200
+# On carriers of at most this many elements `eval_block` works over byte
+# columns: every value fits in a byte and a binary index in an 8-bit lane.
+BYTE_CARRIER = 16
+# The byte that `FiniteAlgebra.byte_tables` reads past the end of a table.
+TABLE_PAD = 0xFF
+# each byte value as a one-byte string: a constant's column repeats one
+_ONE_BYTE = tuple(bytes((v,)) for v in range(256))
 
 
 @dataclass(frozen=True)
@@ -185,18 +193,34 @@ def parse_term(text: str, sig: Signature) -> Term:
     return _Parser(text, sig).parse()
 
 
-def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int) -> list[int]:
+def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
     """The values of `t` over a block of `length` assignments.
 
-    `columns[j]` holds x_j's value in each assignment of the block. A
-    variable is its column (the same object, not a copy), a constant its
-    table entry repeated, and an application packs its argument columns
-    row-major, as its table is laid out, and reads the table once per row;
-    unary and binary symbols index the table directly. Symbol and arity are
-    checked once per node, before its arguments are evaluated, so the
-    errors are those of a tree walk.
+    `columns[j]` holds x_j's value in each assignment of the block, as
+    `bytes` or as a list or tuple of ints. A variable is its column (the same
+    object, not a copy), a constant its table entry repeated, and an
+    application reads its table once per row, at the row-major index of its
+    argument values, as the table is laid out. Symbol and arity are checked
+    once per node, before its arguments are evaluated, so the errors are
+    those of a tree walk.
+
+    On a carrier of at most BYTE_CARRIER elements every value fits in a
+    byte, and a constant or an application returns `bytes`. An application
+    of arity k packs its argument columns as lanes of one big int,
+    `idx = idx * n + int.from_bytes(column)`, which never carry, since every
+    index is below the table's length n^k:
+    - n^k <= 256: 8-bit lanes, read by one `bytes.translate` through
+      `FiniteAlgebra.byte_tables`;
+    - n^k <= 65,536: 16-bit lanes, read by one `map` over the table;
+    - a longer table takes the list path below.
+    On a larger carrier every node takes the list path and returns a list.
+
+    The columns hold elements of the carrier. Over a single row, as
+    `eval_term` evaluates, a value outside it raises IndexError at the node
+    whose table index it puts out of range, as a tuple lookup does; over
+    longer blocks its lane may carry into the next one instead.
     """
-    if isinstance(t, Var):
+    if type(t) is Var:
         if t.index >= len(columns):
             raise MissingAssignment(f"no value for variable x{t.index}")
         return columns[t.index]
@@ -208,16 +232,45 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int) -> list[
     if sig.symbols[p][1] != len(args):
         raise SignatureMismatch(f"arity mismatch for {t.symbol!r}")
     table = algebra.tables[p]
-    if not args:
-        return [table[0]] * length
-    packed = eval_block(args[0], algebra, columns, length)
-    if len(args) == 1:
-        return [table[a] for a in packed]
     n = algebra.size
-    for arg in args[1:-1]:
+    if not args:
+        return _ONE_BYTE[table[0]] * length if n <= BYTE_CARRIER else [table[0]] * length
+    size = len(table)
+    # the arguments' own faults are UAErrors and IndexErrors, which the
+    # handlers below let pass
+    if n <= BYTE_CARRIER and size <= 256:
+        try:
+            if len(args) == 1:
+                lanes = bytes(eval_block(args[0], algebra, columns, length))
+            else:
+                idx = 0
+                for arg in args:
+                    idx = idx * n + int.from_bytes(eval_block(arg, algebra, columns, length), "little")
+                lanes = idx.to_bytes(length, "little")
+        except (ValueError, OverflowError):
+            # a value above 255 or below 0, or an index past the last lane
+            raise IndexError("tuple index out of range") from None
+        out = lanes.translate(algebra.byte_tables[p])
+        if TABLE_PAD in out:
+            raise IndexError("tuple index out of range")
+        return out
+    if n <= BYTE_CARRIER and size <= 1 << 16:
+        idx = 0
+        wide = bytearray(2 * length)
+        try:
+            for arg in args:
+                wide[0::2] = eval_block(arg, algebra, columns, length)
+                idx = idx * n + int.from_bytes(wide, "little")
+            lanes = struct.unpack(f"<{length}H", idx.to_bytes(2 * length, "little"))
+        except (ValueError, OverflowError):
+            raise IndexError("tuple index out of range") from None
+        return bytes(map(table.__getitem__, lanes))
+    packed = [0] * length
+    for arg in args[:-1]:
         packed = [i * n + a for i, a in zip(packed, eval_block(arg, algebra, columns, length))]
     last = eval_block(args[-1], algebra, columns, length)
-    return [table[i * n + a] for i, a in zip(packed, last)]
+    out = [table[i * n + a] for i, a in zip(packed, last)]
+    return bytes(out) if n <= BYTE_CARRIER else out
 
 
 def eval_term(t: Term, algebra: "FiniteAlgebra", assignment) -> int:

@@ -4,21 +4,26 @@
 row-major (lexicographic) order, in blocks of at most BLOCK_SIZE: the
 leading variables are fixed per block and the trailing ones, as many as fit,
 run through every value as projection columns. `terms.eval_block` evaluates
-both sides over the whole block at once. Within a block the rows follow the
+both sides over the whole block at once. On a carrier of at most
+`terms.BYTE_CARRIER` (16) elements the columns are `bytes`: the kernel packs
+them into 8- or 16-bit lanes, and the two sides compare as `bytes`. On a
+larger carrier they are lists. Within a block the rows follow the
 lexicographic order and the blocks follow each other in it, so the first row
 where the two value columns differ, in the first block where they differ at
 all, is the lexicographically first failing assignment: the witness the
-one-assignment-at-a-time scan reports.
+one-assignment-at-a-time scan reports. That row is looked for only once the
+block has failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .algebras import FiniteAlgebra, content_lines, parse_uint, row_major_columns
 from .errors import DuplicateName, ParseError, SignatureMismatch, UAError
-from .terms import Identity, Signature, eval_block, parse_identity
+from .terms import BYTE_CARRIER, Identity, Signature, eval_block, parse_identity
 
 # Assignments are scanned in row-major blocks of at most this many.
 BLOCK_SIZE = 4096
@@ -49,6 +54,12 @@ class IdentityReport:
     witness: Witness | None = None
 
 
+@lru_cache(maxsize=64)
+def _byte_projections(n: int, trailing: int) -> tuple[bytes, ...]:
+    """The columns of range(n)^trailing in row-major order, as `bytes`."""
+    return tuple(map(bytes, row_major_columns((n,) * trailing)))
+
+
 def check_identities(A: FiniteAlgebra, V: VarietySpec) -> IdentityReport:
     """Check every identity of V over all assignments (n^var_count each).
 
@@ -60,6 +71,7 @@ def check_identities(A: FiniteAlgebra, V: VarietySpec) -> IdentityReport:
         if sym not in A.signature or A.signature.arity(sym) != arity:
             raise SignatureMismatch(f"algebra lacks {sym}/{arity}")
     n = A.size
+    column_type = bytes if n <= BYTE_CARRIER else list
     for quasi, ident in [(False, i) for i in V.identities] + [
         (True, i) for i in V.quasi_conditions
     ]:
@@ -67,9 +79,12 @@ def check_identities(A: FiniteAlgebra, V: VarietySpec) -> IdentityReport:
         while trailing < ident.var_count and n ** (trailing + 1) <= BLOCK_SIZE:
             trailing += 1
         length = n**trailing
-        tail = row_major_columns((n,) * trailing)
+        if column_type is bytes:
+            tail = list(_byte_projections(n, trailing))
+        else:
+            tail = row_major_columns((n,) * trailing)
         for lead in iproduct(range(n), repeat=ident.var_count - trailing):
-            columns = [[v] * length for v in lead] + tail
+            columns = [column_type((v,)) * length for v in lead] + tail
             left = eval_block(ident.lhs, A, columns, length)
             right = eval_block(ident.rhs, A, columns, length)
             if left != right:

@@ -157,7 +157,7 @@ def brute_force_is_congruence(A, rep):
     return True
 
 
-def _set_partitions(n):
+def set_partitions(n):
     """Every partition of {0..n-1} as a least-member tuple, from the
     restricted growth strings (each label at most one above all before)."""
     def grow(code):
@@ -175,7 +175,7 @@ def brute_force_congruences(A):
     """Every congruence of A by filtering all Bell(n) partitions (n <= 7),
     sorted by block count descending, then by representatives."""
     assert A.size <= 7, "the Bell-number scan is meant for n <= 7"
-    found = [rep for rep in _set_partitions(A.size) if brute_force_is_congruence(A, rep)]
+    found = [rep for rep in set_partitions(A.size) if brute_force_is_congruence(A, rep)]
     return sorted(found, key=lambda rep: (-len(set(rep)), rep))
 
 
@@ -349,15 +349,39 @@ def digroup_outer_tables(Y, K, phi_star, phi_circ, Lambda):
 # with its own packing; nothing of the library's evaluator is used.
 
 
+class WalkFault(Exception):
+    """The first fault of a tree walk, by kind: `missing` (a variable past
+    the assignment), `symbol` (a symbol the algebra lacks), `arity` (a
+    symbol applied to the wrong number of arguments) or `index` (an index
+    past a table, from a value outside the carrier)."""
+
+
 def _oracle_eval(t, ops, n, assignment):
+    # a node is checked before its arguments, its table read after them
     if hasattr(t, "index"):
+        if t.index >= len(assignment):
+            raise WalkFault("missing")
         return assignment[t.index]
+    if t.symbol not in ops:
+        raise WalkFault("symbol")
     arity, table = ops[t.symbol]
-    assert arity == len(t.args)
+    if arity != len(t.args):
+        raise WalkFault("arity")
     idx = 0
     for a in t.args:
         idx = idx * n + _oracle_eval(a, ops, n, assignment)
+    if idx >= len(table):
+        raise WalkFault("index")
     return table[idx]
+
+
+def tree_walk(t, A, assignment):
+    """The value of t under one assignment of non-negative ints, or the
+    WalkFault of the first fault met, walking the tree in order."""
+    ops = {
+        sym: (arity, table) for (sym, arity), table in zip(A.signature.symbols, A.tables)
+    }
+    return _oracle_eval(t, ops, A.size, assignment)
 
 
 def first_identity_failure(A, V):

@@ -76,6 +76,32 @@ def test_only_algebras_skips_comment_lines(path):
     assert path.name == "algebras.py" or comment_tests == []
 
 
+TEXT_FILE_CALLS = {"open", "read_text", "write_text"}
+
+
+def _text_file_calls_without_encoding(tree: ast.Module):
+    """The line of each `open`, `read_text` or `write_text` call, as a name
+    or a method, that passes no `encoding=`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in TEXT_FILE_CALLS and all(k.arg != "encoding" for k in node.keywords):
+                yield node.lineno
+
+
+def test_the_encoding_lint_flags_a_locale_read():
+    tree = ast.parse("Path(p).read_text()\nopen(p)\nPath(p).read_text(encoding='utf-8')\n")
+    assert list(_text_file_calls_without_encoding(tree)) == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_file_read_names_its_encoding(path):
+    # a file decoded in the locale's encoding may parse under one locale and
+    # fail under another
+    assert list(_text_file_calls_without_encoding(ast.parse(path.read_text()))) == []
+
+
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
 

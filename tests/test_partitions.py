@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import transitive_closure_classes
+from oracles import set_partitions, transitive_closure_classes
 from ualgebra.errors import SizeMismatch
-from ualgebra.partitions import Partition, all_set_partitions, parse_partition
+from ualgebra.partitions import Partition, parse_partition
 
 
 def test_canonical_form_and_equality():
@@ -55,12 +55,14 @@ def test_size_mismatch_guard():
         Partition.identity(3).refines(Partition.identity(4))
 
 
-def test_all_set_partitions_counts_are_bell_numbers():
+def test_set_partitions_oracle_counts_are_bell_numbers():
     bell = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
     for n, count in bell.items():
-        parts = list(all_set_partitions(n))
+        parts = list(set_partitions(n))
         assert len(parts) == count
         assert len(set(parts)) == count
+        # each is a least-member tuple, the form of Partition.rep
+        assert all(Partition.from_pairs(n, enumerate(rep)).rep == rep for rep in parts)
 
 
 def _pair_lists(n):

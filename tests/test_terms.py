@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from ualgebra.catalog import cyclic_group
+from oracles import WalkFault, tree_walk
+from ualgebra.algebras import FiniteAlgebra
+from ualgebra.catalog import cyclic_group, cyclic_heap
 from ualgebra.errors import (
     ArityMismatch,
     MissingAssignment,
@@ -10,11 +14,13 @@ from ualgebra.errors import (
     UnknownSymbol,
 )
 from ualgebra.terms import (
+    BYTE_CARRIER,
     MAX_TERM_DEPTH,
     App,
     Identity,
     Signature,
     Var,
+    eval_block,
     eval_term,
     parse_identity,
     parse_term,
@@ -178,3 +184,121 @@ def test_roundtrip_across_registry():
         for name, k in spec.signature.symbols:
             t = App(name, tuple(Var(j) for j in range(k)))
             assert parse_term(term_to_str(t), spec.signature) == t
+
+
+# -- the column kernel against the tree walker --------------------------------
+#
+# Orders 2-17 with symbols of arity 0-5 (those whose table has at most
+# 100,000 entries) reach every path of `eval_block`: 8-bit lanes (n^k <= 256),
+# 16-bit lanes (n^k <= 65,536), the list fallback on a byte carrier (10^5
+# entries) and the list path of a carrier above BYTE_CARRIER (17).
+
+KERNEL_SYMBOLS = (("c", 0), ("u", 1), ("b", 2), ("t", 3), ("q", 4), ("p", 5))
+KERNEL_ORDERS = range(2, BYTE_CARRIER + 2)
+
+
+def _kernel_algebra(n: int):
+    rng = random.Random(n)
+    symbols = tuple((name, k) for name, k in KERNEL_SYMBOLS if n**k <= 100_000)
+    tables = tuple(tuple(rng.choices(range(n), k=n**k)) for _, k in symbols)
+    return FiniteAlgebra(f"random{n}", Signature(symbols), n, tables)
+
+
+def _random_term(rng, symbols, variables: int, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        return Var(rng.randrange(variables))
+    name, k = rng.choice(symbols)
+    return App(name, tuple(_random_term(rng, symbols, variables, depth - 1) for _ in range(k)))
+
+
+def _walk(t, A, assignment):
+    try:
+        return tree_walk(t, A, assignment)
+    except WalkFault as fault:
+        return str(fault)
+
+
+def _fault(exc: Exception) -> str:
+    """The kind of WalkFault that `exc` is raised for."""
+    if isinstance(exc, MissingAssignment):
+        return "missing"
+    if isinstance(exc, IndexError):
+        return "index"
+    if isinstance(exc, SignatureMismatch) and "arity mismatch" in str(exc):
+        return "arity"
+    if isinstance(exc, SignatureMismatch) and "not in the algebra's signature" in str(exc):
+        return "symbol"
+    raise exc
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_eval_block_values_match_the_tree_walker(n):
+    A = _kernel_algebra(n)
+    rng = random.Random(100 + n)
+    for _ in range(25):
+        t = _random_term(rng, A.signature.symbols, 4, 4)
+        length = rng.choice((1, 2, 7, 40))
+        rows = [tuple(rng.randrange(n) for _ in range(4)) for _ in range(length)]
+        expected = [tree_walk(t, A, row) for row in rows]
+        for column_type in (list, bytes) if n <= BYTE_CARRIER else (list,):
+            got = eval_block(t, A, [column_type(c) for c in zip(*rows)], length)
+            assert list(got) == expected, (n, term_to_str(t))
+            if isinstance(t, App):
+                # the two sides of an identity compare as columns of one type
+                assert type(got) is (bytes if n <= BYTE_CARRIER else list)
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_eval_block_raises_the_first_fault_of_the_tree_walk(n):
+    # terms over more symbols and variables than the algebra and the block
+    # have, and symbols at the wrong arity
+    A = _kernel_algebra(n)
+    rng = random.Random(200 + n)
+    symbols = A.signature.symbols + (("z", 1), ("b", 3), ("u", 0))
+    faults = set()
+    for _ in range(60):
+        t = _random_term(rng, symbols, 5, 4)
+        row = tuple(rng.randrange(n) for _ in range(4))
+        expected = _walk(t, A, row)
+        column_type = bytes if n <= BYTE_CARRIER else list
+        for length in (1, 3):
+            try:
+                got = eval_block(t, A, [column_type((v,)) * length for v in row], length)[0]
+            except (MissingAssignment, SignatureMismatch, IndexError) as exc:
+                got = _fault(exc)
+            assert got == expected, (n, term_to_str(t))
+        faults.add(expected)
+    assert {"missing", "symbol", "arity"} <= faults
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_eval_term_outside_the_carrier_fails_as_a_table_lookup(n):
+    # one row, as `eval_term` evaluates: a byte value past the carrier
+    # raises IndexError exactly where the walker's index passes its table
+    A = _kernel_algebra(n)
+    rng = random.Random(300 + n)
+    outcomes = set()
+    for _ in range(60):
+        t = _random_term(rng, A.signature.symbols, 3, 3)
+        row = tuple(rng.choice((rng.randrange(n + 4), 255)) for _ in range(3))
+        try:
+            got = eval_term(t, A, row)
+        except IndexError as exc:
+            got = _fault(exc)
+        assert got == _walk(t, A, row), (n, term_to_str(t), row)
+        outcomes.add(got == "index")
+    assert outcomes == {True, False}
+
+
+def test_eval_term_beyond_a_byte_fails_on_a_byte_carrier():
+    # a lane holds 0..255, so on a carrier of at most BYTE_CARRIER elements
+    # any other value fails at the node that reads it, on every path
+    z4 = cyclic_group(4)
+    for t, row in [
+        (App("i", (Var(0),)), (256,)),
+        (App("m", (Var(0), Var(1))), (0, -1)),
+        (App("t", (Var(0), Var(1), Var(2))), (0, 0, 300)),
+    ]:
+        A = cyclic_heap(9) if t.symbol == "t" else z4
+        with pytest.raises(IndexError):
+            eval_term(t, A, row)

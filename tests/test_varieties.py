@@ -237,6 +237,22 @@ def test_quasi_condition_failure_matches_the_oracle():
     assert any(w is not None and w[4] for w in witnesses)
 
 
+def test_heaps_on_16_bit_lanes_and_a_carrier_past_the_bytes_agree_with_the_oracle():
+    # the ternary t of a heap of order 7-9 has n^3 > 256 entries, so its
+    # nodes take the kernel's 16-bit lanes; order 17 takes the list path
+    rng = random.Random(21)
+    heap = REGISTRY["heap"]
+    outcomes = set()
+    for n in (7, 8, 9):
+        for X in [cyclic_heap(n)] + [_perturbed(rng, cyclic_heap(n)) for _ in range(2)]:
+            outcomes.add(_agrees_with_oracle(X, heap) is None)
+    assert outcomes == {True, False}
+    group = REGISTRY["group"]
+    assert _agrees_with_oracle(cyclic_group(17), group) is None
+    for _ in range(3):
+        assert _agrees_with_oracle(_perturbed(rng, cyclic_group(17)), group) is not None
+
+
 def test_witness_in_a_later_block():
     # Z9 as a heap, with m(a, y) = 0 for a = 0 and the indicator of y != 0
     # otherwise: the heap laws and associativity of m hold, left
