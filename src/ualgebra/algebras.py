@@ -24,7 +24,7 @@ from .errors import (
     TableRangeError,
 )
 from .partitions import Partition
-from .terms import TABLE_PAD, Signature
+from .terms import Signature, translation_tables
 
 # The largest carrier that the isomorphism search, the subalgebra scan and
 # the congruence lattice take.
@@ -125,17 +125,11 @@ class FiniteAlgebra:
         return range(self.size)
 
     @cached_property
-    def byte_tables(self) -> tuple[bytes | None, ...]:
-        """Each table of at most 256 entries as a `bytes.translate` map: the
-        table's bytes, padded to 256 with TABLE_PAD, which no carrier of at
-        most 255 elements holds. None for a longer table or a larger carrier.
-        Derived from `tables`, which equality, hashing and the text formats use."""
-        return tuple(
-            bytes(table).ljust(256, bytes((TABLE_PAD,)))
-            if len(table) <= 256 and self.size <= TABLE_PAD
-            else None
-            for table in self.tables
-        )
+    def byte_tables(self) -> dict[int, bytes]:
+        """`terms.translation_tables` of this algebra's tables, built once and
+        read on carriers of at most `terms.BYTE_CARRIER` elements. Derived
+        from `tables`, which equality, hashing and the text formats use."""
+        return translation_tables(self.tables)
 
     def table(self, symbol: str) -> tuple[int, ...]:
         return self.tables[self.signature.position(symbol)]

@@ -30,8 +30,8 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        # the lines before it end in \n, \r\n or \r, as for universal newlines
-        line = len((exc.object[: exc.start] + b".").splitlines())
+        # the text before it is UTF-8, and its lines count as the parser's do
+        line = len((exc.object[: exc.start].decode() + ".").splitlines())
         raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8", path, line) from None
 
 

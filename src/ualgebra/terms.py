@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Union
@@ -27,7 +26,7 @@ MAX_TERM_DEPTH = 200
 # On carriers of at most this many elements `eval_block` works over byte
 # columns: every value fits in a byte and a binary index in an 8-bit lane.
 BYTE_CARRIER = 16
-# The byte that `FiniteAlgebra.byte_tables` reads past the end of a table.
+# The byte that a translation table reads past the end of its table.
 TABLE_PAD = 0xFF
 # each byte value as a one-byte string: a constant's column repeats one
 _ONE_BYTE = tuple(bytes((v,)) for v in range(256))
@@ -193,6 +192,17 @@ def parse_term(text: str, sig: Signature) -> Term:
     return _Parser(text, sig).parse()
 
 
+def translation_tables(tables) -> dict[int, bytes]:
+    """Each table of at most 256 entries, by its position, as the
+    `bytes.translate` map that `eval_block` reads on a carrier of at most
+    BYTE_CARRIER elements: the table's bytes padded to 256 with TABLE_PAD,
+    which no such carrier holds, so an index past the table reads TABLE_PAD."""
+    pad = bytes((TABLE_PAD,))
+    return {
+        p: bytes(table).ljust(256, pad) for p, table in enumerate(tables) if len(table) <= 256
+    }
+
+
 def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
     """The values of `t` over a block of `length` assignments.
 
@@ -206,14 +216,12 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
 
     On a carrier of at most BYTE_CARRIER elements every value fits in a
     byte, and a constant or an application returns `bytes`. An application
-    of arity k packs its argument columns as lanes of one big int,
-    `idx = idx * n + int.from_bytes(column)`, which never carry, since every
-    index is below the table's length n^k:
-    - n^k <= 256: 8-bit lanes, read by one `bytes.translate` through
-      `FiniteAlgebra.byte_tables`;
-    - n^k <= 65,536: 16-bit lanes, read by one `map` over the table;
-    - a longer table takes the list path below.
-    On a larger carrier every node takes the list path and returns a list.
+    whose table has n^k <= 256 entries packs its argument columns as 8-bit
+    lanes of one big int, `idx = idx * n + int.from_bytes(column)`, which
+    never carry, since every index is below n^k, and reads them by one
+    `bytes.translate` through its `translation_tables` entry. A longer
+    table, and every node on a larger carrier, takes the list path: it packs
+    the row-major index per row and reads the table once per row.
 
     The columns hold elements of the carrier. Over a single row, as
     `eval_term` evaluates, a value outside it raises IndexError at the node
@@ -235,10 +243,9 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
     n = algebra.size
     if not args:
         return _ONE_BYTE[table[0]] * length if n <= BYTE_CARRIER else [table[0]] * length
-    size = len(table)
-    # the arguments' own faults are UAErrors and IndexErrors, which the
-    # handlers below let pass
-    if n <= BYTE_CARRIER and size <= 256:
+    if n <= BYTE_CARRIER and len(table) <= 256:
+        # the arguments' own faults are UAErrors and IndexErrors, which the
+        # handler below lets pass
         try:
             if len(args) == 1:
                 lanes = bytes(eval_block(args[0], algebra, columns, length))
@@ -254,19 +261,11 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
         if TABLE_PAD in out:
             raise IndexError("tuple index out of range")
         return out
-    if n <= BYTE_CARRIER and size <= 1 << 16:
-        idx = 0
-        wide = bytearray(2 * length)
-        try:
-            for arg in args:
-                wide[0::2] = eval_block(arg, algebra, columns, length)
-                idx = idx * n + int.from_bytes(wide, "little")
-            lanes = struct.unpack(f"<{length}H", idx.to_bytes(2 * length, "little"))
-        except (ValueError, OverflowError):
-            raise IndexError("tuple index out of range") from None
-        return bytes(map(table.__getitem__, lanes))
-    packed = [0] * length
-    for arg in args[:-1]:
+    packed = eval_block(args[0], algebra, columns, length)
+    if len(args) == 1:
+        # on a byte carrier a unary table has at most 16 entries: never here
+        return [table[a] for a in packed]
+    for arg in args[1:-1]:
         packed = [i * n + a for i, a in zip(packed, eval_block(arg, algebra, columns, length))]
     last = eval_block(args[-1], algebra, columns, length)
     out = [table[i * n + a] for i, a in zip(packed, last)]

@@ -617,11 +617,12 @@ def test_size_cap_is_not_an_option(workspace, capsys, argv):
 )
 def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(workspace, tmp_path, capsys, argv):
     # every file is read as UTF-8, whatever the locale; the error names the
-    # file and the line of the first byte that does not decode
+    # file and the line of the first byte that does not decode, counted as
+    # the parser counts lines: a form feed and U+2028 end one too
     path = tmp_path / "bin.txt"
-    path.write_bytes("# caf\u00e9\r\n\n".encode() + b"size \xff\n")
+    path.write_bytes("# caf\u00e9\r\n\n#\x0c#\u2028".encode() + b"size \xff\n")
     assert main([Template(a).substitute(workspace, bin=path) for a in argv]) == 2
-    assert capsys.readouterr() == ("", f"error: {path}:3:0: byte 0xff is not UTF-8\n")
+    assert capsys.readouterr() == ("", f"error: {path}:5:0: byte 0xff is not UTF-8\n")
 
 
 def test_check_against_variety_file(tmp_path, capsys):

@@ -190,8 +190,8 @@ def test_roundtrip_across_registry():
 #
 # Orders 2-17 with symbols of arity 0-5 (those whose table has at most
 # 100,000 entries) reach every path of `eval_block`: 8-bit lanes (n^k <= 256),
-# 16-bit lanes (n^k <= 65,536), the list fallback on a byte carrier (10^5
-# entries) and the list path of a carrier above BYTE_CARRIER (17).
+# the list path on a byte carrier (longer tables) and the list path of a
+# carrier above BYTE_CARRIER (17).
 
 KERNEL_SYMBOLS = (("c", 0), ("u", 1), ("b", 2), ("t", 3), ("q", 4), ("p", 5))
 KERNEL_ORDERS = range(2, BYTE_CARRIER + 2)
@@ -291,14 +291,14 @@ def test_eval_term_outside_the_carrier_fails_as_a_table_lookup(n):
 
 
 def test_eval_term_beyond_a_byte_fails_on_a_byte_carrier():
-    # a lane holds 0..255, so on a carrier of at most BYTE_CARRIER elements
-    # any other value fails at the node that reads it, on every path
+    # a lane holds 0..255, so where a node of a carrier of at most
+    # BYTE_CARRIER elements reads 8-bit lanes any other value fails there
     z4 = cyclic_group(4)
     for t, row in [
         (App("i", (Var(0),)), (256,)),
         (App("m", (Var(0), Var(1))), (0, -1)),
         (App("t", (Var(0), Var(1), Var(2))), (0, 0, 300)),
     ]:
-        A = cyclic_heap(9) if t.symbol == "t" else z4
+        A = cyclic_heap(4) if t.symbol == "t" else z4
         with pytest.raises(IndexError):
             eval_term(t, A, row)

@@ -237,9 +237,9 @@ def test_quasi_condition_failure_matches_the_oracle():
     assert any(w is not None and w[4] for w in witnesses)
 
 
-def test_heaps_on_16_bit_lanes_and_a_carrier_past_the_bytes_agree_with_the_oracle():
+def test_heaps_past_the_byte_lanes_and_a_carrier_past_the_bytes_agree_with_the_oracle():
     # the ternary t of a heap of order 7-9 has n^3 > 256 entries, so its
-    # nodes take the kernel's 16-bit lanes; order 17 takes the list path
+    # nodes take the list path over byte columns; order 17 takes it over lists
     rng = random.Random(21)
     heap = REGISTRY["heap"]
     outcomes = set()
