@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations, product as iproduct
-from math import prod
+from itertools import accumulate, permutations, product as iproduct
+from operator import mul
 
 from .errors import (
     DuplicateName,
@@ -68,9 +68,12 @@ def pack_columns(columns, sizes, length: int) -> list[int]:
 
 def row_major_columns(sizes) -> list[list[int]]:
     """The rows of range(sizes[0]) x ... x range(sizes[-1]), one column per
-    place, in row-major order: `pack_columns` of them is 0, 1, 2, ...."""
+    place, in row-major order: `pack_columns` of them is 0, 1, 2, ....
+    Linear in the places and the entries."""
+    before = list(accumulate(sizes, mul, initial=1))
+    after = list(accumulate(reversed(sizes), mul, initial=1))[::-1]
     return [
-        [v for v in range(m) for _ in range(prod(sizes[j + 1 :]))] * prod(sizes[:j])
+        [v for v in range(m) for _ in range(after[j + 1])] * before[j]
         for j, m in enumerate(sizes)
     ]
 

@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.verb](args, Workspace())
-    except (UAError, OSError, ValueError) as exc:
+    except (UAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

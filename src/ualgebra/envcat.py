@@ -7,16 +7,21 @@ product extends to these by sending a tuple to the product of its fibers and
 a term t to its term function on the union algebra, restricted to the fibers
 over a1..an; it lands in the fiber over t(a1..an), since the fiber projection
 is a homomorphism. Tables list the fiber product in row-major order.
+
+Tables read a memoized fiber block: the rows of a tuple object's fiber
+product, as union elements, are built once per pointed family and object,
+and every table over that object evaluates its term over them at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from .algebras import FiniteAlgebra, pack_columns, row_major_columns
-from .errors import EndpointMismatch, ShapeMismatch
-from .outer import OuterProduct
+from .errors import EndpointMismatch, ShapeMismatch, SizeLimitExceeded
+from .outer import OuterProduct, PointedFamily
 from .terms import Term, Var, eval_block, eval_term, substitute, term_variables
 
 
@@ -88,31 +93,68 @@ class ProductPointedSet:
         return pack_columns([(i,) for i in self.basepoint], self.sizes, 1)[0]
 
 
+# Entries (rows x places) of the largest fiber product a table is built
+# over: every product of at most 2**16 rows and 16 places fits.
+FIBER_BLOCK_LIMIT = 2**20
+# Fiber blocks kept, least recently used dropped first: a functor-law check
+# reads three objects, and a family has few small ones.
+FIBER_BLOCK_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=FIBER_BLOCK_CACHE_SIZE)
+def _fiber_block(family: PointedFamily, elements: tuple[int, ...]):
+    """(F(a1) x ... x F(an) as a ProductPointedSet, its number of rows, its
+    rows as union elements offsets[a_j] + i_j, one column per place).
+
+    The columns are `bytes` when the union has at most 256 elements and
+    tuples beyond, so `eval_block` reads them as they are. Above
+    FIBER_BLOCK_LIMIT entries SizeLimitExceeded is raised before any column
+    is built. Memoized on (family, elements), since the block depends on the
+    fibers and their offsets alone; errors are not memoized. The memo holds
+    at most FIBER_BLOCK_CACHE_SIZE x FIBER_BLOCK_LIMIT entries: 32 MiB as
+    bytes, or 8 bytes an entry over a larger union, where a column's entries
+    share one int per fiber element; and about 40 bytes of column header per
+    place of the objects it holds.
+    """
+    fibers = [family.fibers[a] for a in elements]
+    length = 1
+    for size, _ in fibers:
+        length *= size
+        if length * len(fibers) > FIBER_BLOCK_LIMIT:
+            raise SizeLimitExceeded(f"fiber product capped at {FIBER_BLOCK_LIMIT} entries")
+    sizes = tuple(size for size, _ in fibers)
+    column_type = bytes if family.total_size() <= 256 else tuple
+    offsets = family.offsets
+    columns = []
+    for a, size, column in zip(elements, sizes, row_major_columns(sizes)):
+        fiber = tuple(range(offsets[a], offsets[a] + size))
+        columns.append(column_type([fiber[i] for i in column]))
+    return ProductPointedSet(sizes, tuple(b for _, b in fibers)), length, tuple(columns)
+
+
+def _block(F: OuterProduct, obj: TupleObject):
+    """The fiber block of `obj`, which must live over F's base."""
+    if obj.algebra is not F.family.base and obj.algebra != F.family.base:
+        raise ShapeMismatch("the object must live over the product's base")
+    return _fiber_block(F.family, obj.elements)
+
+
 def functor_object(F: OuterProduct, obj: TupleObject) -> ProductPointedSet:
     """F(a1) x ... x F(an), with the product basepoint; empty tuples give the
     one-point product."""
-    if obj.algebra != F.family.base:
-        raise ShapeMismatch("the object must live over the product's base")
-    sizes = tuple(F.family.fibers[a][0] for a in obj.elements)
-    basepoint = tuple(F.family.fibers[a][1] for a in obj.elements)
-    return ProductPointedSet(sizes, basepoint)
+    return _block(F, obj)[0]
 
 
 def _term_table(F: OuterProduct, obj: TupleObject, t: Term, value: int) -> tuple[int, ...]:
     """The map F(t): product of fibers over obj -> fiber over t's base value
     at obj, which the caller passes as `value`.
 
-    The rows of the fiber product, shifted by their fibers' offsets, are one
-    block of assignments in the union algebra.
+    The rows of the fiber product are one block of assignments in the union
+    algebra; the values are shifted back into the fiber over `value`.
     """
-    offsets = F.family.offsets
-    sizes = functor_object(F, obj).sizes
-    columns = [
-        [offsets[a] + i for i in column]
-        for a, column in zip(obj.elements, row_major_columns(sizes))
-    ]
-    shift = offsets[value]
-    return tuple(x - shift for x in eval_block(t, F.algebra, columns, prod(sizes)))
+    _, length, columns = _block(F, obj)
+    shift = F.family.offsets[value]
+    return tuple([x - shift for x in eval_block(t, F.algebra, columns, length)])
 
 
 def functor_morphism(F: OuterProduct, p: TermTupleMorphism) -> tuple[tuple[int, ...], ...]:
@@ -131,7 +173,7 @@ def tables_compose(
     """Componentwise composition through the middle product, over a source
     product of `length` points; an empty middle repeats each point value."""
     packed = pack_columns(inner, mid_sizes, length)
-    return tuple(tuple(table[i] for i in packed) for table in outer)
+    return tuple(tuple([table[i] for i in packed]) for table in outer)
 
 
 def check_functoriality(

@@ -1,14 +1,16 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 from string import Template
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from ualgebra import cli, heaps
+from ualgebra import cli, congruences, heaps
 from ualgebra.algebras import emit_algebra, parse_algebras, parse_uint
 from ualgebra.catalog import (
     chain_lattice,
@@ -19,6 +21,7 @@ from ualgebra.catalog import (
 )
 from ualgebra.cli import main
 from ualgebra.digroups import trivial_digroup
+from ualgebra.envcat import FIBER_BLOCK_LIMIT
 from ualgebra.errors import InternalInconsistency, ParseError
 from ualgebra.groups import group_data_from_action, group_data_to_family
 from ualgebra.heaps import heap_from_group
@@ -447,6 +450,36 @@ def test_deep_term_is_input_error(workspace, capsys):
     assert "nested deeper" in capsys.readouterr().err
 
 
+def test_envcat_object_past_the_fiber_block_limit_is_input_error(workspace, capsys):
+    # the fibers of the S3 action file have 3 elements: 3^10 rows of 10
+    # places fit in the limit, 3^11 rows of 11 do not
+    def envcat(places):
+        obj = ",".join(["0"] * places)
+        argv = ["--action", str(workspace["act"]), "--variety", "group", "--object", obj]
+        return main(["envcat", *argv, "--terms", "m(x0,x9)"])
+
+    assert 3**10 * 10 <= FIBER_BLOCK_LIMIT < 3**11 * 11
+    assert envcat(10) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == f"source fiber sizes: {(3,) * 10}" and len(out[2].split()) == 1 + 3**10
+    assert envcat(11) == 2
+    err = f"error: fiber product capped at {FIBER_BLOCK_LIMIT} entries\n"
+    assert capsys.readouterr() == ("", err)
+
+
+def test_a_stray_value_error_is_an_internal_error(workspace, monkeypatch, capsys):
+    # input errors are UAErrors; a ValueError out of the library is a bug
+    def failing(*args):
+        raise ValueError("tuple.index(x): x not in tuple")
+
+    monkeypatch.setattr(congruences, "all_congruences", failing)
+    assert main(["congruences", f"{workspace['algs']}#z4"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "internal error: ValueError('tuple.index(x): x not in tuple')\n",
+    )
+
+
 @pytest.mark.parametrize("error", [AssertionError, InternalInconsistency])
 def test_failed_cross_check_is_internal_error(workspace, monkeypatch, capsys, error):
     def failing_report(*args):
@@ -711,3 +744,96 @@ def test_help_of_the_shared_parser_is_that_of_a_fresh_one(monkeypatch):
         top[columns] = _help(["--help"], main)
     assert top["40"] != top["200"]  # the width is read as help is formatted
 
+
+
+FUZZED_VERBS = (
+    "check", "congruences", "idempotents", "decompose", "outer", "group-sdp",
+    "digroup-sdp", "brace", "commutator", "heap", "heap-decompose", "envcat",
+)
+
+
+def _random_argv(rng, workspace, phi, maps) -> list[str]:
+    """One `ua` argument list over the workspace, most of them well formed:
+    each slot takes one of its hostile values one time in eight."""
+
+    def pick(valid, hostile):
+        return rng.choice(hostile if rng.random() < 1 / 8 else valid)
+
+    algs, act, heap = str(workspace["algs"]), str(workspace["act"]), f"{workspace['heap']}#hz4"
+    refs = [f"{algs}#nosuch", algs, "nosuch.alg#z4", f"{act}#z4", f"{phi}#z2"]
+    digroup = [f"{workspace['dg']}#dgs3"], [f"{algs}#s3", heap]
+    elements = ["0", "0,2", "0,1,2,3", "1", ""], ["9", "x", "+1", "0,,2", "\u0663", "-1"]
+    omega = (
+        ["{{0,1,2,3}}", "{{0,2},{1,3}}", "{{0},{1},{2},{3}}", "{{0,1},{2,3}}"],
+        ["{{0,1}}", "{0}", "", "{{0,1},{1,2}}", "{{0,9}}", "{{}}", "{{0,1,2},{3,4,5}}"],
+    )
+    verb = rng.choice(FUZZED_VERBS)
+    if verb == "check":
+        variety = pick(["group", "semigroup"], ["nope", "heap", f"{algs}#z4"])
+        return [verb, pick([f"{algs}#z4", f"{workspace['bad']}#sub3"], refs), "--variety", variety]
+    if verb in ("congruences", "idempotents"):
+        return [verb, pick([f"{algs}#{name}" for name in ("z4", "s3", "z2", "z3")], refs)]
+    if verb == "decompose":
+        return [verb, pick([f"{algs}#z4"], refs), "--B", pick(*elements), "--omega", pick(*omega)]
+    if verb == "outer":
+        action, variety = pick([act], [algs, str(phi)]), pick(["group"], ["heap"])
+        return [verb, "--action", action, "--variety", variety]
+    if verb == "group-sdp":
+        N, B = pick([f"{algs}#z3"], refs), pick([f"{algs}#z2"], [f"{algs}#z4"])
+        return [verb, "--N", N, "--B", B, "--phi", pick([str(phi)], [str(maps), "nosuch.map"])]
+    if verb == "digroup-sdp":
+        Y, K = pick(*digroup), pick(*digroup)
+        return [verb, "--Y", Y, "--K", K, "--maps", pick([str(maps)], [str(phi)])]
+    if verb == "brace":
+        return [verb, rng.choice(["check", "center", "reflect"]), pick(*digroup)]
+    if verb == "commutator":
+        ideals = ["0", "0,3,4", "0,1,2,3,4,5"], ["0,1", "x", "9"]  # the ideals of S3
+        return ["brace", verb, pick(*digroup), "--I", pick(*ideals), "--J", pick(*ideals)]
+    if verb == "heap":
+        action = rng.choice(["check", "convert"])
+        basepoint = pick(["0", "1", "3"], ["7", "x", "+1"])
+        return [verb, action, pick([heap], refs), "--basepoint", basepoint]
+    if verb == "heap-decompose":
+        Y, parts = pick(*elements), pick(*omega)
+        return ["heap", "decompose", pick([heap], [f"{algs}#z4"]), "--Y", Y, "--omega", parts]
+    obj = pick(["0", "0,1", "1,1", "1", ""], ["2", "x", "0,-1"])
+    terms = pick(
+        ["x0", "m(x0,x1)", "i(x0)", "e", "m(x0,i(x1));x1"], ["x5", "m(", "q(x0)", "m(x0)", ";"]
+    )
+    action = pick([act], [algs, "nosuch.act"])
+    return [verb, "--action", action, "--variety", "group", "--object", obj, "--terms", terms]
+
+
+def _call(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process `ua` call; argparse's own
+    errors exit through SystemExit."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_fuzzed_argv_ends_in_an_answer_or_an_input_error(workspace, tmp_path, capsys):
+    # over well-formed and hostile arguments alike, `ua` answers (0, 1) or
+    # reports malformed input (2), never an internal error, and a second
+    # call prints the same bytes
+    phi = tmp_path / "phi.map"
+    phi.write_text("phi 0\n0 1 2\nphi 1\n0 2 1\n")
+    maps = tmp_path / "trivial.map"
+    blocks = ["phistar", "phicirc", "lambda"]
+    maps.write_text("".join(f"{b} {y}\n0 1 2 3 4 5\n" for b in blocks for y in range(6)))
+
+    @seed(22)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def run(draw):
+        argv = _random_argv(random.Random(draw), workspace, phi, maps)
+        first = _call(argv, capsys)
+        assert first[0] in (0, 1, 2), (argv, first)
+        assert "internal error:" not in first[2], argv
+        assert _call(argv, capsys) == first, argv
+
+    run()

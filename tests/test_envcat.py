@@ -10,7 +10,10 @@ from ualgebra.catalog import (
     left_zero_semigroup,
     mult_semigroup,
 )
+from ualgebra import envcat
 from ualgebra.envcat import (
+    FIBER_BLOCK_CACHE_SIZE,
+    FIBER_BLOCK_LIMIT,
     ProductPointedSet,
     TermTupleMorphism,
     TupleObject,
@@ -24,10 +27,16 @@ from ualgebra.envcat import (
     is_cat_morphism,
     tables_compose,
 )
-from ualgebra.errors import EndpointMismatch
+from ualgebra.errors import EndpointMismatch, ShapeMismatch, SizeLimitExceeded
 from ualgebra.groups import group_data_from_action, group_data_to_family
 from ualgebra.inner import decomposition_from_idempotent, idempotent_endomorphisms
-from ualgebra.outer import assemble_union_algebra, build_outer_product, inner_to_outer
+from ualgebra.outer import (
+    ActionFamily,
+    PointedFamily,
+    assemble_union_algebra,
+    build_outer_product,
+    inner_to_outer,
+)
 from ualgebra.terms import App, Var, parse_term
 from ualgebra.varieties import GROUP_SIG, REGISTRY
 
@@ -259,3 +268,130 @@ def test_functor_tables_match_the_pointwise_oracle(products):
     if products is _decomposed_products:
         assert len({size for size, _ in fibers_seen}) > 1
         assert any(basepoint != 0 for _, basepoint in fibers_seen)
+
+
+# -- the memoized fiber block ------------------------------------------------
+
+
+def _chain4_products_over_two_elements():
+    """The decompositions of the 4-chain over a two-element base: one base,
+    fibers (3, 1), (2, 2), (1, 3) and basepoints 0 or 1."""
+    return [
+        F
+        for F in _decomposed_products()
+        if F.family.base.name == "chain4_base" and len(F.family.fibers) == 2
+    ]
+
+
+def _oracle_morphism(F, elements, texts):
+    """A morphism from the object `elements` with the given terms, its
+    target read off the oracle, and the oracle's tables."""
+    base = F.family.base
+    terms = tuple(parse_term(text, base.signature) for text in texts)
+    target = tuple(functor_table(F, elements, t)[1] for t in terms)
+    p = TermTupleMorphism(TupleObject(base, elements), TupleObject(base, target), terms)
+    return p, tuple(functor_table(F, elements, t)[0] for t in terms)
+
+
+def test_one_tuple_over_products_with_other_fibers_gets_its_own_table():
+    products = _chain4_products_over_two_elements()
+    assert len({F.family.fibers for F in products}) == len(products) >= 4
+    assert len({F.family.base for F in products}) == 1
+    tables = set()
+    for F in products:
+        p, expected = _oracle_morphism(F, (0, 1, 1), ["join(x0,x1)", "meet(x2,x0)", "x1"])
+        assert functor_morphism(F, p) == expected
+        point = functor_object(F, p.source)
+        sizes = tuple(F.family.fibers[a][0] for a in (0, 1, 1))
+        assert point == ProductPointedSet(sizes, tuple(F.family.fibers[a][1] for a in (0, 1, 1)))
+        assert point.total() == len(fiber_points(F, (0, 1, 1)))
+        tables.add(expected)
+    assert len(tables) > 1
+
+
+def test_tables_are_the_same_after_a_clear_and_after_the_memo_turns_over(s3_product):
+    base = s3_product.family.base
+    p, expected = _oracle_morphism(s3_product, (0, 1), ["m(x0,i(x1))", "x1"])
+    before = functor_morphism(s3_product, p)
+    envcat._fiber_block.cache_clear()
+    assert functor_morphism(s3_product, p) == before == expected
+    # more objects than the memo holds push the first one out
+    for k in range(FIBER_BLOCK_CACHE_SIZE + 8):
+        elements = tuple(int(bit) for bit in format(k, "06b"))
+        assert functor_object(s3_product, TupleObject(base, elements)).sizes == (3,) * 6
+    assert envcat._fiber_block.cache_info().currsize == FIBER_BLOCK_CACHE_SIZE
+    assert functor_morphism(s3_product, p) == expected
+
+
+def test_equal_families_share_a_block():
+    first, second = (next(_twisted_group_products()) for _ in range(2))
+    assert first.family == second.family and first.family is not second.family
+    p, expected = _oracle_morphism(first, (1, 0), ["m(x0,x1)"])
+    assert functor_morphism(first, p) == expected
+    hits = envcat._fiber_block.cache_info().hits
+    assert functor_morphism(second, p) == expected
+    assert envcat._fiber_block.cache_info().hits == hits + 1
+
+
+def test_block_errors_are_raised_again(s3_product):
+    z4 = cyclic_group(4)
+    foreign = TupleObject(z4, (0, 1))
+    assert z4 != s3_product.family.base
+    wide = TupleObject(s3_product.family.base, (0,) * 11)
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch):
+            functor_object(s3_product, foreign)
+        with pytest.raises(SizeLimitExceeded):
+            functor_object(s3_product, wide)
+    assert envcat._fiber_block.cache_info().currsize <= FIBER_BLOCK_CACHE_SIZE
+
+
+def _constant_product(size):
+    """Z_size x Z_2 as an outer product over Z_2 with constant fibers and
+    the trivial action; no identity is checked."""
+    z2 = cyclic_group(2)
+    maps = [(("e", ()), (0,))]
+    for b in range(2):
+        maps.append((("i", (b,)), tuple(-k % size for k in range(size))))
+        for c in range(2):
+            table = tuple((k + j) % size for k in range(size) for j in range(size))
+            maps.append((("m", (b, c)), table))
+    return assemble_union_algebra(PointedFamily.constant(z2, size, 0), ActionFamily(tuple(maps)))
+
+
+def test_the_limit_counts_rows_times_places():
+    F = _constant_product(2)
+    base = F.family.base
+    # 2^16 rows of 16 places are exactly the limit; a 17th place passes it
+    assert 2**16 * 16 == FIBER_BLOCK_LIMIT
+    assert functor_object(F, TupleObject(base, (1,) * 16)).total() == 2**16
+    with pytest.raises(SizeLimitExceeded, match=f"capped at {FIBER_BLOCK_LIMIT} entries"):
+        functor_object(F, TupleObject(base, (1,) * 17))
+    # one-point fibers add places but no rows
+    family = PointedFamily(base, ((2, 0), (1, 0)))
+    point, length, columns = envcat._fiber_block(family, (1,) * 5000)
+    assert point == ProductPointedSet((1,) * 5000, (0,) * 5000) and length == 1
+    assert set(columns) == {bytes([2])}
+    with pytest.raises(SizeLimitExceeded):
+        envcat._fiber_block(family, (1,) * (FIBER_BLOCK_LIMIT + 1))
+
+
+def test_a_union_past_a_byte_gets_tuple_columns():
+    F = _constant_product(130)
+    assert F.algebra.size == 260
+    _, length, columns = envcat._fiber_block(F.family, (1, 0))
+    assert length == 130**2 and all(type(column) is tuple for column in columns)
+    p, expected = _oracle_morphism(F, (1, 0), ["m(x0,i(x1))", "x0"])
+    assert functor_morphism(F, p) == expected
+    assert type(envcat._fiber_block(_constant_product(3).family, (1, 0))[2][0]) is bytes
+
+
+def test_a_functoriality_check_reads_the_memo(s3_product):
+    base = s3_product.family.base
+    src, mid, dst = TupleObject(base, (0, 1)), TupleObject(base, (1, 1)), TupleObject(base, (0,))
+    p = TermTupleMorphism(src, mid, (term("m(x0,x1)"), term("x1")))
+    q = TermTupleMorphism(mid, dst, (term("m(x0,x1)"),))
+    hits = envcat._fiber_block.cache_info().hits
+    assert check_functoriality(s3_product, p, q)
+    # G(q o p) and G(p) over the source, G(q) over the middle, and both sizes
+    assert envcat._fiber_block.cache_info().hits >= hits + 4

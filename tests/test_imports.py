@@ -124,9 +124,10 @@ def test_no_environment_reads(path):
 UNBOUNDED_INT_MEMOS = {"catalog.py:all_group_tables", "digroups.py:all_digroups"}
 
 
-def _unbounded_memos(tree: ast.Module):
-    """Every function under `@cache` or `@lru_cache(maxsize=None)`, at any
-    depth; a bare `@lru_cache` holds 128 entries."""
+def _memos(tree: ast.Module):
+    """(function, decorator name, decorator call or None) for every function
+    under `@cache` or `@lru_cache`, bare, called or as a `functools`
+    attribute, at any depth."""
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -134,11 +135,17 @@ def _unbounded_memos(tree: ast.Module):
             call = dec if isinstance(dec, ast.Call) else None
             target = call.func if call else dec
             name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-            sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"] if call else []
-            if name == "cache" or name == "lru_cache" and any(
-                isinstance(v, ast.Constant) and v.value is None for v in sizes
-            ):
-                yield node
+            if name in ("cache", "lru_cache"):
+                yield node, name, call
+
+
+def _unbounded_memos(tree: ast.Module):
+    """Every function under `@cache` or `@lru_cache(maxsize=None)`, at any
+    depth; a bare `@lru_cache` holds 128 entries."""
+    for node, name, call in _memos(tree):
+        sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"] if call else []
+        if name == "cache" or any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+            yield node
 
 
 def test_every_lru_cache_is_bounded_but_the_memos_of_one_int():
@@ -187,6 +194,30 @@ def _reads(node: ast.AST, scope: str):
         scope = f"{scope}.{node.name}" if scope else node.name
     for child in ast.iter_child_nodes(node):
         yield from _reads(child, scope)
+
+
+def test_the_memo_lint_finds_every_decorator_form():
+    tree = ast.parse(
+        "@cache\ndef a(): pass\n@lru_cache\ndef b(): pass\n@lru_cache(maxsize=8)\ndef c(): pass\n"
+        "@functools.lru_cache(1)\ndef d(): pass\n"
+        "class K:\n    @cached_property\n    def e(self): pass\n"
+    )
+    assert [node.name for node, _, _ in _memos(tree)] == ["a", "b", "c", "d"]
+
+
+def test_every_memo_is_named_in_the_readme():
+    # a memo holds answers across calls, so its key, size and what it keeps
+    # are documented in one place: the README's "Memos:" paragraph
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("\nMemos:") :].partition("\n\n")[0]
+    named = set(re.findall(r"\w+", paragraph))
+    memos = [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node, _, _ in _memos(ast.parse(path.read_text()))
+    ]
+    assert len(memos) >= 10
+    assert [memo for memo in memos if memo.partition(".")[2] not in named] == []
 
 
 def test_every_public_definition_is_referenced():
