@@ -2,12 +2,13 @@
 braces: inner/outer semidirect products, action extraction, brace predicates,
 ideals, commutators, center, and the brace reflection of a digroup.
 
-`digroup_outer` translates an action triple into a family (K over every y,
-marked at K's unit) and the star, circ and inverse action tables, and fills
-them with `outer.union_algebra`, the assembly behind
-`outer.assemble_union_algebra`. Products keep the union's own pair encoding
-y*|K| + k. Pointedness is not checked: a Lambda that moves K's unit can
-leave the family unpointed, and its tables still define a digroup on Y x K.
+`_digroup_data` translates an action triple into a family (K over every y,
+marked at K's unit) and the star, circ and inverse action tables.
+`digroup_outer` fills them with `outer.union_algebra`, the assembly behind
+`outer.assemble_union_algebra`, in the union's encoding y*|K| + k, unchecked
+for pointedness: a Lambda that moves K's unit leaves the family unpointed,
+and its tables still define a digroup on Y x K. `digroup_direct_criterion`
+asks `outer.direct_product_check` of the same family and tables.
 `digroup_inner_report` condition c7 is the general inner condition (b) on
 (B, ideal_partition(D, I)).
 
@@ -34,7 +35,6 @@ from .algebras import (
     is_homomorphism,
     is_subalgebra,
     perms_fixing_zero,
-    product,
     quotient,
     relabel_table,
     subalgebra_as_algebra,
@@ -51,9 +51,9 @@ from .errors import (
     crosscheck,
 )
 from .inner import endo_witness, unique_factorizations
-from .outer import ActionFamily, PointedFamily, union_algebra
+from .outer import ActionFamily, PointedFamily, direct_product_check, union_algebra
 from .partitions import Partition
-from .varieties import DIGROUP_SIG, GROUP_SIG, REGISTRY, VarietySpec, check_identities
+from .varieties import DIGROUP_SIG, GROUP_SIG, REGISTRY, VarietySpec, check_identities, satisfies
 
 
 @dataclass(frozen=True)
@@ -293,19 +293,10 @@ def _validate_triple(t: DigroupActionTriple):
         raise HypothesisViolation("Lambda at the identity of Y must be id")
 
 
-def digroup_outer(triple: DigroupActionTriple, name: str = "outer_digroup") -> Digroup:
-    """The digroup on Y x K with
-
-        (y,k) + (y',k') = (y * y', Lam_{y*y'}^-1(phi_*y'(Lam_y(k)) * Lam_y'(k')))
-        (y,k) o (y',k') = (y o y', phi_oy'(k) o k')
-
-    encoded y*|K| + k, which is the union's own encoding over Y. Hypotheses
-    are validated up front; the fibers are marked at K's unit, the inverse
-    tables come from the inverse formulas, and the construction is then
-    verified against the digroup axioms (a failure would contradict the
-    construction theorem and raises AxiomFailure as a diagnostic).
-    """
-    _validate_triple(triple)
+def _digroup_data(triple: DigroupActionTriple) -> tuple[PointedFamily, ActionFamily]:
+    """The family of the outer digroup, K over every y marked at K's unit,
+    and its star, circ and inverse action tables (formulas at
+    `digroup_outer`)."""
     Y, K = triple.Y, triple.K
     lam, phi_s, phi_c = triple.Lambda, triple.phi_star, triple.phi_circ
     lam_inv = [inverse_permutation(p) for p in lam]
@@ -325,14 +316,26 @@ def digroup_outer(triple: DigroupActionTriple, name: str = "outer_digroup") -> D
                 lam_inv[yy][K.star(phi_s[y2][lam[y1][k1]], lam[y2][k2])] for k1, k2 in pairs
             )
             maps[("circ", (y1, y2))] = tuple(K.circ(phi_c[y2][k1], k2) for k1, k2 in pairs)
+    return PointedFamily.constant(Y.algebra, K.n, K.one), ActionFamily.from_dict(maps)
+
+
+def digroup_outer(triple: DigroupActionTriple, name: str = "outer_digroup") -> Digroup:
+    """The digroup on Y x K with
+
+        (y,k) + (y',k') = (y * y', Lam_{y*y'}^-1(phi_*y'(Lam_y(k)) * Lam_y'(k')))
+        (y,k) o (y',k') = (y o y', phi_oy'(k) o k')
+
+    encoded y*|K| + k, which is the union's own encoding over Y. Hypotheses
+    are validated up front; the fibers are marked at K's unit, the inverse
+    tables come from the inverse formulas, and the construction is then
+    cross-checked against the digroup axioms (a failure would contradict the
+    construction theorem, so it raises InternalInconsistency).
+    """
+    _validate_triple(triple)
     # not `assemble_union_algebra`: pointedness is no digroup hypothesis, and a
     # Lambda that moves K's unit breaks the section y -> (y, 1)
-    family = PointedFamily.constant(Y.algebra, K.n, K.one)
-    algebra = union_algebra(family, ActionFamily.from_dict(maps), name)
-    try:
-        D = Digroup(algebra).validate()
-    except AxiomFailure as exc:
-        raise AxiomFailure(f"construction violated the digroup axioms: {exc}") from exc
+    D = Digroup(union_algebra(*_digroup_data(triple), name))
+    crosscheck(satisfies(D.algebra, REGISTRY["digroup"]), "the outer product must be a digroup")
     # the tables' own check of the unit (1_Y, 1_K): two-sided for star and circ
     e = D.one
     crosscheck(
@@ -419,27 +422,23 @@ def trivial_triple(Y: Digroup, K: Digroup) -> DigroupActionTriple:
 
 
 def digroup_direct_criterion(triple: DigroupActionTriple) -> bool:
-    """True iff all three families are constantly the identity of K.
-
-    Agreement with the canonical comparison is asserted: the outer tables
-    coincide with the componentwise product exactly in that case. That needs
-    a Lambda fixing K's unit (equal tables then force phi_star = Lambda, so
-    Lambda = id and phi_circ = id), so any other Lambda is a
-    HypothesisViolation.
+    """Is the outer digroup Y x K: is every action table of `_digroup_data`
+    K's own, by `outer.direct_product_check`? That needs a Lambda fixing K's
+    unit, so that the family is pointed; any other Lambda is a
+    HypothesisViolation. Equal tables then force phi_star = Lambda, so
+    Lambda = id and phi_circ = id: the answer is cross-checked against all
+    three families being constantly the identity of K.
     """
     _validate_triple(triple)  # a malformed triple fails here, not in the unit test
     if not triple.lambda_fixes_unit():
         raise HypothesisViolation("the direct-product criterion needs Lambda to fix K's unit")
-    ident = tuple(range(triple.K.n))
-    criterion = all(
-        triple.phi_star[y] == ident and triple.phi_circ[y] == ident and triple.Lambda[y] == ident
-        for y in range(triple.Y.n)
+    direct = direct_product_check(*_digroup_data(triple), triple.K.algebra)
+    ident = (tuple(range(triple.K.n)),) * triple.Y.n
+    crosscheck(
+        direct == (triple.phi_star == triple.phi_circ == triple.Lambda == ident),
+        "the action tables must be K's own exactly when all three families are the identity",
     )
-    outer = digroup_outer(triple)
-    direct = product(triple.Y.algebra, triple.K.algebra)
-    canonical = outer.algebra.tables == direct.tables
-    crosscheck(criterion == canonical, "criterion must match the canonical table comparison")
-    return criterion
+    return direct
 
 
 # -- left skew braces --------------------------------------------------------

@@ -333,9 +333,9 @@ def heap_outer(action: HeapAction, name: str = "outer_heap") -> HeapOuterResult:
 
     where w = [y1, y2, y0], assembled over Y with every fiber pointed at 0
     (the fiber maps fix every point) and encoded k*|Y| + y. The axioms are
-    verified (failure is a theorem contradiction); K x {y0} is asserted to be a normal subheap isomorphic to
-    K and each (a, b) -> (k, b) an idempotent endomorphism with {k} x Y a
-    subheap isomorphic to Y.
+    cross-checked (a failure contradicts the construction theorem); K x {y0}
+    is asserted to be a normal subheap isomorphic to K and each (a, b) -> (k, b)
+    an idempotent endomorphism with {k} x Y a subheap isomorphic to Y.
     """
     _validate_heap_action(action)
     Y, K = action.Y, action.K
@@ -352,8 +352,7 @@ def heap_outer(action: HeapAction, name: str = "outer_heap") -> HeapOuterResult:
         )
     family = PointedFamily.constant(Y, K.size, 0)
     X = fiber_major(assemble_union_algebra(family, ActionFamily.from_dict(maps), name))
-    if not is_heap(X):
-        raise AxiomFailure("construction violated the heap axioms")
+    crosscheck(is_heap(X), "the outer product must be a heap")
     fiber = frozenset(enc(k, action.y0) for k in range(K.size))
     crosscheck(is_normal_subheap(X, fiber), "K x {y0} must be a normal subheap")
     fiber_alg, _ = subalgebra_as_algebra(X, fiber)

@@ -254,7 +254,7 @@ def parse_varieties(text: str, source: str = "<input>") -> dict[str, VarietySpec
         for id_no, id_text in id_lines:
             try:
                 ids.append(parse_identity(id_text, sig))
-            except Exception as exc:
+            except UAError as exc:
                 raise ParseError(f"bad identity: {exc}", source, id_no) from exc
         out[name] = VarietySpec(name, sig, tuple(ids))
     return out

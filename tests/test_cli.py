@@ -10,7 +10,7 @@ from string import Template
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from ualgebra import cli, congruences, heaps
+from ualgebra import cli, congruences, digroups, heaps, varieties
 from ualgebra.algebras import emit_algebra, parse_algebras, parse_uint
 from ualgebra.catalog import (
     chain_lattice,
@@ -26,6 +26,7 @@ from ualgebra.errors import InternalInconsistency, ParseError
 from ualgebra.groups import group_data_from_action, group_data_to_family
 from ualgebra.heaps import heap_from_group
 from ualgebra.outer import emit_action_file
+from ualgebra.varieties import REGISTRY, emit_variety
 
 
 @pytest.fixture()
@@ -478,6 +479,42 @@ def test_a_stray_value_error_is_an_internal_error(workspace, monkeypatch, capsys
         "",
         "internal error: ValueError('tuple.index(x): x not in tuple')\n",
     )
+
+
+def test_an_outer_digroup_failing_its_axioms_is_an_internal_error(
+    monkeypatch, tmp_path, capsys
+):
+    # the hypotheses hold, so a failed axiom check is a bug, not bad input
+    dgfile = tmp_path / "small.alg"
+    dgfile.write_text(
+        emit_algebra(trivial_digroup(cyclic_group(2), "y2").algebra)
+        + emit_algebra(trivial_digroup(cyclic_group(3), "k3").algebra)
+    )
+    maps = tmp_path / "maps.map"
+    blocks = ("phistar", "phicirc", "lambda")
+    maps.write_text("".join(f"{b} {y}\n0 1 2\n" for b in blocks for y in (0, 1)))
+    monkeypatch.setattr(digroups, "satisfies", lambda *args: False)
+    argv = ["digroup-sdp", "--Y", f"{dgfile}#y2", "--K", f"{dgfile}#k3", "--maps", str(maps)]
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "",
+        "internal error: InternalInconsistency('the outer product must be a digroup')\n",
+    )
+
+
+def test_a_stray_value_error_in_a_variety_file_is_an_internal_error(
+    workspace, monkeypatch, tmp_path, capsys
+):
+    # only a UAError of the identity parser is a bad identity
+    def failing(*args):
+        raise ValueError("stray")
+
+    varieties_file = tmp_path / "ws.var"
+    varieties_file.write_text(emit_variety(REGISTRY["group"]), encoding="utf-8")
+    monkeypatch.setattr(varieties, "parse_identity", failing)
+    argv = ["check", f"{workspace['algs']}#z4", "--variety", f"{varieties_file}#group"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "internal error: ValueError('stray')\n")
 
 
 @pytest.mark.parametrize("error", [AssertionError, InternalInconsistency])

@@ -1,5 +1,14 @@
-import pytest
+from itertools import permutations, product as iproduct
 
+import pytest
+from oracles import (
+    antimultiplicative_by_loops,
+    digroup_outer_tables,
+    is_automorphism_by_scan,
+    product_tables,
+)
+
+from ualgebra import digroups
 from ualgebra.algebras import find_isomorphism, product
 from ualgebra.catalog import cyclic_group, symmetric_group_s3
 from ualgebra.digroups import (
@@ -11,6 +20,7 @@ from ualgebra.digroups import (
     brace_center,
     brace_commutator,
     brace_ideal_generated,
+    circ_reduct,
     digroup_direct_criterion,
     digroup_extract_actions,
     digroup_from_tables,
@@ -23,6 +33,7 @@ from ualgebra.digroups import (
     skew_brace_check,
     skew_brace_outer_condition,
     skew_brace_reflection,
+    star_reduct,
     sub_digroup,
     trivial_digroup,
     trivial_triple,
@@ -30,6 +41,7 @@ from ualgebra.digroups import (
 from ualgebra.errors import (
     AxiomFailure,
     HypothesisViolation,
+    InternalInconsistency,
     NotIdeal,
     SizeLimitExceeded,
     SizeMismatch,
@@ -165,6 +177,70 @@ def test_direct_criterion_needs_lambda_to_fix_the_unit():
     # a malformed triple is refused by the triple's own validation
     with pytest.raises(HypothesisViolation, match="one table per element of Y"):
         digroup_direct_criterion(DigroupActionTriple(Y, K, (ident, ident), (ident, ident), (ident,)))
+
+
+def _unit_fixing_triples(Y, K):
+    """Every triple over (Y, K) whose three families fix K's unit and are
+    the identity at Y's, with its validity by the oracles' own scans: phi_star
+    and phi_circ automorphisms of the reducts, antimultiplicative over Y."""
+    ident = tuple(range(K.n))
+    rows = [p for p in permutations(range(K.n)) if p[K.one] == K.one]
+    others = [y for y in range(Y.n) if y != Y.one]
+    reducts = (star_reduct(K), circ_reduct(K))
+    for choice in iproduct(rows, repeat=3 * len(others)):
+        families = [[ident] * Y.n for _ in range(3)]
+        for i, row in enumerate(choice):
+            families[i // len(others)][others[i % len(others)]] = row
+        valid = all(
+            all(is_automorphism_by_scan(row, reduct) for row in family)
+            and antimultiplicative_by_loops(family, Y.algebra.table(symbol), Y.n)
+            for family, reduct, symbol in zip(families, reducts, ("star", "circ"))
+        )
+        yield DigroupActionTriple(Y, K, *families), valid
+
+
+def test_direct_criterion_is_the_table_comparison_on_every_small_triple():
+    # the oracle's answer: do the outer tables, by formula, equal the product's?
+    valid = direct = 0
+    for ny, nk in iproduct((1, 2), (1, 2, 3, 4)):
+        for Y, K in iproduct(all_digroups(ny), all_digroups(nk)):
+            for triple, is_valid in _unit_fixing_triples(Y, K):
+                if not is_valid:
+                    with pytest.raises(HypothesisViolation):
+                        digroup_direct_criterion(triple)
+                    continue
+                expected = digroup_outer_tables(
+                    Y.algebra, K.algebra, triple.phi_star, triple.phi_circ, triple.Lambda
+                ) == product_tables(Y.algebra, K.algebra)
+                assert digroup_direct_criterion(triple) == expected
+                valid += 1
+                direct += expected
+    # the identity triple is the only direct one of each of the 16 pairs
+    assert (valid, direct) == (258, 16)
+
+
+def test_direct_criterion_builds_no_digroup(monkeypatch):
+    # the criterion reads the action tables, so it runs no digroup axiom check
+    Y = trivial_digroup(cyclic_group(2))
+    K = trivial_digroup(cyclic_group(3))
+    ident, neg = (0, 1, 2), (0, 2, 1)
+    twisted = DigroupActionTriple(Y, K, (ident, neg), (ident, neg), (ident, neg))
+
+    def failing(*args):
+        raise AssertionError("check_identities called")
+
+    monkeypatch.setattr(digroups, "check_identities", failing)
+    assert digroup_direct_criterion(trivial_triple(Y, K))
+    assert not digroup_direct_criterion(twisted)
+
+
+def test_outer_digroup_failing_its_axioms_is_an_internal_inconsistency(monkeypatch):
+    # every hypothesis held, so a failed axiom check contradicts the theorem
+    Y = trivial_digroup(cyclic_group(2))
+    K = trivial_digroup(cyclic_group(3))
+    monkeypatch.setattr(digroups, "satisfies", lambda *args: False)
+    with pytest.raises(InternalInconsistency, match="must be a digroup"):
+        digroup_outer(trivial_triple(Y, K))
 
 
 def test_outer_rejects_bad_hypotheses():

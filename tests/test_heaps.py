@@ -1,5 +1,6 @@
 import pytest
 
+from ualgebra import heaps
 from ualgebra.algebras import find_isomorphism
 from ualgebra.catalog import (
     cyclic_group,
@@ -14,6 +15,7 @@ from ualgebra.errors import (
     AxiomFailure,
     DecompositionInvalid,
     HypothesisViolation,
+    InternalInconsistency,
     NotASubheap,
 )
 from ualgebra.heaps import (
@@ -232,6 +234,16 @@ def test_heap_outer_with_translation_action_on_a_larger_base():
     from ualgebra.varieties import REGISTRY, check_identities
 
     assert check_identities(G, REGISTRY["group"]).passes
+
+
+def test_heap_outer_failing_the_heap_axioms_is_an_internal_inconsistency(monkeypatch):
+    # Y and K pass, so only the built product fails: a theorem contradiction
+    honest = heaps.is_heap
+    monkeypatch.setattr(heaps, "is_heap", lambda X: X.name != "outer_heap" and honest(X))
+    K, Y = cyclic_heap(3), cyclic_heap(2)
+    ident = (0, 1, 2)
+    with pytest.raises(InternalInconsistency, match="must be a heap"):
+        heap_outer(HeapAction(Y, K, (ident, ident), 0))
 
 
 def test_heap_outer_rejects_bad_distinguished_element():

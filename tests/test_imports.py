@@ -250,3 +250,37 @@ def test_every_public_definition_is_referenced():
         return any(at != own and not at.startswith(own + ".") for at in at_reads)
 
     assert [own for own, qualified in definitions if not referenced(own, qualified)] == []
+
+
+BROAD_EXCEPTIONS = {"Exception", "BaseException"}
+
+
+def _broad_handlers(node: ast.AST, scope: str = ""):
+    """(enclosing function or class, line) of each `except` clause that
+    catches Exception or BaseException, alone or in a tuple, and of each
+    bare `except:`; the module level is the scope ''."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+            if any(getattr(c, "id", None) in BROAD_EXCEPTIONS or c is None for c in caught):
+                yield scope, child.lineno
+        yield from _broad_handlers(child, child.name if isinstance(child, DEFINITIONS) else scope)
+
+
+def test_the_broad_handler_lint_finds_each_form():
+    tree = ast.parse(
+        "try: pass\nexcept Exception: pass\n"
+        "def f():\n    try: pass\n    except BaseException as e: pass\n"
+        "try: pass\nexcept: pass\n"
+        "try: pass\nexcept (ValueError, Exception): pass\n"
+        "try: pass\nexcept ValueError: pass\n"
+    )
+    assert list(_broad_handlers(tree)) == [("", 2), ("f", 5), ("", 7), ("", 9)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cli_main_catches_every_exception(path):
+    # an input error is a UAError; any other exception is a bug, which the
+    # exit-3 handler of `cli.main` reports, so no other handler may swallow it
+    scopes = [scope for scope, _ in _broad_handlers(ast.parse(path.read_text()))]
+    assert scopes == (["main"] if path.name == "cli.py" else [])

@@ -144,6 +144,16 @@ def test_variety_file_roundtrip():
     assert parsed.identities == REGISTRY["group"].identities
 
 
+def test_parse_varieties_wraps_only_library_errors(monkeypatch):
+    # a stray exception of the identity parser is a bug and propagates as is
+    def failing(*args):
+        raise ValueError("stray")
+
+    monkeypatch.setattr(varieties, "parse_identity", failing)
+    with pytest.raises(ValueError, match="^stray$"):
+        parse_varieties(emit_variety(REGISTRY["group"]))
+
+
 def test_get_variety_unknown():
     with pytest.raises(UAError, match=r"^unknown variety 'nope'$"):
         get_variety("nope")
