@@ -128,11 +128,13 @@ class FiniteAlgebra:
         return range(self.size)
 
     @cached_property
-    def byte_tables(self) -> dict[int, bytes]:
+    def byte_tables(self) -> dict[int, bytes | tuple[bytes, ...]]:
         """`terms.translation_tables` of this algebra's tables, built once and
-        read on carriers of at most `terms.BYTE_CARRIER` elements. Derived
-        from `tables`, which equality, hashing and the text formats use."""
-        return translation_tables(self.tables)
+        read on carriers of at most `terms.BYTE_CARRIER` elements: one
+        256-byte `translate` map per table of at most 256 entries, a tuple of
+        `size` windows per table of at most 256 * size. Derived from
+        `tables`, which equality, hashing and the text formats use."""
+        return translation_tables(self.tables, self.size)
 
     def table(self, symbol: str) -> tuple[int, ...]:
         return self.tables[self.signature.position(symbol)]

@@ -30,6 +30,8 @@ BYTE_CARRIER = 16
 TABLE_PAD = 0xFF
 # each byte value as a one-byte string: a constant's column repeats one
 _ONE_BYTE = tuple(bytes((v,)) for v in range(256))
+# for each carrier value v, the map of v to 0xFF and of every other byte to 0
+_EQUALS = tuple(bytes(v) + b"\xff" + bytes(255 - v) for v in range(BYTE_CARRIER))
 
 
 @dataclass(frozen=True)
@@ -192,15 +194,52 @@ def parse_term(text: str, sig: Signature) -> Term:
     return _Parser(text, sig).parse()
 
 
-def translation_tables(tables) -> dict[int, bytes]:
-    """Each table of at most 256 entries, by its position, as the
-    `bytes.translate` map that `eval_block` reads on a carrier of at most
-    BYTE_CARRIER elements: the table's bytes padded to 256 with TABLE_PAD,
-    which no such carrier holds, so an index past the table reads TABLE_PAD."""
+def translation_tables(tables, n: int) -> dict[int, bytes | tuple[bytes, ...]]:
+    """The `bytes.translate` maps that `eval_block` reads on a carrier of
+    n <= BYTE_CARRIER elements, by table position, padded to 256 with
+    TABLE_PAD, which no such carrier holds, so an index past the table reads
+    TABLE_PAD. A table of at most 256 entries is one map. A table of n^k <=
+    256 * n entries is n windows: window v holds the 256 entries from v * m
+    on, m = n^(k-1), so rest index r reads entry v * m + r as the row-major
+    lookup does, also past v's own m entries. Longer tables have no map."""
     pad = bytes((TABLE_PAD,))
-    return {
-        p: bytes(table).ljust(256, pad) for p, table in enumerate(tables) if len(table) <= 256
-    }
+    maps: dict[int, bytes | tuple[bytes, ...]] = {}
+    for p, table in enumerate(tables):
+        if len(table) <= 256:
+            maps[p] = bytes(table).ljust(256, pad)
+        elif len(table) <= 256 * n:
+            m, data = len(table) // n, bytes(table)
+            maps[p] = tuple(data[v * m : v * m + 256].ljust(256, pad) for v in range(n))
+    return maps
+
+
+def _read_windows(windows: tuple[bytes, ...], cols, n: int, length: int) -> bytes:
+    """An application's values through the windows of its table: its
+    trailing columns packed as 8-bit lanes, read through the window of each
+    row's first value. ValueError or OverflowError where a value does not
+    fit a lane; IndexError where an index leaves the table."""
+    first = bytes(cols[0])
+    idx = 0
+    for col in cols[1:]:  # two or more: a binary table has at most 256 entries
+        idx = idx * n + int.from_bytes(col, "little")
+    lanes = idx.to_bytes(length, "little")
+    v = first[0] if length else 0
+    if first.count(v) == length:
+        out = lanes.translate(windows[v])
+    elif first.translate(None, bytes(range(n))):
+        raise IndexError("tuple index out of range")
+    else:
+        # each row keeps the window of its first value: a mask of 0xFF where
+        # the first column holds v, ANDed with the lanes read through v's
+        acc = 0
+        for v in range(n):
+            if v in first:
+                mask = int.from_bytes(first.translate(_EQUALS[v]), "little")
+                acc |= mask & int.from_bytes(lanes.translate(windows[v]), "little")
+        out = acc.to_bytes(length, "little")
+    if TABLE_PAD in out:
+        raise IndexError("tuple index out of range")
+    return out
 
 
 def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
@@ -219,9 +258,13 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
     whose table has n^k <= 256 entries packs its argument columns as 8-bit
     lanes of one big int, `idx = idx * n + int.from_bytes(column)`, which
     never carry, since every index is below n^k, and reads them by one
-    `bytes.translate` through its `translation_tables` entry. A longer
-    table, and every node on a larger carrier, takes the list path: it packs
-    the row-major index per row and reads the table once per row.
+    `bytes.translate` through its `translation_tables` map. A table of
+    n^k <= 256 * n entries (ternary on 7-16 elements, 4-ary on 5-6) packs
+    its trailing k - 1 arguments the same way and reads each row through
+    the window of its first argument's value, and reads values that do not
+    fit a lane by the list path. A longer table, and every node on a larger
+    carrier, takes the list path: it packs the row-major index per row and
+    reads the table once per row.
 
     The columns hold elements of the carrier. Over a single row, as
     `eval_term` evaluates, a value outside it raises IndexError at the node
@@ -261,14 +304,19 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
         if TABLE_PAD in out:
             raise IndexError("tuple index out of range")
         return out
-    packed = eval_block(args[0], algebra, columns, length)
-    if len(args) == 1:
+    cols = [eval_block(arg, algebra, columns, length) for arg in args]
+    if n <= BYTE_CARRIER and len(table) <= 256 * n:
+        try:
+            return _read_windows(algebra.byte_tables[p], cols, n, length)
+        except (ValueError, OverflowError):
+            pass  # a value that does not fit a lane: the list path reads it
+    packed = cols[0]
+    if len(cols) == 1:
         # on a byte carrier a unary table has at most 16 entries: never here
         return [table[a] for a in packed]
-    for arg in args[1:-1]:
-        packed = [i * n + a for i, a in zip(packed, eval_block(arg, algebra, columns, length))]
-    last = eval_block(args[-1], algebra, columns, length)
-    out = [table[i * n + a] for i, a in zip(packed, last)]
+    for col in cols[1:-1]:
+        packed = [i * n + a for i, a in zip(packed, col)]
+    out = [table[i * n + a] for i, a in zip(packed, cols[-1])]
     return bytes(out) if n <= BYTE_CARRIER else out
 
 

@@ -6,14 +6,14 @@ leading variables are fixed per block and the trailing ones, as many as fit,
 run through every value as projection columns. `terms.eval_block` evaluates
 both sides over the whole block at once. On a carrier of at most
 `terms.BYTE_CARRIER` (16) elements the columns are `bytes`: the kernel reads
-tables of at most 256 entries through 8-bit lanes and longer ones row by
-row, and the two sides compare as `bytes`. On a larger carrier they are
-lists. Within a block the rows follow the lexicographic order and the blocks
-follow each other in it, so the first row where the two value columns
-differ, in the first block where they differ at all, is the
-lexicographically first failing assignment: the witness the
-one-assignment-at-a-time scan reports. That row is looked for only once the
-block has failed.
+tables of at most 256 * n entries, which covers every heap on such a
+carrier, through 8-bit lanes and longer ones row by row, and the two sides
+compare as `bytes`. On a larger carrier they are lists. Within a block the
+rows follow the lexicographic order and the blocks follow each other in
+it, so the first row where the two value columns differ, in the first block
+where they differ at all, is the lexicographically first failing
+assignment: the witness the one-assignment-at-a-time scan reports. That row
+is looked for only once the block has failed.
 """
 
 from __future__ import annotations

@@ -76,6 +76,36 @@ def test_only_algebras_skips_comment_lines(path):
     assert path.name == "algebras.py" or comment_tests == []
 
 
+def _byte_views(tree: ast.Module):
+    """The line of each `.translate(` call and of each read of TABLE_PAD, as
+    a name or an attribute."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "translate"
+            or isinstance(node, ast.Name) and node.id == "TABLE_PAD"
+            or isinstance(node, ast.Attribute) and node.attr == "TABLE_PAD"
+        ):
+            yield node.lineno
+
+
+def test_the_byte_view_lint_flags_a_translate_and_the_pad():
+    tree = ast.parse(
+        "out = lanes.translate(maps)\nrow = bytes(t).ljust(256, bytes((TABLE_PAD,)))\n"
+        "pad = terms.TABLE_PAD\nname = name.strip()\n"
+    )
+    assert sorted(_byte_views(tree)) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_terms_reads_tables_as_bytes(path):
+    # the byte view of the tables is `FiniteAlgebra.byte_tables`, which
+    # `terms.translation_tables` builds and `terms.eval_block` reads: a second
+    # one would be a second copy of every table to keep in step
+    assert path.name == "terms.py" or list(_byte_views(ast.parse(path.read_text()))) == []
+
+
 TEXT_FILE_CALLS = {"open", "read_text", "write_text"}
 
 

@@ -16,6 +16,7 @@ from ualgebra.errors import (
 from ualgebra.terms import (
     BYTE_CARRIER,
     MAX_TERM_DEPTH,
+    TABLE_PAD,
     App,
     Identity,
     Signature,
@@ -189,9 +190,12 @@ def test_roundtrip_across_registry():
 # -- the column kernel against the tree walker --------------------------------
 #
 # Orders 2-17 with symbols of arity 0-5 (those whose table has at most
-# 100,000 entries) reach every path of `eval_block`: 8-bit lanes (n^k <= 256),
-# the list path on a byte carrier (longer tables) and the list path of a
-# carrier above BYTE_CARRIER (17).
+# 100,000 entries) reach every path of `eval_block`: one translation map
+# (n^k <= 256: binary tables on every byte carrier, ternary on 2-6, 4-ary on
+# 2-4, 5-ary on 2-3), one window per first-argument value (256 < n^k <=
+# 256 * n: ternary on 7-16, 4-ary on 5-6, 5-ary on 4), the list path on a
+# byte carrier (longer tables: 4-ary on 7-16, 5-ary on 5-10) and the list
+# path of a carrier above BYTE_CARRIER (17).
 
 KERNEL_SYMBOLS = (("c", 0), ("u", 1), ("b", 2), ("t", 3), ("q", 4), ("p", 5))
 KERNEL_ORDERS = range(2, BYTE_CARRIER + 2)
@@ -302,3 +306,107 @@ def test_eval_term_beyond_a_byte_fails_on_a_byte_carrier():
         A = cyclic_heap(4) if t.symbol == "t" else z4
         with pytest.raises(IndexError):
             eval_term(t, A, row)
+
+
+# -- windowed tables: n^(k-1) <= 256 < n^k on a byte carrier ---------------
+
+WINDOWED = [(3, n) for n in range(7, BYTE_CARRIER + 1)] + [(4, 5), (4, 6)]
+
+
+def _windowed_algebra(k: int, n: int):
+    rng = random.Random(1000 * k + n)
+    table = tuple(rng.choices(range(n), k=n**k))
+    return FiniteAlgebra(f"w{k}_{n}", Signature((("w", k),)), n, (table,))
+
+
+def _first_column(kind: str, rng, n: int, length: int) -> list[int]:
+    if kind == "constant":
+        return [rng.randrange(n)] * length
+    if kind == "two-valued":
+        pair = rng.sample(range(n), 2)
+        return [rng.choice(pair) for _ in range(length)]
+    column = [i % n for i in range(length)]
+    rng.shuffle(column)
+    return column
+
+
+@pytest.mark.parametrize("k, n", WINDOWED)
+def test_windowed_tables_match_the_tree_walker(k, n):
+    A = _windowed_algebra(k, n)
+    assert n ** (k - 1) <= 256 < n**k and type(A.byte_tables[0]) is tuple
+    rng = random.Random(400 + 10 * k + n)
+    flat = App("w", tuple(Var(j) for j in range(k)))
+    # an application as the first argument, and as a trailing one
+    nested = App("w", (flat,) + tuple(Var(j) for j in range(1, k - 1)) + (flat,))
+    for length in (0, 1, 7, 4096):
+        for kind in ("constant", "two-valued", "full-range"):
+            rows = list(
+                zip(
+                    _first_column(kind, rng, n, length),
+                    *([rng.randrange(n) for _ in range(length)] for _ in range(k - 1)),
+                )
+            )
+            for t in (flat, nested):
+                expected = [tree_walk(t, A, row) for row in rows]
+                for column_type in (bytes, list):
+                    columns = [column_type(c) for c in zip(*rows)] or [column_type()] * k
+                    got = eval_block(t, A, columns, length)
+                    assert type(got) is bytes and list(got) == expected, (k, n, length, kind)
+
+
+@pytest.mark.parametrize("k, n", WINDOWED)
+def test_a_windowed_table_fails_where_the_tree_walker_does(k, n):
+    A = _windowed_algebra(k, n)
+    t = App("w", tuple(Var(j) for j in range(k)))
+    rest = (0,) * (k - 1)
+    # a first argument past the carrier puts every index past the table
+    for v in range(n, 256):
+        assert _walk(t, A, (v,) + rest) == "index"
+        with pytest.raises(IndexError):
+            eval_term(t, A, (v,) + rest)
+    # also in a block whose first column is not constant
+    first = bytes((0, 1, n, 1, 0))
+    with pytest.raises(IndexError):
+        eval_block(t, A, [first] + [bytes(5)] * (k - 1), 5)
+    # a trailing argument past the carrier reads the row-major entry where
+    # the full index stays inside the table, and fails where it does not
+    rng = random.Random(500 + 10 * k + n)
+    outcomes = set()
+    for _ in range(40):
+        row = (rng.randrange(n),) + tuple(
+            rng.choice((rng.randrange(n), n, n + 3, 255)) for _ in range(k - 1)
+        )
+        try:
+            got = eval_term(t, A, row)
+        except IndexError as exc:
+            got = _fault(exc)
+        assert got == _walk(t, A, row), (k, n, row)
+        outcomes.add(got == "index")
+    assert True in outcomes
+
+
+def test_a_middle_argument_past_the_carrier_reads_inside_the_table():
+    # 19 * 16 = 304 does not fit a lane, but 0 * 256 + 304 is an entry
+    A = _windowed_algebra(3, 16)
+    t = App("w", (Var(0), Var(1), Var(2)))
+    assert eval_term(t, A, (0, 19, 0)) == tree_walk(t, A, (0, 19, 0)) == A.tables[0][304]
+
+
+@pytest.mark.parametrize("n", range(2, BYTE_CARRIER + 1))
+def test_each_table_has_the_translation_map_its_length_allows(n):
+    A = _kernel_algebra(n)
+    maps = A.byte_tables
+    for p, ((_, k), table) in enumerate(zip(A.signature.symbols, A.tables)):
+        if len(table) <= 256:
+            assert maps[p] == bytes(table) + bytes((TABLE_PAD,)) * (256 - len(table))
+        elif len(table) <= 256 * n:
+            # window v reads entry v * m + r at rest index r, past v's own
+            # m entries too, and TABLE_PAD past the table
+            m = n ** (k - 1)
+            assert len(maps[p]) == n
+            for v, window in enumerate(maps[p]):
+                assert list(window) == [
+                    table[v * m + r] if v * m + r < len(table) else TABLE_PAD for r in range(256)
+                ]
+        else:
+            assert p not in maps

@@ -248,12 +248,13 @@ def test_quasi_condition_failure_matches_the_oracle():
 
 
 def test_heaps_past_the_byte_lanes_and_a_carrier_past_the_bytes_agree_with_the_oracle():
-    # the ternary t of a heap of order 7-9 has n^3 > 256 entries, so its
-    # nodes take the list path over byte columns; order 17 takes it over lists
+    # the ternary t of a heap of order 7-12 has 256 < n^3 <= 256 * n entries,
+    # so its nodes read one translation window per value of their first
+    # argument; order 17 takes the list path over lists
     rng = random.Random(21)
     heap = REGISTRY["heap"]
     outcomes = set()
-    for n in (7, 8, 9):
+    for n in (7, 8, 9, 10, 12):
         for X in [cyclic_heap(n)] + [_perturbed(rng, cyclic_heap(n)) for _ in range(2)]:
             outcomes.add(_agrees_with_oracle(X, heap) is None)
     assert outcomes == {True, False}
@@ -261,6 +262,28 @@ def test_heaps_past_the_byte_lanes_and_a_carrier_past_the_bytes_agree_with_the_o
     assert _agrees_with_oracle(cyclic_group(17), group) is None
     for _ in range(3):
         assert _agrees_with_oracle(_perturbed(rng, cyclic_group(17)), group) is not None
+
+
+class _UnreadTable(tuple):
+    """A table that fails when one of its entries is read by index."""
+
+    def __getitem__(self, i):
+        if isinstance(i, int):
+            raise AssertionError(f"table entry {i} read row by row")
+        return super().__getitem__(i)
+
+
+def test_the_z8_heap_check_reads_its_table_through_the_windows_alone():
+    heap = REGISTRY["heap"]
+    rng = random.Random(8)
+    witnesses = []
+    for X in [cyclic_heap(8)] + [_perturbed(rng, cyclic_heap(8)) for _ in range(2)]:
+        expected = first_identity_failure(X, heap)
+        assert len(X.byte_tables[0]) == 8
+        object.__setattr__(X, "tables", tuple(map(_UnreadTable, X.tables)))
+        assert _report_tuple(X, heap) == expected
+        witnesses.append(expected)
+    assert witnesses[0] is None and None not in witnesses[1:]
 
 
 def test_witness_in_a_later_block():
