@@ -132,8 +132,10 @@ class FiniteAlgebra:
         """`terms.translation_tables` of this algebra's tables, built once and
         read on carriers of at most `terms.BYTE_CARRIER` elements: one
         256-byte `translate` map per table of at most 256 entries, a tuple of
-        `size` windows per table of at most 256 * size. Derived from
-        `tables`, which equality, hashing and the text formats use."""
+        `size` windows per table of at most 256 * size, window v holding the
+        entries whose first argument is v. Read at carrier elements only.
+        Derived from `tables`, which equality, hashing and the text formats
+        use."""
         return translation_tables(self.tables, self.size)
 
     def table(self, symbol: str) -> tuple[int, ...]:

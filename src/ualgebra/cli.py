@@ -78,7 +78,8 @@ def _elements(text: str, option: str) -> tuple[int, ...]:
 
 def _parse_map_file(path: str, keywords) -> dict[str, dict[int, list[int]]]:
     """The tables of a map file: a header `<keyword> <element>` opens the
-    table of that element, and the lines up to the next header are its entries."""
+    table of that element, and the lines up to the next header are its
+    entries. A repeated header is a ParseError at its line."""
     out: dict[str, dict[int, list[int]]] = {k: {} for k in keywords}
     table: list[int] | None = None
     for no, line in content_lines(_read(path)):
@@ -86,8 +87,10 @@ def _parse_map_file(path: str, keywords) -> dict[str, dict[int, list[int]]]:
         if parts[0] in keywords:
             if len(parts) != 2:
                 raise ParseError(f"expected '{parts[0]} <element>'", path, no)
-            table = []
-            out[parts[0]][parse_uint(parts[1], "bad integer {token!r}", path, no)] = table
+            x = parse_uint(parts[1], "bad integer {token!r}", path, no)
+            if x in out[parts[0]]:
+                raise ParseError(f"repeated map for {parts[0]} {x}", path, no)
+            table = out[parts[0]][x] = []
         elif table is None:
             raise ParseError("table entries before any map header", path, no)
         else:
@@ -96,10 +99,14 @@ def _parse_map_file(path: str, keywords) -> dict[str, dict[int, list[int]]]:
 
 
 def _per_element(maps, keyword: str, size: int, path: str) -> tuple[tuple[int, ...], ...]:
-    """The `keyword` tables for elements 0..size-1; a missing block is malformed input."""
+    """The `keyword` tables for elements 0..size-1; a missing block, or one
+    for an element past the carrier, is malformed input."""
     for x in range(size):
         if x not in maps[keyword]:
             raise UAError(f"{path}: no '{keyword} {x}' table")
+    for x in sorted(maps[keyword]):
+        if x >= size:
+            raise UAError(f"{path}: '{keyword} {x}' table past the carrier of {size} elements")
     return tuple(tuple(maps[keyword][x]) for x in range(size))
 
 

@@ -17,7 +17,7 @@ cosets Kb with `outer.restrict_to_fibers`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import product as iproduct
 
 from .algebras import (
@@ -209,8 +209,12 @@ class GroupSDPData:
     g: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
     h: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _g_lookup(self) -> dict:
+        return dict(self.g)
+
     def g_table(self, b1: int, b2: int) -> tuple[int, ...]:
-        return dict(self.g)[(b1, b2)]
+        return self._g_lookup[(b1, b2)]
 
     def __post_init__(self):
         one = group_identity(self.N)
@@ -230,7 +234,7 @@ def _check_51_conditions(data: GroupSDPData):
     """The three group axioms on the union, as conditions on the tables."""
     N, B = data.N, data.B
     one_n, one_b = group_identity(N), group_identity(B)
-    g = dict(data.g)
+    g = data._g_lookup
 
     def gv(b1, b2, n1, n2):
         return g[(b1, b2)][n1 * N.size + n2]

@@ -11,6 +11,7 @@ from .errors import (
     ArityMismatch,
     MissingAssignment,
     SignatureMismatch,
+    SizeMismatch,
     TermSyntaxError,
     UnknownSymbol,
 )
@@ -26,7 +27,7 @@ MAX_TERM_DEPTH = 200
 # On carriers of at most this many elements `eval_block` works over byte
 # columns: every value fits in a byte and a binary index in an 8-bit lane.
 BYTE_CARRIER = 16
-# The byte that a translation table reads past the end of its table.
+# The byte that pads a translation table or window to 256 entries.
 TABLE_PAD = 0xFF
 # each byte value as a one-byte string: a constant's column repeats one
 _ONE_BYTE = tuple(bytes((v,)) for v in range(256))
@@ -196,12 +197,11 @@ def parse_term(text: str, sig: Signature) -> Term:
 
 def translation_tables(tables, n: int) -> dict[int, bytes | tuple[bytes, ...]]:
     """The `bytes.translate` maps that `eval_block` reads on a carrier of
-    n <= BYTE_CARRIER elements, by table position, padded to 256 with
-    TABLE_PAD, which no such carrier holds, so an index past the table reads
-    TABLE_PAD. A table of at most 256 entries is one map. A table of n^k <=
-    256 * n entries is n windows: window v holds the 256 entries from v * m
-    on, m = n^(k-1), so rest index r reads entry v * m + r as the row-major
-    lookup does, also past v's own m entries. Longer tables have no map."""
+    n <= BYTE_CARRIER elements, by table position, each padded to 256 bytes
+    with TABLE_PAD. A table of at most 256 entries is one map. A table of
+    n^k <= 256 * n entries is n windows: window v holds v's own m = n^(k-1)
+    entries, v * m up to (v + 1) * m, so rest index r reads entry v * m + r
+    as the row-major lookup does. Longer tables have no map."""
     pad = bytes((TABLE_PAD,))
     maps: dict[int, bytes | tuple[bytes, ...]] = {}
     for p, table in enumerate(tables):
@@ -209,15 +209,14 @@ def translation_tables(tables, n: int) -> dict[int, bytes | tuple[bytes, ...]]:
             maps[p] = bytes(table).ljust(256, pad)
         elif len(table) <= 256 * n:
             m, data = len(table) // n, bytes(table)
-            maps[p] = tuple(data[v * m : v * m + 256].ljust(256, pad) for v in range(n))
+            maps[p] = tuple(data[v * m : (v + 1) * m].ljust(256, pad) for v in range(n))
     return maps
 
 
 def _read_windows(windows: tuple[bytes, ...], cols, n: int, length: int) -> bytes:
     """An application's values through the windows of its table: its
     trailing columns packed as 8-bit lanes, read through the window of each
-    row's first value. ValueError or OverflowError where a value does not
-    fit a lane; IndexError where an index leaves the table."""
+    row's first value."""
     first = bytes(cols[0])
     idx = 0
     for col in cols[1:]:  # two or more: a binary table has at most 256 entries
@@ -225,21 +224,15 @@ def _read_windows(windows: tuple[bytes, ...], cols, n: int, length: int) -> byte
     lanes = idx.to_bytes(length, "little")
     v = first[0] if length else 0
     if first.count(v) == length:
-        out = lanes.translate(windows[v])
-    elif first.translate(None, bytes(range(n))):
-        raise IndexError("tuple index out of range")
-    else:
-        # each row keeps the window of its first value: a mask of 0xFF where
-        # the first column holds v, ANDed with the lanes read through v's
-        acc = 0
-        for v in range(n):
-            if v in first:
-                mask = int.from_bytes(first.translate(_EQUALS[v]), "little")
-                acc |= mask & int.from_bytes(lanes.translate(windows[v]), "little")
-        out = acc.to_bytes(length, "little")
-    if TABLE_PAD in out:
-        raise IndexError("tuple index out of range")
-    return out
+        return lanes.translate(windows[v])
+    # each row keeps the window of its first value: a mask of 0xFF where the
+    # first column holds v, ANDed with the lanes read through v's
+    acc = 0
+    for v in range(n):
+        if v in first:
+            mask = int.from_bytes(first.translate(_EQUALS[v]), "little")
+            acc |= mask & int.from_bytes(lanes.translate(windows[v]), "little")
+    return acc.to_bytes(length, "little")
 
 
 def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
@@ -261,15 +254,14 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
     `bytes.translate` through its `translation_tables` map. A table of
     n^k <= 256 * n entries (ternary on 7-16 elements, 4-ary on 5-6) packs
     its trailing k - 1 arguments the same way and reads each row through
-    the window of its first argument's value, and reads values that do not
-    fit a lane by the list path. A longer table, and every node on a larger
-    carrier, takes the list path: it packs the row-major index per row and
-    reads the table once per row.
+    the window of its first argument's value. A longer table, and every
+    node on a larger carrier, takes the list path: it packs the row-major
+    index per row and reads the table once per row.
 
-    The columns hold elements of the carrier. Over a single row, as
-    `eval_term` evaluates, a value outside it raises IndexError at the node
-    whose table index it puts out of range, as a tuple lookup does; over
-    longer blocks its lane may carry into the next one instead.
+    The columns hold elements of the carrier, and `eval_block` trusts them:
+    `check_identities` builds its columns from the carrier and `envcat` from
+    the union's elements, and `eval_term` checks its assignment. A value
+    outside the carrier has no defined result.
     """
     if type(t) is Var:
         if t.index >= len(columns):
@@ -287,29 +279,17 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
     if not args:
         return _ONE_BYTE[table[0]] * length if n <= BYTE_CARRIER else [table[0]] * length
     if n <= BYTE_CARRIER and len(table) <= 256:
-        # the arguments' own faults are UAErrors and IndexErrors, which the
-        # handler below lets pass
-        try:
-            if len(args) == 1:
-                lanes = bytes(eval_block(args[0], algebra, columns, length))
-            else:
-                idx = 0
-                for arg in args:
-                    idx = idx * n + int.from_bytes(eval_block(arg, algebra, columns, length), "little")
-                lanes = idx.to_bytes(length, "little")
-        except (ValueError, OverflowError):
-            # a value above 255 or below 0, or an index past the last lane
-            raise IndexError("tuple index out of range") from None
-        out = lanes.translate(algebra.byte_tables[p])
-        if TABLE_PAD in out:
-            raise IndexError("tuple index out of range")
-        return out
+        if len(args) == 1:
+            lanes = bytes(eval_block(args[0], algebra, columns, length))
+        else:
+            idx = 0
+            for arg in args:
+                idx = idx * n + int.from_bytes(eval_block(arg, algebra, columns, length), "little")
+            lanes = idx.to_bytes(length, "little")
+        return lanes.translate(algebra.byte_tables[p])
     cols = [eval_block(arg, algebra, columns, length) for arg in args]
     if n <= BYTE_CARRIER and len(table) <= 256 * n:
-        try:
-            return _read_windows(algebra.byte_tables[p], cols, n, length)
-        except (ValueError, OverflowError):
-            pass  # a value that does not fit a lane: the list path reads it
+        return _read_windows(algebra.byte_tables[p], cols, n, length)
     packed = cols[0]
     if len(cols) == 1:
         # on a byte carrier a unary table has at most 16 entries: never here
@@ -321,8 +301,13 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
 
 
 def eval_term(t: Term, algebra: "FiniteAlgebra", assignment) -> int:
-    """The value of `t` under one assignment: a block of length 1."""
-    return eval_block(t, algebra, [(a,) for a in assignment], 1)[0]
+    """The value of `t` under one assignment: a block of length 1. A value
+    outside the carrier raises SizeMismatch, whatever `t` reads."""
+    n = algebra.size
+    columns = [(a,) for a in assignment if 0 <= a < n]
+    if len(columns) != len(assignment):
+        raise SizeMismatch("assignment values must lie in the carrier")
+    return eval_block(t, algebra, columns, 1)[0]
 
 
 def substitute(t: Term, replacements: tuple[Term, ...]) -> Term:

@@ -302,6 +302,24 @@ def test_group_sdp_missing_phi_block_is_input_error(workspace, tmp_path, capsys)
     assert capsys.readouterr().err == f"error: {phi}: no 'phi 1' table\n"
 
 
+@pytest.mark.parametrize(
+    "phi_text, error",
+    [
+        # a second block would replace the first, and build Z3 x Z2
+        ("phi 0\n0 1 2\nphi 1\n0 2 1\nphi 1\n0 1 2\n", "{phi}:5:0: repeated map for phi 1"),
+        # a block for no element of the base would be ignored
+        ("phi 0\n0 1 2\nphi 1\n0 2 1\nphi 7\n0 1 2\n", "{phi}: 'phi 7' table past the carrier of 2 elements"),
+    ],
+    ids=["repeated", "past-the-carrier"],
+)
+def test_group_sdp_phi_blocks_name_each_base_element_once(workspace, tmp_path, capsys, phi_text, error):
+    phi = tmp_path / "phi.map"
+    phi.write_text(phi_text)
+    algs = workspace["algs"]
+    assert main(["group-sdp", "--N", f"{algs}#z3", "--B", f"{algs}#z2", "--phi", str(phi)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error.format(phi=phi)}\n")
+
+
 def test_brace_check(workspace, capsys):
     code = main(["brace", "check", f"{workspace['dg']}#dgs3"])
     assert code == 0

@@ -314,3 +314,37 @@ def test_only_cli_main_catches_every_exception(path):
     # exit-3 handler of `cli.main` reports, so no other handler may swallow it
     scopes = [scope for scope, _ in _broad_handlers(ast.parse(path.read_text()))]
     assert scopes == (["main"] if path.name == "cli.py" else [])
+
+
+ERRORS = {
+    node.name
+    for node in ast.parse((MODULES[0].parent / "errors.py").read_text()).body
+    if isinstance(node, ast.ClassDef)
+}
+
+
+def _foreign_raises(tree: ast.Module):
+    """The line of each `raise` of anything but a class of `ualgebra.errors`,
+    called or bare; a bare `raise` re-raises and is not counted."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", "")
+            if name not in ERRORS:
+                yield node.lineno
+
+
+def test_the_raise_lint_flags_a_builtin_exception():
+    tree = ast.parse(
+        "raise IndexError('tuple index out of range')\nraise ValueError\n"
+        "raise SizeMismatch('x') from None\nraise errors.ParseError('y')\nraise\n"
+    )
+    assert list(_foreign_raises(tree)) == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_src_raises_only_the_errors_of_the_package(path):
+    # malformed input ends in a UAError, which `cli.main` reports with exit
+    # 2, and a failed cross-check in InternalInconsistency; any other class
+    # raised in `src` would end in exit 3 as if it were a bug
+    assert list(_foreign_raises(ast.parse(path.read_text()))) == []

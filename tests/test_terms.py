@@ -10,6 +10,7 @@ from ualgebra.errors import (
     ArityMismatch,
     MissingAssignment,
     SignatureMismatch,
+    SizeMismatch,
     TermSyntaxError,
     UnknownSymbol,
 )
@@ -226,8 +227,6 @@ def _fault(exc: Exception) -> str:
     """The kind of WalkFault that `exc` is raised for."""
     if isinstance(exc, MissingAssignment):
         return "missing"
-    if isinstance(exc, IndexError):
-        return "index"
     if isinstance(exc, SignatureMismatch) and "arity mismatch" in str(exc):
         return "arity"
     if isinstance(exc, SignatureMismatch) and "not in the algebra's signature" in str(exc):
@@ -268,44 +267,61 @@ def test_eval_block_raises_the_first_fault_of_the_tree_walk(n):
         for length in (1, 3):
             try:
                 got = eval_block(t, A, [column_type((v,)) * length for v in row], length)[0]
-            except (MissingAssignment, SignatureMismatch, IndexError) as exc:
+            except (MissingAssignment, SignatureMismatch) as exc:
                 got = _fault(exc)
             assert got == expected, (n, term_to_str(t))
         faults.add(expected)
     assert {"missing", "symbol", "arity"} <= faults
 
 
+# Values outside a carrier of n elements: below it, just past it, further
+# past it, the largest byte and the first value past a byte.
+def _outside(n: int) -> tuple[int, ...]:
+    return (-1, n, n + 3, 255, 256)
+
+
 @pytest.mark.parametrize("n", KERNEL_ORDERS)
-def test_eval_term_outside_the_carrier_fails_as_a_table_lookup(n):
-    # one row, as `eval_term` evaluates: a byte value past the carrier
-    # raises IndexError exactly where the walker's index passes its table
+def test_eval_term_refuses_a_value_outside_the_carrier(n):
+    # one row, as `eval_term` evaluates: a value outside the carrier at any
+    # place raises SizeMismatch, whether or not the term reads that place
     A = _kernel_algebra(n)
     rng = random.Random(300 + n)
     outcomes = set()
     for _ in range(60):
         t = _random_term(rng, A.signature.symbols, 3, 3)
-        row = tuple(rng.choice((rng.randrange(n + 4), 255)) for _ in range(3))
-        try:
-            got = eval_term(t, A, row)
-        except IndexError as exc:
-            got = _fault(exc)
-        assert got == _walk(t, A, row), (n, term_to_str(t), row)
-        outcomes.add(got == "index")
+        row = tuple(rng.choice((rng.randrange(n), rng.choice(_outside(n)))) for _ in range(3))
+        if all(0 <= v < n for v in row):
+            assert eval_term(t, A, row) == tree_walk(t, A, row), (n, term_to_str(t), row)
+        else:
+            with pytest.raises(SizeMismatch, match="must lie in the carrier"):
+                eval_term(t, A, row)
+        outcomes.add(all(0 <= v < n for v in row))
     assert outcomes == {True, False}
+    t = App("b", (Var(0), Var(1)))
+    for place in range(3):
+        for v in _outside(n):
+            row = tuple(v if j == place else 0 for j in range(3))
+            with pytest.raises(SizeMismatch):
+                eval_term(t, A, row)
 
 
-def test_eval_term_beyond_a_byte_fails_on_a_byte_carrier():
-    # a lane holds 0..255, so where a node of a carrier of at most
-    # BYTE_CARRIER elements reads 8-bit lanes any other value fails there
-    z4 = cyclic_group(4)
-    for t, row in [
-        (App("i", (Var(0),)), (256,)),
-        (App("m", (Var(0), Var(1))), (0, -1)),
-        (App("t", (Var(0), Var(1), Var(2))), (0, 0, 300)),
+def test_eval_term_refuses_values_whose_index_stays_inside_the_table():
+    # a tuple lookup at the row-major index reads an entry for (0,5) and
+    # (0,-1) on Z4 and for (0,-1) and (0,17) on Z17; no byte lane holds 256
+    # or 300
+    z4, z17 = cyclic_group(4), cyclic_group(17)
+    m = App("m", (Var(0), Var(1)))
+    for t, A, row in [
+        (m, z4, (0, 5)),
+        (m, z17, (0, -1)),
+        (m, z17, (0, 17)),
+        (App("i", (Var(0),)), z4, (256,)),
+        (m, z4, (0, -1)),
+        (App("t", (Var(0), Var(1), Var(2))), cyclic_heap(4), (0, 0, 300)),
     ]:
-        A = cyclic_heap(4) if t.symbol == "t" else z4
-        with pytest.raises(IndexError):
+        with pytest.raises(SizeMismatch):
             eval_term(t, A, row)
+    assert eval_term(m, z17, (16, 1)) == tree_walk(m, z17, (16, 1)) == 0
 
 
 # -- windowed tables: n^(k-1) <= 256 < n^k on a byte carrier ---------------
@@ -355,41 +371,33 @@ def test_windowed_tables_match_the_tree_walker(k, n):
 
 
 @pytest.mark.parametrize("k, n", WINDOWED)
-def test_a_windowed_table_fails_where_the_tree_walker_does(k, n):
+def test_a_windowed_table_refuses_values_outside_the_carrier(k, n):
     A = _windowed_algebra(k, n)
     t = App("w", tuple(Var(j) for j in range(k)))
-    rest = (0,) * (k - 1)
-    # a first argument past the carrier puts every index past the table
-    for v in range(n, 256):
-        assert _walk(t, A, (v,) + rest) == "index"
-        with pytest.raises(IndexError):
-            eval_term(t, A, (v,) + rest)
-    # also in a block whose first column is not constant
-    first = bytes((0, 1, n, 1, 0))
-    with pytest.raises(IndexError):
-        eval_block(t, A, [first] + [bytes(5)] * (k - 1), 5)
-    # a trailing argument past the carrier reads the row-major entry where
-    # the full index stays inside the table, and fails where it does not
+    # a value outside the carrier at any argument place is refused; the
+    # walker's index leaves the table where the first argument is past it
+    for place in range(k):
+        for v in _outside(n):
+            row = tuple(v if j == place else 0 for j in range(k))
+            with pytest.raises(SizeMismatch):
+                eval_term(t, A, row)
+            if place == 0 and v >= n:
+                assert _walk(t, A, row) == "index"
+    # rows inside the carrier read what the walker reads
     rng = random.Random(500 + 10 * k + n)
-    outcomes = set()
     for _ in range(40):
-        row = (rng.randrange(n),) + tuple(
-            rng.choice((rng.randrange(n), n, n + 3, 255)) for _ in range(k - 1)
-        )
-        try:
-            got = eval_term(t, A, row)
-        except IndexError as exc:
-            got = _fault(exc)
-        assert got == _walk(t, A, row), (k, n, row)
-        outcomes.add(got == "index")
-    assert True in outcomes
+        row = tuple(rng.randrange(n) for _ in range(k))
+        assert eval_term(t, A, row) == tree_walk(t, A, row), (k, n, row)
 
 
-def test_a_middle_argument_past_the_carrier_reads_inside_the_table():
-    # 19 * 16 = 304 does not fit a lane, but 0 * 256 + 304 is an entry
+def test_a_middle_argument_past_the_carrier_is_refused():
+    # 0 * 256 + 19 * 16 + 0 = 304 is an entry of the table, which the
+    # walker reads, but 19 is no element of a 16-element carrier
     A = _windowed_algebra(3, 16)
     t = App("w", (Var(0), Var(1), Var(2)))
-    assert eval_term(t, A, (0, 19, 0)) == tree_walk(t, A, (0, 19, 0)) == A.tables[0][304]
+    assert tree_walk(t, A, (0, 19, 0)) == A.tables[0][304]
+    with pytest.raises(SizeMismatch):
+        eval_term(t, A, (0, 19, 0))
 
 
 @pytest.mark.parametrize("n", range(2, BYTE_CARRIER + 1))
@@ -400,13 +408,10 @@ def test_each_table_has_the_translation_map_its_length_allows(n):
         if len(table) <= 256:
             assert maps[p] == bytes(table) + bytes((TABLE_PAD,)) * (256 - len(table))
         elif len(table) <= 256 * n:
-            # window v reads entry v * m + r at rest index r, past v's own
-            # m entries too, and TABLE_PAD past the table
+            # window v holds v's own m entries, then TABLE_PAD
             m = n ** (k - 1)
             assert len(maps[p]) == n
             for v, window in enumerate(maps[p]):
-                assert list(window) == [
-                    table[v * m + r] if v * m + r < len(table) else TABLE_PAD for r in range(256)
-                ]
+                assert window == bytes(table[v * m : (v + 1) * m]) + bytes((TABLE_PAD,)) * (256 - m)
         else:
             assert p not in maps

@@ -150,9 +150,12 @@ def test_a_non_numeral_in_a_map_tuple_is_quoted_without_its_spaces():
         parse_action_file("\n".join(lines), _resolve)
 
 
-def test_map_file_skips_comments_and_a_repeated_header_replaces_its_table(tmp_path):
-    text = "# c\n\nphi 0\n0 1\nphi 0\n1 0\nlambda 1\n2\n  3  \n"
-    assert _parse("map", text, tmp_path) == {"phi": {0: [1, 0]}, "lambda": {1: [2, 3]}, "rho": {}}
+def test_map_file_skips_comments_and_refuses_a_repeated_header(tmp_path):
+    text = "# c\n\nphi 0\n0 1\nlambda 1\n2\n  3  \n"
+    assert _parse("map", text, tmp_path) == {"phi": {0: [0, 1]}, "lambda": {1: [2, 3]}, "rho": {}}
+    # a second 'phi 0' table would replace the first
+    with pytest.raises(ParseError, match=r"m\.map:5:0: repeated map for phi 0$"):
+        _parse("map", "# c\n\nphi 0\n0 1\nphi 0\n1 0\n", tmp_path)
 
 
 def test_content_lines_numbers_every_line_and_skips_blank_and_comment_lines():
