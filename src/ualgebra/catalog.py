@@ -6,22 +6,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import isqrt
 
 from .algebras import FiniteAlgebra, perms_fixing_zero, product, relabel_table
-from .errors import SizeLimitExceeded
+from .errors import AxiomFailure, SizeLimitExceeded, SizeMismatch
 from .varieties import GROUP_SIG, HEAP_SIG, LATTICE_SIG, RING_SIG, Signature
 
 SEMIGROUP_SIG = Signature((("m", 2),))
 
 
 def group_from_mul(name: str, n: int, mul) -> FiniteAlgebra:
-    """Build a group algebra from a multiplication callable; identity/inverse derived."""
-    table = tuple(mul(a, b) for a in range(n) for b in range(n))
-    identity = next(
-        e for e in range(n) if all(table[e * n + x] == x == table[x * n + e] for x in range(n))
-    )
-    inv = tuple(next(b for b in range(n) if table[a * n + b] == identity) for a in range(n))
-    return FiniteAlgebra(name, GROUP_SIG, n, (table, inv, (identity,)))
+    """The group algebra of a multiplication callable, by `group_algebra_from_table`."""
+    return group_algebra_from_table(tuple(mul(a, b) for a in range(n) for b in range(n)), name)
 
 
 def cyclic_group(n: int) -> FiniteAlgebra:
@@ -96,16 +92,12 @@ def _catalog_groups() -> tuple[FiniteAlgebra, ...]:
 
 
 def cyclic_ring(n: int) -> FiniteAlgebra:
-    add = tuple((a + b) % n for a in range(n) for b in range(n))
-    neg = tuple((-a) % n for a in range(n))
     mul = tuple((a * b) % n for a in range(n) for b in range(n))
-    return FiniteAlgebra(f"zring{n}", RING_SIG, n, (add, neg, (0,), mul))
+    return FiniteAlgebra(f"zring{n}", RING_SIG, n, cyclic_group(n).tables + (mul,))
 
 
 def zero_ring(n: int) -> FiniteAlgebra:
-    add = tuple((a + b) % n for a in range(n) for b in range(n))
-    neg = tuple((-a) % n for a in range(n))
-    return FiniteAlgebra(f"zero{n}", RING_SIG, n, (add, neg, (0,), (0,) * (n * n)))
+    return FiniteAlgebra(f"zero{n}", RING_SIG, n, cyclic_group(n).tables + ((0,) * (n * n),))
 
 
 def chain_lattice(n: int) -> FiniteAlgebra:
@@ -185,8 +177,20 @@ def all_group_tables(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def group_algebra_from_table(table: tuple[int, ...], name: str) -> FiniteAlgebra:
-    n = int(len(table) ** 0.5 + 0.5)
-    return group_from_mul(name, n, lambda a, b: table[a * n + b])
+    """The group algebra (m, i, e) of an n x n table, with its identity and each
+    element's first right inverse read off it; associativity is not checked."""
+    n = isqrt(len(table))
+    if n * n != len(table):
+        raise SizeMismatch(f"a table of {len(table)} entries is not n x n")
+    rows = [tuple(table[a * n : a * n + n]) for a in range(n)]
+    ids = tuple(range(n))
+    e = next((e for e, col in enumerate(zip(*rows)) if rows[e] == col == ids), None)
+    if e is None:
+        raise AxiomFailure("the table has no two-sided identity")
+    inv = tuple(row.index(e) if e in row else None for row in rows)
+    if None in inv:
+        raise AxiomFailure(f"element {inv.index(None)} has no right inverse")
+    return FiniteAlgebra(name, GROUP_SIG, n, (tuple(table), inv, (e,)))
 
 
 def standard_corpus() -> list[tuple[FiniteAlgebra, str]]:

@@ -87,8 +87,10 @@ def congruence_generated(A: FiniteAlgebra, pairs) -> Partition:
     """
     n = A.size
     uf = UnionFind(n)
+    # from_pairs refuses an entry outside the carrier; each (x, rep x) joins a class
+    uf.parent = list(Partition.from_pairs(n, pairs).rep)
     union = uf.union
-    pending = [(a, b) for a, b in pairs if union(a, b)]
+    pending = [(x, r) for x, r in enumerate(uf.parent) if x != r]
     places = [
         (table, n ** (arity - 1 - j))
         for (_, arity), table in zip(A.signature.symbols, A.tables)

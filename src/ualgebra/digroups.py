@@ -34,12 +34,13 @@ from .algebras import (
     is_automorphism,
     is_homomorphism,
     is_subalgebra,
+    isomorphisms,
     perms_fixing_zero,
     quotient,
     relabel_table,
     subalgebra_as_algebra,
 )
-from .catalog import all_group_tables, groups_up_to_8
+from .catalog import all_group_tables, group_algebra_from_table, groups_up_to_8
 from .congruences import congruence_generated, is_congruence
 from .errors import (
     AxiomFailure,
@@ -98,21 +99,18 @@ class Digroup:
 
 
 def digroup_from_tables(star, circ, name: str = "digroup") -> Digroup:
-    """Build a digroup from two multiplication tables sharing an identity."""
-    n = int(len(star) ** 0.5 + 0.5)
-    ones = [
-        e
-        for e in range(n)
-        if all(star[e * n + x] == x == star[x * n + e] for x in range(n))
-        and all(circ[e * n + x] == x == circ[x * n + e] for x in range(n))
-    ]
-    if len(ones) != 1:
+    """Build a digroup from two multiplication tables sharing an identity,
+    each read by `catalog.group_algebra_from_table`, and validate it."""
+    S = group_algebra_from_table(star, "star")
+    C = group_algebra_from_table(circ, "circ")
+    return _join(S, C, name).validate()
+
+
+def _join(S: FiniteAlgebra, C: FiniteAlgebra, name: str) -> Digroup:
+    """The digroup of a star group S and a circ group C, unvalidated."""
+    if S.tables[2] != C.tables[2]:
         raise AxiomFailure("the two tables must share a unique identity")
-    one = ones[0]
-    sinv = tuple(next(b for b in range(n) if star[a * n + b] == one) for a in range(n))
-    cinv = tuple(next(b for b in range(n) if circ[a * n + b] == one) for a in range(n))
-    alg = FiniteAlgebra(name, DIGROUP_SIG, n, (tuple(star), sinv, tuple(circ), cinv, (one,)))
-    return Digroup(alg).validate()
+    return Digroup(FiniteAlgebra(name, DIGROUP_SIG, S.size, S.tables[:2] + C.tables))
 
 
 def trivial_digroup(G: FiniteAlgebra, name: str | None = None) -> Digroup:
@@ -122,21 +120,12 @@ def trivial_digroup(G: FiniteAlgebra, name: str | None = None) -> Digroup:
 
 
 def star_reduct(D: Digroup) -> FiniteAlgebra:
-    return FiniteAlgebra(
-        f"{D.algebra.name}_star",
-        GROUP_SIG,
-        D.n,
-        (D.algebra.tables[0], D.algebra.tables[1], (D.one,)),
-    )
+    tables = D.algebra.tables
+    return FiniteAlgebra(f"{D.algebra.name}_star", GROUP_SIG, D.n, tables[:2] + tables[4:])
 
 
 def circ_reduct(D: Digroup) -> FiniteAlgebra:
-    return FiniteAlgebra(
-        f"{D.algebra.name}_circ",
-        GROUP_SIG,
-        D.n,
-        (D.algebra.tables[2], D.algebra.tables[3], (D.one,)),
-    )
+    return FiniteAlgebra(f"{D.algebra.name}_circ", GROUP_SIG, D.n, D.algebra.tables[2:])
 
 
 def is_subdigroup(D: Digroup, S) -> bool:
@@ -433,9 +422,8 @@ def digroup_direct_criterion(triple: DigroupActionTriple) -> bool:
     if not triple.lambda_fixes_unit():
         raise HypothesisViolation("the direct-product criterion needs Lambda to fix K's unit")
     direct = direct_product_check(*_digroup_data(triple), triple.K.algebra)
-    ident = (tuple(range(triple.K.n)),) * triple.Y.n
     crosscheck(
-        direct == (triple.phi_star == triple.phi_circ == triple.Lambda == ident),
+        direct == (triple == trivial_triple(triple.Y, triple.K)),
         "the action tables must be K's own exactly when all three families are the identity",
     )
     return direct
@@ -617,24 +605,26 @@ def all_digroups(n: int) -> tuple[Digroup, ...]:
 
     Every digroup can be relabeled so that its star table is the least
     relabelling, fixing 0, of one of the catalog's groups; each circ table
-    orbit under the automorphisms of that star is then taken once, at its
-    least member.
+    orbit under the automorphisms of that star, `isomorphisms(S, S)`, is
+    then taken once, at its least member, and joined unvalidated: every
+    table of `all_group_tables` is a group with identity 0 (tests/test_catalog.py).
     """
     tables = all_group_tables(n)
-    perms = list(perms_fixing_zero(n))
     stars = sorted(
-        min(relabel_table(G.tables[0], p, 2) for p in perms)
+        min(relabel_table(G.tables[0], p, 2) for p in perms_fixing_zero(n))
         for G in groups_up_to_8()
         if G.size == n
     )
     out: list[Digroup] = []
     for star in stars:
-        autos = [p for p in perms if relabel_table(star, p, 2) == star]
+        S = group_algebra_from_table(star, "star")
+        autos = list(isomorphisms(S, S))
         marked: set[tuple[int, ...]] = set()
         for circ in tables:
             if circ not in marked:
                 marked.update(relabel_table(circ, p, 2) for p in autos)
-                out.append(digroup_from_tables(star, circ, name=f"dg{n}_{len(out)}"))
+                C = group_algebra_from_table(circ, "circ")
+                out.append(_join(S, C, f"dg{n}_{len(out)}"))
     return tuple(out)
 
 

@@ -31,7 +31,7 @@ class TupleObject:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        if any(not 0 <= a < self.algebra.size for a in self.elements):
+        if not all(isinstance(a, int) and 0 <= a < self.algebra.size for a in self.elements):
             raise ShapeMismatch("tuple entries must lie in the carrier")
 
     def __len__(self) -> int:

@@ -29,6 +29,8 @@ class Partition:
     def from_pairs(cls, n: int, pairs) -> "Partition":
         uf = UnionFind(n)
         for a, b in pairs:
+            if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
+                raise SizeMismatch(f"partition entries must be integers in range({n})")
             uf.union(a, b)
         return uf.partition()
 
@@ -36,6 +38,8 @@ class Partition:
     def from_blocks(cls, n: int, blocks) -> "Partition":
         rep = [-1] * n
         for block in blocks:
+            if not all(isinstance(x, int) and 0 <= x < n for x in block):
+                raise SizeMismatch(f"partition entries must be integers in range({n})")
             least = min(block)
             for x in block:
                 if rep[x] != -1:

@@ -302,9 +302,9 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
 
 def eval_term(t: Term, algebra: "FiniteAlgebra", assignment) -> int:
     """The value of `t` under one assignment: a block of length 1. A value
-    outside the carrier raises SizeMismatch, whatever `t` reads."""
+    not an int in the carrier raises SizeMismatch, whatever `t` reads."""
     n = algebra.size
-    columns = [(a,) for a in assignment if 0 <= a < n]
+    columns = [(a,) for a in assignment if isinstance(a, int) and 0 <= a < n]
     if len(columns) != len(assignment):
         raise SizeMismatch("assignment values must lie in the carrier")
     return eval_block(t, algebra, columns, 1)[0]

@@ -15,7 +15,7 @@ from ualgebra.catalog import (
     quaternion_group,
     symmetric_group_s3,
 )
-from ualgebra.errors import SizeLimitExceeded
+from ualgebra.errors import AxiomFailure, SizeLimitExceeded, SizeMismatch
 from ualgebra.varieties import REGISTRY, check_identities
 
 
@@ -78,7 +78,9 @@ def test_all_group_tables_stop_at_the_catalogs_largest_order():
 
 
 def test_all_group_tables_really_are_groups():
-    for n in range(1, 8):
+    # `all_digroups` joins these tables without checking the digroup axioms,
+    # so every one of them, the 2,760 of order 8 included, is checked here
+    for n in range(1, 9):
         for i, table in enumerate(all_group_tables(n)):
             G = group_algebra_from_table(table, f"t{n}_{i}")
             assert check_identities(G, REGISTRY["group"]).passes
@@ -99,3 +101,22 @@ def test_all_group_tables_iso_class_split():
         "z6": 60,
         "s3": 20,
     }
+
+
+@pytest.mark.parametrize(
+    "table, error, message",
+    [
+        ((0, 1, 1, 1), AxiomFailure, "element 1 has no right inverse"),
+        ((1, 1, 1, 1), AxiomFailure, "no two-sided identity"),
+        ((0, 1, 1), SizeMismatch, "a table of 3 entries is not n x n"),
+    ],
+)
+def test_group_algebra_from_table_refuses_a_table_that_is_no_group(table, error, message):
+    with pytest.raises(error, match=message):
+        group_algebra_from_table(table, "x")
+
+
+def test_group_algebra_from_table_reads_identity_and_inverses_off_the_table():
+    # x * y = x + y + 1 mod 3: identity 2, and 0 and 1 inverse to each other
+    table = tuple((a + b + 1) % 3 for a in range(3) for b in range(3))
+    assert group_algebra_from_table(table, "x").tables == (table, (1, 0, 2), (2,))

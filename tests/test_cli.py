@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import os
@@ -871,15 +872,22 @@ def _call(argv, capsys):
     return code, out, err
 
 
-def test_fuzzed_argv_ends_in_an_answer_or_an_input_error(workspace, tmp_path, capsys):
-    # over well-formed and hostile arguments alike, `ua` answers (0, 1) or
-    # reports malformed input (2), never an internal error, and a second
-    # call prints the same bytes
+def _fuzz_maps(tmp_path) -> tuple[Path, Path]:
+    """The `--phi` map of Z2 on Z3 and the trivial `--maps` file on S3 that
+    `_random_argv` names."""
     phi = tmp_path / "phi.map"
     phi.write_text("phi 0\n0 1 2\nphi 1\n0 2 1\n")
     maps = tmp_path / "trivial.map"
     blocks = ["phistar", "phicirc", "lambda"]
     maps.write_text("".join(f"{b} {y}\n0 1 2 3 4 5\n" for b in blocks for y in range(6)))
+    return phi, maps
+
+
+def test_fuzzed_argv_ends_in_an_answer_or_an_input_error(workspace, tmp_path, capsys):
+    # over well-formed and hostile arguments alike, `ua` answers (0, 1) or
+    # reports malformed input (2), never an internal error, and a second
+    # call prints the same bytes
+    phi, maps = _fuzz_maps(tmp_path)
 
     @seed(22)
     @settings(max_examples=300, deadline=None, database=None)
@@ -892,3 +900,49 @@ def test_fuzzed_argv_ends_in_an_answer_or_an_input_error(workspace, tmp_path, ca
         assert _call(argv, capsys) == first, argv
 
     run()
+
+
+HASH_SEED_RUN = """
+import contextlib, io, random, sys
+from test_cli import _random_argv
+from test_digroups import census_digest
+from ualgebra.cli import main
+
+print(census_digest(6))
+files = dict(arg.split("=", 1) for arg in sys.argv[1:])
+for draw in range(150):
+    argv = _random_argv(random.Random(draw), files, files["phi"], files["maps"])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(repr((argv, code, out.getvalue(), err.getvalue())))
+"""
+
+
+def test_no_output_depends_on_the_hash_seed(workspace, tmp_path):
+    # the digroup census and 150 seeded `ua` calls over one workspace, in two
+    # processes whose str and bytes hashes differ
+    phi, maps = _fuzz_maps(tmp_path)
+    args = [f"{key}={path}" for key, path in {**workspace, "phi": phi, "maps": maps}.items()]
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        run = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_RUN, *args],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    digest, *calls = outputs[0].splitlines()
+    assert digest == "ebd469514ee830a0c02ae0c9bba574c36fa71aeafbc3c16c78eb72e5a10f7a75"
+    assert len(calls) == 150
+    assert {ast.literal_eval(call)[1] for call in calls} == {0, 1, 2}

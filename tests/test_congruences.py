@@ -17,8 +17,9 @@ from ualgebra.congruences import (
     congruence_generated,
     is_congruence,
     kernel,
+    principal_congruence,
 )
-from ualgebra.errors import NotACongruence, SizeLimitExceeded
+from ualgebra.errors import NotACongruence, SizeLimitExceeded, SizeMismatch
 from ualgebra.heaps import heap_from_group
 from ualgebra.inner import idempotent_endomorphisms
 from ualgebra.partitions import Partition
@@ -71,6 +72,16 @@ def test_congruence_generated_on_z4():
     assert congruence_generated(z4, [(0, 2)]) == Partition.from_blocks(4, [[0, 2], [1, 3]])
     assert congruence_generated(z4, []) == Partition.identity(4)
     assert congruence_generated(z4, [(3, 3)]) == Partition.identity(4)
+
+
+def test_congruence_generated_refuses_a_pair_outside_the_carrier():
+    # (0, -1) used to give the total congruence and (0, 9) an IndexError
+    z4 = cyclic_group(4)
+    for a, b in [(0, -1), (0, 9), (0, 1.0), (4, 0)]:
+        with pytest.raises(SizeMismatch, match="must be integers in range"):
+            principal_congruence(z4, a, b)
+    pairs = ((a, a + 2) for a in range(2))
+    assert congruence_generated(z4, pairs) == Partition.from_blocks(4, [[0, 2], [1, 3]])
 
 
 def test_all_congruences_counts():

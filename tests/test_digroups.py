@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -63,6 +64,28 @@ def test_digroup_from_tables_validates():
     shifted = tuple((a + b + 1) % 4 for a in range(4) for b in range(4))  # identity 3
     with pytest.raises(AxiomFailure):
         digroup_from_tables(z4, shifted)
+
+
+@pytest.mark.parametrize(
+    "star, circ, error",
+    [((0, 1, 1, 1), (0, 1, 1, 1), AxiomFailure), ((0, 1, 1, 0), (0,), SizeMismatch)],
+)
+def test_digroup_from_tables_refuses_tables_that_are_no_digroup(star, circ, error):
+    # a row without the identity, and a circ table on another carrier
+    with pytest.raises(error):
+        digroup_from_tables(star, circ)
+
+
+def test_the_census_trusts_the_catalog_and_digroup_from_tables_validates(monkeypatch):
+    # every table of `all_group_tables` is a group with identity 0
+    # (tests/test_catalog.py), so the census joins them unchecked
+    calls = []
+    honest = digroups.check_identities
+    monkeypatch.setattr(digroups, "check_identities", lambda *a: calls.append(a) or honest(*a))
+    assert all_digroups.__wrapped__(4) == all_digroups(4)
+    assert calls == []
+    klein_z4_digroup()
+    assert len(calls) == 1
 
 
 def test_trivial_digroup_on_s3():
@@ -425,6 +448,23 @@ def test_digroup_corpus_counts():
     assert len(all_digroups(8)) == 1684
     assert len(all_skew_braces(7)) == 1
     assert len(all_skew_braces(8)) == 47
+
+
+def census_digest(top: int) -> str:
+    """sha256 over the name and tables of each digroup of order 1..top and
+    the name of each skew brace, order by order."""
+    digest = hashlib.sha256()
+    for n in range(1, top + 1):
+        for D in all_digroups(n):
+            digest.update(repr((D.algebra.name, D.algebra.tables)).encode())
+        for D in all_skew_braces(n):
+            digest.update(repr(D.algebra.name).encode())
+    return digest.hexdigest()
+
+
+def test_digroup_census_content_is_pinned():
+    # names, order and tables, not only the counts
+    assert census_digest(6) == "ebd469514ee830a0c02ae0c9bba574c36fa71aeafbc3c16c78eb72e5a10f7a75"
 
 
 def test_digroup_enumeration_stops_at_the_catalogs_largest_order():

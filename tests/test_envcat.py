@@ -60,6 +60,14 @@ def test_is_cat_morphism_examples():
     assert not is_cat_morphism(z4, src, TupleObject(z4, (1,)), (term("m(x0,x1)"),))
 
 
+def test_tuple_object_entries_are_ints_in_the_carrier():
+    z4 = cyclic_group(4)
+    for elements in [(1.0,), (0, 2.5), (4,), (-1,)]:
+        with pytest.raises(ShapeMismatch, match="must lie in the carrier"):
+            TupleObject(z4, elements)
+    assert TupleObject(z4, (True, 3)).elements == (True, 3)
+
+
 def test_morphism_validation_is_eager():
     z4 = cyclic_group(4)
     src = TupleObject(z4, (1, 3))

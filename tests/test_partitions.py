@@ -55,6 +55,23 @@ def test_size_mismatch_guard():
         Partition.identity(3).refines(Partition.identity(4))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Partition.from_pairs(4, [(0, -1)]),
+        lambda: Partition.from_pairs(4, [(0, 9)]),
+        lambda: Partition.from_pairs(4, ((a, a + 1.0) for a in range(3))),
+        lambda: Partition.from_blocks(4, [[0, 1], [2, 3], [9]]),
+        lambda: Partition.from_blocks(4, [[0, 1], [2, -1], [3]]),
+        lambda: Partition.from_blocks(4, [[0, 1], [2, 3.0]]),
+    ],
+)
+def test_from_pairs_and_from_blocks_refuse_entries_outside_the_carrier(build):
+    # -1 used to index from the end and 9 past it
+    with pytest.raises(SizeMismatch, match="must be integers in range"):
+        build()
+
+
 def test_set_partitions_oracle_counts_are_bell_numbers():
     bell = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
     for n, count in bell.items():

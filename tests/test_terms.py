@@ -324,6 +324,17 @@ def test_eval_term_refuses_values_whose_index_stays_inside_the_table():
     assert eval_term(m, z17, (16, 1)) == tree_walk(m, z17, (16, 1)) == 0
 
 
+def test_eval_term_refuses_a_value_that_is_not_an_int():
+    # 1.0 and 2.5 pass the range test 0 <= a < n; an element is an int, and
+    # a bool reads as the int it is
+    m = App("m", (Var(0), Var(1)))
+    for A in (cyclic_group(4), cyclic_group(17)):
+        for row in [(1.0, 0), (0, 2.5), (3.0, 1.0)]:
+            with pytest.raises(SizeMismatch, match="must lie in the carrier"):
+                eval_term(m, A, row)
+        assert eval_term(m, A, (True, 1)) == eval_term(m, A, (1, 1)) == 2
+
+
 # -- windowed tables: n^(k-1) <= 256 < n^k on a byte carrier ---------------
 
 WINDOWED = [(3, n) for n in range(7, BYTE_CARRIER + 1)] + [(4, 5), (4, 6)]
