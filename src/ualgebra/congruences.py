@@ -12,19 +12,22 @@ of the table; the sections of two values line up entry by entry.
   congruences efficiently", Algebra Universalis 59 (2008): every pair that
   merges two classes is pushed once, and each popped pair is propagated once
   through every one-place translation.
-- `all_congruences` is the join-closure of the principal congruences: after
-  each pair (a, b) it holds every join of the principal congruences seen so
-  far, so a new Cg(a, b) is joined once with each member not already above
-  it. That is at most |Con(A)| joins per distinct principal congruence.
-  Con(A) is built once per algebra: a memo keyed on A alone holds
-  IDEMPOTENT_CACHE_SIZE sorted tuples, so a caller's own call and the
-  idempotent search share one build. Every call returns a fresh list, so
-  no caller can change a cached value.
+- `all_congruences` is the join-closure of the principal congruences, one
+  per strongly connected component of the pair graph: by Mal'cev's
+  description (Burris and Sankappanavar, *A Course in Universal Algebra*,
+  Ch. II) Cg(a, b) is the equivalence closure of the pairs reachable from
+  {a, b}, and Tarjan's search (SIAM J. Comput. 1, 1972) emits the components
+  sinks first, so each Cg is joined from those already built, with no
+  worklist of Freese's kind. Con(A) is built once per algebra: a memo keyed
+  on A alone holds IDEMPOTENT_CACHE_SIZE sorted tuples, so a caller's own
+  call and the idempotent search share one build. Every call returns a
+  fresh list, so no caller can change a cached value.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, count
 
 from .algebras import CARRIER_CAP, IDEMPOTENT_CACHE_SIZE, FiniteAlgebra, Homomorphism
 from .errors import SizeLimitExceeded, SizeMismatch
@@ -114,20 +117,21 @@ def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Partition:
 def all_congruences(A: FiniteAlgebra) -> list[Partition]:
     """Every congruence of A, as the join-closure of its principal congruences.
 
-    Each congruence is the join of the principal congruences Cg(a, b) of its
-    pairs. Over the pairs a < b in order, `found` holds every join of the
-    principal congruences seen so far (the identity is the empty join), so
-    it is closed under joins. A new Cg(a, b) adds its join with each member,
-    and a member that relates a and b already lies above it; one already in
-    `found` adds nothing. So each distinct principal congruence is joined
-    once with each member of a subset of Con(A), at most |Con(A)| joins.
-    Sorted by block count descending, then by representatives.
+    By Mal'cev's description (Burris and Sankappanavar, *A Course in
+    Universal Algebra*, Ch. II), Cg(a, b) is the equivalence closure of the
+    pairs that composites of one-place translations send {a, b} to: one Cg
+    per strongly connected component C of the pair graph. Tarjan's search
+    (SIAM J. Comput. 1, 1972) emits the components sinks first, so Cg(C) is
+    C's own pairs joined with Cg(D) for each D that C has an edge to, and no
+    worklist runs (Freese, Algebra Universalis 59, 2008). A new Cg(C) is
+    joined once with each member of the closure so far not relating C's
+    pairs. Sorted by block count descending, then by representatives.
 
-    A carrier above CARRIER_CAP raises SizeLimitExceeded, and so does a
-    closure holding more than CONGRUENCE_LIMIT members, as soon as it does;
-    no algebra of at most 8 elements reaches that limit. The closure is
-    memoized on A alone (IDEMPOTENT_CACHE_SIZE algebras), errors are not,
-    and each call gets a fresh list.
+    A carrier above CARRIER_CAP raises SizeLimitExceeded before any section
+    is read, and so does a closure past CONGRUENCE_LIMIT members, as soon as
+    it is; no algebra of at most 8 elements reaches that limit. Memoized on
+    A alone (IDEMPOTENT_CACHE_SIZE algebras), errors are not; each call gets
+    a fresh list.
     """
     return list(_congruence_closure(A))
 
@@ -138,16 +142,55 @@ def _congruence_closure(A: FiniteAlgebra) -> tuple[Partition, ...]:
     if n > CARRIER_CAP:
         raise SizeLimitExceeded(f"congruence enumeration capped at {CARRIER_CAP}")
     found = {Partition.identity(n)}
-    for a in range(n):
-        for b in range(a + 1, n):
-            p = principal_congruence(A, a, b)
-            if p not in found:
-                found.update([c.join(p) for c in found if c.rep[a] != c.rep[b]])
-                if len(found) > CONGRUENCE_LIMIT:
-                    raise SizeLimitExceeded(
-                        f"congruence enumeration capped at {CONGRUENCE_LIMIT} congruences"
-                    )
+    for ((a, b), *_), p in _principal_components(A):
+        if p not in found:
+            found.update([c.join(p) for c in found if c.rep[a] != c.rep[b]])
+            if len(found) > CONGRUENCE_LIMIT:
+                raise SizeLimitExceeded(
+                    f"congruence enumeration capped at {CONGRUENCE_LIMIT} congruences"
+                )
     return tuple(sorted(found, key=lambda p: (-p.block_count(), p.rep)))
+
+
+def _principal_components(A: FiniteAlgebra) -> list[tuple[list[tuple[int, int]], Partition]]:
+    """Each strongly connected component of the pair graph, sinks first, with its Cg."""
+    n = A.size
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    node = {(x, y): i for i, (a, b) in enumerate(pairs) for x, y in ((a, b), (b, a))}
+    succ = [set() for _ in pairs]
+    for (_, arity), table in zip(A.signature.symbols, A.tables):
+        for j in range(arity):
+            sections = [_section(table, n, n ** (arity - 1 - j), a) for a in range(n)]
+            for (a, b), reached in zip(pairs, succ):
+                reached.update(map(node.get, zip(sections[a], sections[b])))
+    succ = [reached - {None} for reached in succ]
+    order, low, comp = [-1] * len(pairs), [0] * len(pairs), [-1] * len(pairs)
+    clock, stack, out = count(), [], []
+    for root in range(len(pairs)):
+        work = [(root, iter(succ[root]))] if order[root] < 0 else []
+        while work:
+            v, edges = work.pop()
+            if order[v] < 0:
+                order[v] = low[v] = next(clock)
+                stack.append(v)
+            for w in edges:
+                if order[w] < 0:  # descend; w comes up again when v resumes
+                    work += [(v, chain([w], edges)), (w, iter(succ[w]))]
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                if low[v] == order[v]:
+                    i = stack.index(v)
+                    members, stack[i:] = stack[i:], []
+                    uf = UnionFind(n)
+                    for w in members:
+                        comp[w], low[w] = len(out), len(pairs)  # above every order
+                        uf.union(*pairs[w])
+                    for d in {comp[x] for w in members for x in succ[w]} - {len(out)}:
+                        for x, r in enumerate(out[d][1].rep):
+                            uf.union(x, r)
+                    out.append(([pairs[w] for w in members], uf.partition()))
+    return out
 
 
 def kernel(h: Homomorphism) -> Partition:

@@ -28,9 +28,10 @@ class Partition:
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Partition":
         uf = UnionFind(n)
-        for a, b in pairs:
+        for pair in pairs:
+            a, b = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
             if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
-                raise SizeMismatch(f"partition entries must be integers in range({n})")
+                raise SizeMismatch(f"partition entries must be integers in range({n}), in pairs")
             uf.union(a, b)
         return uf.partition()
 
@@ -38,6 +39,8 @@ class Partition:
     def from_blocks(cls, n: int, blocks) -> "Partition":
         rep = [-1] * n
         for block in blocks:
+            if not block:
+                raise SizeMismatch("a partition block is empty")
             if not all(isinstance(x, int) and 0 <= x < n for x in block):
                 raise SizeMismatch(f"partition entries must be integers in range({n})")
             least = min(block)

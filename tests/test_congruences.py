@@ -1,5 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
+from ualgebra import congruences
 from ualgebra.algebras import IDEMPOTENT_CACHE_SIZE, FiniteAlgebra, Homomorphism, product, quotient
 from ualgebra.catalog import (
     chain_lattice,
@@ -13,6 +14,7 @@ from ualgebra.catalog import (
 )
 from ualgebra.congruences import (
     _congruence_closure,
+    _principal_components,
     all_congruences,
     congruence_generated,
     is_congruence,
@@ -146,6 +148,74 @@ def test_congruence_generated_matches_fixpoint_oracle():
             for b in range(a + 1, A.size):
                 got = congruence_generated(A, [(a, b)]).rep
                 assert got == fixpoint_congruence_generated(A, [(a, b)]), (A.name, a, b)
+
+
+def component_principals(A):
+    """{(a, b): the principal congruence of its component}, after checking
+    that the components hold every pair a < b exactly once."""
+    got = [(pair, p) for pairs, p in _principal_components(A) for pair in pairs]
+    n = A.size
+    assert sorted(pair for pair, _ in got) == [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return dict(got)
+
+
+@pytest.mark.parametrize(
+    "A",
+    ORACLE_CORPUS + [cyclic_heap(k) for k in range(7, 10)] + [mult_semigroup(k) for k in range(9, 13)],
+    ids=lambda A: A.name,
+)
+def test_component_principal_congruences_match_the_fixpoint_oracle(A):
+    for (a, b), p in component_principals(A).items():
+        assert p.rep == fixpoint_congruence_generated(A, [(a, b)]), (a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=random_tables())
+def test_component_principal_congruences_match_the_fixpoint_oracle_on_random_tables(A):
+    for (a, b), p in component_principals(A).items():
+        assert p.rep == fixpoint_congruence_generated(A, [(a, b)]), (a, b)
+
+
+WORKLIST_CORPUS = (
+    [chain_lattice(k) for k in range(2, 13)]
+    + [left_zero_semigroup(k) for k in range(2, 9)]
+    + groups_up_to_8()
+    + [heap_from_group(G) for G in groups_up_to_8()]
+    + [cyclic_heap(k) for k in range(7, 13)]
+)
+
+
+@pytest.mark.parametrize("A", WORKLIST_CORPUS, ids=lambda A: A.name)
+def test_component_principal_congruences_match_the_worklist(A):
+    for (a, b), p in component_principals(A).items():
+        assert p == principal_congruence(A, a, b), (a, b)
+
+
+@pytest.mark.parametrize("A", [cyclic_heap(7), chain_lattice(9), mult_semigroup(8)], ids=lambda A: A.name)
+def test_a_congruence_lattice_build_generates_no_congruence(A, monkeypatch):
+    # every principal congruence comes from the components, none from the worklist
+    calls = []
+    real = congruences.congruence_generated
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(congruences, "congruence_generated", counted)
+    _congruence_closure.cache_clear()
+    assert [p.rep for p in all_congruences(A)] == principal_join_bfs(A)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [13, 200])
+def test_the_carrier_cap_is_checked_before_any_section(n, monkeypatch):
+    calls = []
+    monkeypatch.setattr(congruences, "_section", lambda *args: calls.append(args))
+    A = FiniteAlgebra("big", Signature((("m", 2),)), n, (tuple((a + b) % n for a in range(n) for b in range(n)),))
+    _congruence_closure.cache_clear()
+    with pytest.raises(SizeLimitExceeded, match="^congruence enumeration capped at 12$"):
+        all_congruences(A)
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)

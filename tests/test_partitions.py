@@ -72,6 +72,24 @@ def test_from_pairs_and_from_blocks_refuse_entries_outside_the_carrier(build):
         build()
 
 
+def test_from_blocks_refuses_an_empty_block():
+    # min() of the empty block used to raise a bare ValueError
+    with pytest.raises(SizeMismatch, match="block is empty"):
+        Partition.from_blocks(4, [[0, 1, 2, 3], []])
+
+
+def test_from_pairs_refuses_a_triple():
+    # tuple unpacking used to raise a bare ValueError
+    with pytest.raises(SizeMismatch, match="in pairs"):
+        Partition.from_pairs(4, [(0, 1, 2)])
+
+
+def test_from_pairs_refuses_an_entry_that_is_not_a_pair():
+    # tuple unpacking used to raise a bare TypeError
+    with pytest.raises(SizeMismatch, match="in pairs"):
+        Partition.from_pairs(4, [5])
+
+
 def test_set_partitions_oracle_counts_are_bell_numbers():
     bell = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
     for n, count in bell.items():
