@@ -24,7 +24,7 @@ from .errors import (
     TableRangeError,
 )
 from .partitions import Partition
-from .terms import Signature, translation_tables
+from .terms import BYTE_CARRIER, Signature, maps_tables, translation_tables
 
 # The largest carrier that the isomorphism search, the subalgebra scan and
 # the congruence lattice take.
@@ -76,6 +76,14 @@ def row_major_columns(sizes) -> list[list[int]]:
         [v for v in range(m) for _ in range(after[j + 1])] * before[j]
         for j, m in enumerate(sizes)
     ]
+
+
+@lru_cache(maxsize=64)
+def byte_projections(n: int, k: int) -> tuple[bytes, ...]:
+    """The `row_major_columns` of range(n)^k as `bytes`, for n <= 256: the
+    place columns of `check_identities`' blocks and of the tables that
+    `is_homomorphism` maps."""
+    return tuple(map(bytes, row_major_columns((n,) * k)))
 
 
 def inverse_permutation(p) -> tuple[int, ...]:
@@ -155,16 +163,25 @@ def tuples(n: int, k: int):
 def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
     """True iff f(map a1,..,map ak) = map f(a1,..,ak) for every symbol and tuple.
 
-    One column per operation: the B-indices of the mapped argument tuples
-    are built in A's row-major order, one place at a time, and B's entries
-    there are compared with the mapped column of A's table."""
+    One column per operation, in A's row-major order. When both carriers
+    have at most `terms.BYTE_CARRIER` elements, `terms.maps_tables` maps A's
+    place columns (`byte_projections`) and A's table as `bytes` and reads
+    B's table at the mapped columns with `eval_block`'s table read. On a
+    larger carrier the B-indices of the mapped argument tuples are built one
+    place at a time by `pack_product`. A map entry that is not an int in
+    B's carrier raises SizeMismatch."""
     if A.signature != B.signature:
         raise SignatureMismatch("homomorphisms need a shared signature")
-    if len(mapping) != A.size or any(not 0 <= v < B.size for v in mapping):
+    n = B.size
+    kept = [v for v in mapping if isinstance(v, int) and 0 <= v < n]
+    if len(kept) != len(mapping) or len(mapping) != A.size:
         raise SizeMismatch("map must send A's carrier into B's")
     m = mapping
+    if A.size <= BYTE_CARRIER and n <= BYTE_CARRIER:
+        places = [byte_projections(A.size, k) for _, k in A.signature.symbols]
+        return maps_tables(m, A.tables, places, B)
     return all(
-        [m[v] for v in ta] == [tb[i] for i in pack_product([m] * arity, B.size)]
+        [m[v] for v in ta] == [tb[i] for i in pack_product([m] * arity, n)]
         for (_, arity), ta, tb in zip(A.signature.symbols, A.tables, B.tables)
     )
 

@@ -235,28 +235,74 @@ def _read_windows(windows: tuple[bytes, ...], cols, n: int, length: int) -> byte
     return acc.to_bytes(length, "little")
 
 
+def read_table(algebra: "FiniteAlgebra", p: int, cols, length: int):
+    """The entries of `algebra`'s table p at `length` rows: row r reads the
+    entry at the row-major index of (cols[0][r], ..., cols[-1][r]). The
+    columns hold carrier elements, one per argument place, and the result
+    has the column type of `eval_block`: `bytes` on a carrier of at most
+    BYTE_CARRIER elements, a list beyond.
+
+    On a byte carrier a table of n^k <= 256 entries packs the columns as
+    8-bit lanes of one big int, `idx = idx * n + int.from_bytes(column)`,
+    which never carry, since every index is below n^k, and reads them by one
+    `bytes.translate` through its `translation_tables` map; no columns read
+    the one entry of a constant. A table of n^k <= 256 * n entries (ternary
+    on 7-16, 4-ary on 5-6) packs its trailing k - 1 columns the same way and
+    reads each row through the window of its first column's value. A longer
+    table, and every table on a larger carrier, takes the list path: it
+    packs the row-major index per row and reads the table once per row.
+    """
+    table = algebra.tables[p]
+    n = algebra.size
+    if n <= BYTE_CARRIER and len(table) <= 256:
+        if len(cols) == 1:
+            lanes = bytes(cols[0])
+        else:
+            idx = 0
+            for col in cols:
+                idx = idx * n + int.from_bytes(col, "little")
+            lanes = idx.to_bytes(length, "little")
+        return lanes.translate(algebra.byte_tables[p])
+    if n <= BYTE_CARRIER and len(table) <= 256 * n:
+        return _read_windows(algebra.byte_tables[p], cols, n, length)
+    packed = cols[0]
+    if len(cols) == 1:
+        # on a byte carrier a unary table has at most 16 entries: never here
+        return [table[a] for a in packed]
+    for col in cols[1:-1]:
+        packed = [i * n + a for i, a in zip(packed, col)]
+    out = [table[i * n + a] for i, a in zip(packed, cols[-1])]
+    return bytes(out) if n <= BYTE_CARRIER else out
+
+
+def maps_tables(mapping, tables, places, B: "FiniteAlgebra") -> bool:
+    """Does `mapping` carry each table of `tables` to B's table at its
+    position? Table p lists its values at the rows of the place columns
+    `places[p]`, as `bytes`; it is mapped through `mapping` as one `bytes`
+    column, and B's table is read by `read_table` at the place columns
+    mapped the same way. Every value of a column indexes `mapping`, and
+    every entry of `mapping` is an element of B, which has at most
+    BYTE_CARRIER."""
+    byte_map = bytes(mapping).ljust(256, bytes((TABLE_PAD,)))
+    for p, (table, columns) in enumerate(zip(tables, places)):
+        mapped = [col.translate(byte_map) for col in columns]
+        if read_table(B, p, mapped, len(table)) != bytes(table).translate(byte_map):
+            return False
+    return True
+
+
 def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
     """The values of `t` over a block of `length` assignments.
 
     `columns[j]` holds x_j's value in each assignment of the block, as
     `bytes` or as a list or tuple of ints. A variable is its column (the same
     object, not a copy), a constant its table entry repeated, and an
-    application reads its table once per row, at the row-major index of its
-    argument values, as the table is laid out. Symbol and arity are checked
-    once per node, before its arguments are evaluated, so the errors are
-    those of a tree walk.
-
-    On a carrier of at most BYTE_CARRIER elements every value fits in a
-    byte, and a constant or an application returns `bytes`. An application
-    whose table has n^k <= 256 entries packs its argument columns as 8-bit
-    lanes of one big int, `idx = idx * n + int.from_bytes(column)`, which
-    never carry, since every index is below n^k, and reads them by one
-    `bytes.translate` through its `translation_tables` map. A table of
-    n^k <= 256 * n entries (ternary on 7-16 elements, 4-ary on 5-6) packs
-    its trailing k - 1 arguments the same way and reads each row through
-    the window of its first argument's value. A longer table, and every
-    node on a larger carrier, takes the list path: it packs the row-major
-    index per row and reads the table once per row.
+    application reads its table at its argument columns through
+    `read_table`. Symbol and arity are checked once per node, before its
+    arguments are evaluated, so the errors are those of a tree walk. A block
+    of one row indexes the tables directly, with the same checks in the same
+    order. On a carrier of at most BYTE_CARRIER elements a constant or an
+    application returns `bytes`, and a list beyond.
 
     The columns hold elements of the carrier, and `eval_block` trusts them:
     `check_identities` builds its columns from the carrier and `envcat` from
@@ -274,30 +320,20 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
     args = t.args
     if sig.symbols[p][1] != len(args):
         raise SignatureMismatch(f"arity mismatch for {t.symbol!r}")
-    table = algebra.tables[p]
     n = algebra.size
+    if length == 1:
+        idx = 0
+        for arg in args:
+            idx = idx * n + eval_block(arg, algebra, columns, 1)[0]
+        v = algebra.tables[p][idx]
+        return _ONE_BYTE[v] if n <= BYTE_CARRIER else [v]
     if not args:
-        return _ONE_BYTE[table[0]] * length if n <= BYTE_CARRIER else [table[0]] * length
-    if n <= BYTE_CARRIER and len(table) <= 256:
-        if len(args) == 1:
-            lanes = bytes(eval_block(args[0], algebra, columns, length))
-        else:
-            idx = 0
-            for arg in args:
-                idx = idx * n + int.from_bytes(eval_block(arg, algebra, columns, length), "little")
-            lanes = idx.to_bytes(length, "little")
-        return lanes.translate(algebra.byte_tables[p])
-    cols = [eval_block(arg, algebra, columns, length) for arg in args]
-    if n <= BYTE_CARRIER and len(table) <= 256 * n:
-        return _read_windows(algebra.byte_tables[p], cols, n, length)
-    packed = cols[0]
-    if len(cols) == 1:
-        # on a byte carrier a unary table has at most 16 entries: never here
-        return [table[a] for a in packed]
-    for col in cols[1:-1]:
-        packed = [i * n + a for i, a in zip(packed, col)]
-    out = [table[i * n + a] for i, a in zip(packed, cols[-1])]
-    return bytes(out) if n <= BYTE_CARRIER else out
+        v = algebra.tables[p][0]
+        return _ONE_BYTE[v] * length if n <= BYTE_CARRIER else [v] * length
+    cols = []
+    for arg in args:
+        cols.append(eval_block(arg, algebra, columns, length))
+    return read_table(algebra, p, cols, length)
 
 
 def eval_term(t: Term, algebra: "FiniteAlgebra", assignment) -> int:

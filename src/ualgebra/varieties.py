@@ -19,10 +19,15 @@ is looked for only once the block has failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iproduct
 
-from .algebras import FiniteAlgebra, content_lines, parse_uint, row_major_columns
+from .algebras import (
+    FiniteAlgebra,
+    byte_projections,
+    content_lines,
+    parse_uint,
+    row_major_columns,
+)
 from .errors import DuplicateName, ParseError, SignatureMismatch, UAError
 from .terms import BYTE_CARRIER, Identity, Signature, eval_block, parse_identity
 
@@ -55,12 +60,6 @@ class IdentityReport:
     witness: Witness | None = None
 
 
-@lru_cache(maxsize=64)
-def _byte_projections(n: int, trailing: int) -> tuple[bytes, ...]:
-    """The columns of range(n)^trailing in row-major order, as `bytes`."""
-    return tuple(map(bytes, row_major_columns((n,) * trailing)))
-
-
 def check_identities(A: FiniteAlgebra, V: VarietySpec) -> IdentityReport:
     """Check every identity of V over all assignments (n^var_count each).
 
@@ -81,7 +80,7 @@ def check_identities(A: FiniteAlgebra, V: VarietySpec) -> IdentityReport:
             trailing += 1
         length = n**trailing
         if column_type is bytes:
-            tail = list(_byte_projections(n, trailing))
+            tail = list(byte_projections(n, trailing))
         else:
             tail = row_major_columns((n,) * trailing)
         for lead in iproduct(range(n), repeat=ident.var_count - trailing):

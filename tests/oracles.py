@@ -39,6 +39,16 @@ def _is_hom(A, mapping, B=None):
     return True
 
 
+class UnreadTable(tuple):
+    """A table that fails when one of its entries is read by index: set as
+    an algebra's tables, it shows that a kernel reads them as bytes alone."""
+
+    def __getitem__(self, i):
+        if isinstance(i, int):
+            raise AssertionError(f"table entry {i} read row by row")
+        return super().__getitem__(i)
+
+
 def permutation_isomorphisms(A, B):
     """Every isomorphism A -> B of two algebras in one signature, in
     lexicographic order, by testing each of the n! permutations with `_is_hom`

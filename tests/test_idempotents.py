@@ -4,20 +4,23 @@ homomorphism test, pinned to the map-by-map search and the tuple-by-tuple
 check of `tests/oracles.py`."""
 
 import os
+import random
 import subprocess
 import sys
+from itertools import product as iproduct
 from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import _is_hom, backtracking_idempotents
+from oracles import UnreadTable, _is_hom, backtracking_idempotents
 from ualgebra import algebras
-from ualgebra.algebras import FiniteAlgebra, is_homomorphism, product, quotient
+from ualgebra.algebras import FiniteAlgebra, Homomorphism, is_homomorphism, product, quotient
 from ualgebra.catalog import (
     chain_lattice,
     cyclic_group,
+    cyclic_heap,
     groups_up_to_8,
     left_zero_semigroup,
     mult_semigroup,
@@ -27,7 +30,7 @@ from ualgebra.congruences import all_congruences
 from ualgebra.errors import SignatureMismatch, SizeLimitExceeded, SizeMismatch
 from ualgebra.heaps import heap_from_group
 from ualgebra.inner import CANDIDATE_LIMIT, idempotent_endomorphisms
-from ualgebra.terms import Signature
+from ualgebra.terms import BYTE_CARRIER, Signature
 
 TESTS = Path(__file__).resolve().parent
 
@@ -189,6 +192,168 @@ def test_is_homomorphism_checks_the_signature_then_the_map():
             is_homomorphism(bad, z4, z2)
     assert is_homomorphism((0, 1, 0, 1), z4, z2)
     assert not is_homomorphism((0, 1, 1, 0), z4, z2)
+
+
+def test_a_map_entry_outside_b_is_refused_on_both_paths():
+    # an entry must be an int in B's carrier, on carriers of at most
+    # BYTE_CARRIER elements and beyond; a float, str or None once ended in
+    # TypeError
+    for A, B, good in [
+        (cyclic_group(4), cyclic_group(2), (0, 1, 0, 1)),
+        (left_zero_semigroup(17), left_zero_semigroup(2), (0, 1) * 8 + (0,)),
+    ]:
+        assert is_homomorphism(good, A, B)
+        for bad in [1.0, "1", None, -1, B.size, 255, 256]:
+            bad_map = (bad,) + good[1:]
+            with pytest.raises(SizeMismatch, match="map must send A's carrier into B's"):
+                is_homomorphism(bad_map, A, B)
+            with pytest.raises(SizeMismatch, match="map must send A's carrier into B's"):
+                Homomorphism(A, B, bad_map)
+
+
+def test_a_bool_map_entry_reads_as_its_int():
+    z4, z2 = cyclic_group(4), cyclic_group(2)
+    assert is_homomorphism((False, True, False, True), z4, z2)
+    assert not is_homomorphism((False, True, True, False), z4, z2)
+
+
+KERNEL_SYMBOLS = (("c", 0), ("u", 1), ("b", 2), ("t", 3), ("q", 4))
+
+
+def _kernel_algebra(rng, n, top=None):
+    """Random tables of arity 0-4 on n elements, values below `top`."""
+    symbols = tuple((name, k) for name, k in KERNEL_SYMBOLS if n**k <= 5000)
+    top = n if top is None else top
+    tables = [[rng.randrange(top) for _ in range(n**k)] for _, k in symbols]
+    return algebra(n, [k for _, k in symbols], tables, name=f"kernel{n}")
+
+
+def _agree_with_the_tuple_check(A, B, maps):
+    outcomes = set()
+    for m in maps:
+        got = is_homomorphism(m, A, B)
+        assert got == _is_hom(A, m, B), (A.name, B.name, m)
+        outcomes.add(got)
+    return outcomes
+
+
+def _all_maps(n, m):
+    return list(iproduct(range(m), repeat=n))
+
+
+def test_maps_between_unequal_carriers_match_the_tuple_check():
+    # 4 -> 2 and 2 -> 8, every map: group maps and random tables of arity
+    # 0-4 over small value ranges, so that some maps are homomorphisms
+    outcomes = set()
+    outcomes |= _agree_with_the_tuple_check(cyclic_group(4), cyclic_group(2), _all_maps(4, 2))
+    outcomes |= _agree_with_the_tuple_check(cyclic_group(2), cyclic_group(8), _all_maps(2, 8))
+    rng = random.Random(4)
+    for n, m in [(4, 2), (2, 8)]:
+        for _ in range(6):
+            A, B = _kernel_algebra(rng, n, 1 + (n > m)), _kernel_algebra(rng, m, 2)
+            outcomes |= _agree_with_the_tuple_check(A, B, _all_maps(n, m))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", range(1, BYTE_CARRIER + 2))
+def test_tables_of_arity_0_to_4_match_the_tuple_check(n):
+    # orders 1-17 with tables of arity 0-4 (at most 5,000 entries) reach every
+    # table read of the byte path: one map (n^k <= 256), one window per first
+    # value (ternary on 7-16, 4-ary on 5-6), the list path over `bytes`
+    # columns (4-ary on 7-8, past 256 * n entries), and, at 17, `pack_product`
+    rng = random.Random(500 + n)
+    A = _kernel_algebra(rng, n)
+    if n in (7, 8):
+        assert len(A.tables[-1]) > 256 * n
+    # the identity preserves every table, the random maps rarely do; on
+    # tables constant at c, exactly the maps that fix c do, such as a
+    # retraction onto a set holding c
+    c = rng.randrange(n)
+    C = FiniteAlgebra("const", A.signature, n, tuple((c,) * len(t) for t in A.tables))
+    maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(20)]
+    maps += [tuple(range(n)), tuple(x if x % 2 == c % 2 else c for x in range(n))]
+    outcomes = _agree_with_the_tuple_check(A, A, maps) | _agree_with_the_tuple_check(C, C, maps)
+    assert outcomes == ({True, False} if n > 1 else {True})
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_heaps_read_through_windows_match_the_tuple_check(n):
+    # the ternary table of a heap on 7 or 8 elements is read one window per
+    # first value; every affine map x -> a*x + c is a heap endomorphism
+    X = cyclic_heap(n)
+    assert len(X.byte_tables[0]) == n
+    rng = random.Random(n)
+    affine = [tuple((a * x + c) % n for x in range(n)) for a in range(n) for c in range(n)]
+    other = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(40)]
+    assert _agree_with_the_tuple_check(X, X, affine) == {True}
+    assert False in _agree_with_the_tuple_check(X, X, other)
+    assert _agree_with_the_tuple_check(X, cyclic_heap(2), _all_maps(n, 2)) == {True, False}
+
+
+def test_a_table_past_256_n_entries_reads_bytes_columns_on_the_list_path():
+    # a 4-ary table on 7 elements has 2,401 > 256 * 7 entries: `read_table`
+    # packs the mapped `bytes` columns row by row
+    rng = random.Random(7)
+    A = algebra(7, [4], [[rng.randrange(2) for _ in range(7**4)]])
+    assert 0 not in A.byte_tables
+    maps = [tuple(rng.randrange(7) for _ in range(7)) for _ in range(10)]
+    maps += [tuple(range(7)), (0, 1, 0, 1, 0, 1, 0)]
+    assert _agree_with_the_tuple_check(A, A, maps) == {True, False}
+
+
+def test_17_element_carriers_take_the_index_list_and_match_the_tuple_check():
+    # a carrier past BYTE_CARRIER on either side keeps `pack_product`
+    rng = random.Random(17)
+    big, small = chain_lattice(17), chain_lattice(3)
+    monotone = [tuple(sorted(rng.randrange(3) for _ in range(17))) for _ in range(10)]
+    shuffled = [tuple(rng.sample(m, 17)) for m in monotone]
+    assert _agree_with_the_tuple_check(big, small, monotone + shuffled) == {True, False}
+    up = [tuple(sorted(rng.sample(range(17), 3))) for _ in range(10)]
+    assert _agree_with_the_tuple_check(small, big, up + [m[::-1] for m in up]) == {True, False}
+    z17 = cyclic_group(17)
+    scaled = [tuple(a * x % 17 for x in range(17)) for a in range(17)]
+    assert _agree_with_the_tuple_check(z17, z17, scaled + shuffled) == {True, False}
+
+
+@st.composite
+def wide_algebras(draw):
+    """An algebra of order 1-8 with tables of arity 0-4, at most 1,296
+    entries each, over a small value range: one translation map or one
+    window per first value on the byte path."""
+    n = draw(st.integers(1, 8))
+    arities = draw(
+        st.lists(st.sampled_from([k for k in range(5) if n**k <= 1296]), min_size=1, max_size=2)
+    )
+    return algebra(n, arities, draw(random_tables(n, arities)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_random_tables_with_random_maps_and_retractions_match_the_tuple_check(data):
+    A = data.draw(wide_algebras())
+    n = A.size
+    mapping = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    maps = [mapping]
+    # and the retraction onto the fixed points of `mapping`, when it has any
+    fixed = [x for x in range(n) if mapping[x] == x]
+    if fixed:
+        maps.append(tuple(x if x in fixed else fixed[mapping[x] % len(fixed)] for x in range(n)))
+    for m in maps:
+        assert is_homomorphism(m, A, A) == _is_hom(A, m)
+
+
+@pytest.mark.parametrize("A", [chain_lattice(7), cyclic_heap(8)], ids=lambda A: A.name)
+def test_the_idempotent_search_reads_no_table_entry_by_index(A):
+    # on a byte carrier each candidate is read through `bytes` alone: one
+    # map per lattice operation, one window per first value of the heap's t
+    expected = idempotent_maps(A)
+    all_congruences(A)  # Con(A) is built before the tables are swapped
+    object.__setattr__(A, "tables", tuple(map(UnreadTable, A.tables)))
+    idempotent_endomorphisms.cache_clear()
+    try:
+        assert idempotent_maps(A) == expected
+    finally:
+        idempotent_endomorphisms.cache_clear()
 
 
 OPTIMIZED_RUN = """

@@ -252,6 +252,23 @@ def test_eval_block_values_match_the_tree_walker(n):
 
 
 @pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_a_one_row_block_returns_the_column_type_of_a_longer_block(n):
+    # a block of one row indexes the tables directly, and still returns a
+    # one-byte `bytes` on a byte carrier, so that a one-row identity check
+    # compares like with like
+    A = _kernel_algebra(n)
+    rng = random.Random(150 + n)
+    column_type = bytes if n <= BYTE_CARRIER else list
+    for _ in range(40):
+        name, k = rng.choice(A.signature.symbols)
+        t = App(name, tuple(_random_term(rng, A.signature.symbols, 4, 3) for _ in range(k)))
+        row = tuple(rng.randrange(n) for _ in range(4))
+        for columns in ([column_type((v,)) for v in row], [(v,) for v in row]):
+            got = eval_block(t, A, columns, 1)
+            assert type(got) is column_type and list(got) == [tree_walk(t, A, row)]
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
 def test_eval_block_raises_the_first_fault_of_the_tree_walk(n):
     # terms over more symbols and variables than the algebra and the block
     # have, and symbols at the wrong arity
