@@ -112,6 +112,11 @@ class FiniteAlgebra:
 
     `tables[p]` belongs to `signature.symbols[p]` and has length size**arity,
     in row-major mixed-radix order.
+
+    The hash is computed once and cached: it equals the generated dataclass
+    hash, hash((name, signature, size, tables)), so set and dict orders stay
+    the same, while a memo lookup no longer rehashes every table. Equality
+    and `repr` are the generated ones.
     """
 
     name: str
@@ -130,6 +135,13 @@ class FiniteAlgebra:
             for v in table:
                 if not 0 <= v < self.size:
                     raise TableRangeError(f"table entry {v} for {sym!r} out of range")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.signature, self.size, self.tables))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def elements(self) -> range:
@@ -235,12 +247,21 @@ class Homomorphism:
         return frozenset(self.map)
 
 
+def _require_members(A: FiniteAlgebra, members) -> None:
+    """Raise SizeMismatch unless every member is an int in A's carrier, by
+    `terms.eval_term`'s rule: a bool reads as 0 or 1, a float, str or None
+    is refused."""
+    n = A.size
+    if not all(isinstance(x, int) and 0 <= x < n for x in members):
+        raise SizeMismatch("subset outside the carrier")
+
+
 def generated_subalgebra(A: FiniteAlgebra, seed) -> frozenset[int]:
     """Least superset of `seed` closed under all operations; constants are the
-    0-ary case. A seed outside the carrier raises SizeMismatch."""
+    0-ary case. A seed element that is not an int in the carrier raises
+    SizeMismatch."""
     current = set(seed)
-    if any(not 0 <= x < A.size for x in current):
-        raise SizeMismatch("subset outside the carrier")
+    _require_members(A, current)
     size = -1
     while size != len(current):
         size = len(current)
@@ -252,12 +273,12 @@ def generated_subalgebra(A: FiniteAlgebra, seed) -> frozenset[int]:
 
 def is_subalgebra(A: FiniteAlgebra, subset) -> bool:
     """Is `subset` nonempty and closed? Reads each operation at every tuple of
-    members, stopping at the first value outside; constants are the 0-ary case."""
+    members, stopping at the first value outside; constants are the 0-ary case.
+    A member that is not an int in the carrier raises SizeMismatch."""
     members = frozenset(subset)
     if not members:
         return False
-    if any(not 0 <= x < A.size for x in members):
-        raise SizeMismatch("subset outside the carrier")
+    _require_members(A, members)
     for (_, arity), table in zip(A.signature.symbols, A.tables):
         for args in iproduct(members, repeat=arity):
             if table[pack(args, A.size)] not in members:
@@ -283,11 +304,12 @@ def subalgebra_as_algebra(A: FiniteAlgebra, subset, name: str | None = None):
 
     Elements keep their relative order: inclusion[i] is the i-th smallest member.
     The relabelling reads f at every tuple of members, which is the closure
-    check: a value outside the subset raises NotASubalgebra.
+    check: a value outside the subset raises NotASubalgebra, and a member
+    that is not an int in the carrier raises SizeMismatch.
     """
-    members = sorted(subset)
-    if any(not 0 <= x < A.size for x in members):
-        raise SizeMismatch("subset outside the carrier")
+    members = list(subset)
+    _require_members(A, members)
+    members.sort()
     if not members:
         raise NotASubalgebra("subset is not closed under the operations")
     pos = {x: i for i, x in enumerate(members)}

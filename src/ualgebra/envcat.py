@@ -10,7 +10,10 @@ is a homomorphism. Tables list the fiber product in row-major order.
 
 Tables read a memoized fiber block: the rows of a tuple object's fiber
 product, as union elements, are built once per pointed family and object,
-and every table over that object evaluates its term over them at once.
+and every table over that object evaluates its term over them at once. A
+call reads each object's block once: `functor_morphism` its source, and a
+functor-law check its source and middle, whose sizes and row count it takes
+from the blocks it holds.
 """
 
 from __future__ import annotations
@@ -145,23 +148,34 @@ def functor_object(F: OuterProduct, obj: TupleObject) -> ProductPointedSet:
     return _block(F, obj)[0]
 
 
-def _term_table(F: OuterProduct, obj: TupleObject, t: Term, value: int) -> tuple[int, ...]:
-    """The map F(t): product of fibers over obj -> fiber over t's base value
-    at obj, which the caller passes as `value`.
+def _tables_over(F: OuterProduct, block, terms, values) -> tuple[tuple[int, ...], ...]:
+    """The maps F(t): product of fibers over a block's object -> fiber over
+    t's base value at that object, which the caller passes in `values`, one
+    per term.
 
     The rows of the fiber product are one block of assignments in the union
-    algebra; the values are shifted back into the fiber over `value`.
+    algebra; each term's values are shifted back into the fiber over its
+    value.
     """
-    _, length, columns = _block(F, obj)
-    shift = F.family.offsets[value]
-    return tuple([x - shift for x in eval_block(t, F.algebra, columns, length)])
+    _, length, columns = block
+    offsets = F.family.offsets
+    tables = []
+    for t, b in zip(terms, values):
+        shift = offsets[b]
+        tables.append(tuple([x - shift for x in eval_block(t, F.algebra, columns, length)]))
+    return tuple(tables)
+
+
+def _term_table(F: OuterProduct, obj: TupleObject, t: Term, value: int) -> tuple[int, ...]:
+    """The map F(t) over obj into the fiber over `value`."""
+    return _tables_over(F, _block(F, obj), (t,), (value,))[0]
 
 
 def functor_morphism(F: OuterProduct, p: TermTupleMorphism) -> tuple[tuple[int, ...], ...]:
     """One flat table per target coordinate, each over the source product;
     p's construction already checked that each term sends the source to its
     target entry."""
-    return tuple(_term_table(F, p.source, t, b) for t, b in zip(p.terms, p.target.elements))
+    return _tables_over(F, _block(F, p.source), p.terms, p.target.elements)
 
 
 def tables_compose(
@@ -179,27 +193,31 @@ def tables_compose(
 def check_functoriality(
     F: OuterProduct, p: TermTupleMorphism, q: TermTupleMorphism
 ) -> bool:
-    """G(q o p) == G(q) o G(p) as exact tables."""
-    direct = functor_morphism(F, compose_morphisms(q, p))
+    """G(q o p) == G(q) o G(p) as exact tables, over one read of the source
+    block and one of the middle block."""
+    composite = compose_morphisms(q, p)
+    source, middle = _block(F, p.source), _block(F, p.target)
+    direct = _tables_over(F, source, composite.terms, composite.target.elements)
     staged = tables_compose(
-        functor_morphism(F, q),
-        functor_morphism(F, p),
-        functor_object(F, p.target).sizes,
-        functor_object(F, p.source).total(),
+        _tables_over(F, middle, q.terms, q.target.elements),
+        _tables_over(F, source, p.terms, p.target.elements),
+        middle[0].sizes,
+        source[1],
     )
     return direct == staged
 
 
 def check_identity_law(F: OuterProduct, obj: TupleObject) -> bool:
     """G(id) must reassemble to the identity on the fiber product."""
-    tables = functor_morphism(F, identity_morphism(obj))
-    sizes = functor_object(F, obj).sizes
-    return tables == tuple(map(tuple, row_major_columns(sizes)))
+    identity = identity_morphism(obj)
+    block = _block(F, obj)
+    tables = _tables_over(F, block, identity.terms, obj.elements)
+    return tables == tuple(map(tuple, row_major_columns(block[0].sizes)))
 
 
 def basepoint_preserved(F: OuterProduct, p: TermTupleMorphism) -> bool:
-    src = functor_object(F, p.source)
+    src = _block(F, p.source)
     dst = functor_object(F, p.target)
-    tables = functor_morphism(F, p)
-    flat = src.flat_basepoint()
+    tables = _tables_over(F, src, p.terms, p.target.elements)
+    flat = src[0].flat_basepoint()
     return tuple(t[flat] for t in tables) == dst.basepoint

@@ -231,19 +231,24 @@ class GroupSDPData:
 
 
 def _check_51_conditions(data: GroupSDPData):
-    """The three group axioms on the union, as conditions on the tables."""
+    """The three group axioms on the union, as conditions on the tables.
+
+    Condition (1) binds the four g tables of a base triple once, in the
+    order the comparison first reads them, and indexes them inline."""
     N, B = data.N, data.B
+    k = N.size
     one_n, one_b = group_identity(N), group_identity(B)
     g = data._g_lookup
 
     def gv(b1, b2, n1, n2):
-        return g[(b1, b2)][n1 * N.size + n2]
+        return g[(b1, b2)][n1 * k + n2]
 
     for b1, b2, b3 in iproduct(range(B.size), repeat=3):
         b12 = group_mul(B, b1, b2)
         b23 = group_mul(B, b2, b3)
-        for n1, n2, n3 in iproduct(range(N.size), repeat=3):
-            if gv(b12, b3, gv(b1, b2, n1, n2), n3) != gv(b1, b23, n1, gv(b2, b3, n2, n3)):
+        g1_2, g12_3, g2_3, g1_23 = g[(b1, b2)], g[(b12, b3)], g[(b2, b3)], g[(b1, b23)]
+        for n1, n2, n3 in iproduct(range(k), repeat=3):
+            if g12_3[g1_2[n1 * k + n2] * k + n3] != g1_23[n1 * k + g2_3[n2 * k + n3]]:
                 raise ConditionViolation(
                     "associativity condition (1) fails",
                     condition="1",

@@ -47,7 +47,11 @@ from .varieties import VarietySpec, check_identities
 
 @dataclass(frozen=True)
 class PointedFamily:
-    """One pointed fiber (size, basepoint) for every element of the base."""
+    """One pointed fiber (size, basepoint) for every element of the base.
+
+    The hash is computed once and cached, equal to the generated
+    hash((base, fibers)): `envcat`'s fiber-block memo looks the family up on
+    every block read."""
 
     base: FiniteAlgebra
     fibers: tuple[tuple[int, int], ...]
@@ -58,6 +62,13 @@ class PointedFamily:
         for size, basepoint in self.fibers:
             if size < 1 or not 0 <= basepoint < size:
                 raise ShapeMismatch("fiber must be nonempty with an internal basepoint")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.base, self.fibers))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def constant(cls, base: FiniteAlgebra, size: int, basepoint: int) -> "PointedFamily":

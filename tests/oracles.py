@@ -290,6 +290,33 @@ def group_sdp_tables(N, B, phi):
     return (mul, _inverse_by_scan(mul, n, one), (one,))
 
 
+def first_group_condition_failure(N, B, g, h):
+    """(condition, witness) of the first failure of the group conditions
+    (1)-(3) on the tables g[(b1, b2)] and h[b], or None: one closure call
+    and one dict lookup per table read, in the library's scan order."""
+    bm, bi = B.table("m"), B.table("i")
+    nn, nb = N.size, B.size
+    one_n, one_b = N.table("e")[0], B.table("e")[0]
+
+    def gv(b1, b2, n1, n2):
+        return g[(b1, b2)][n1 * nn + n2]
+
+    for b1, b2, b3 in product(range(nb), repeat=3):
+        b12, b23 = bm[b1 * nb + b2], bm[b2 * nb + b3]
+        for n1, n2, n3 in product(range(nn), repeat=3):
+            if gv(b12, b3, gv(b1, b2, n1, n2), n3) != gv(b1, b23, n1, gv(b2, b3, n2, n3)):
+                return "1", (b1, b2, b3, n1, n2, n3)
+    for b in range(nb):
+        for n in range(nn):
+            if gv(one_b, b, one_n, n) != n:
+                return "2", (b, n)
+    for b in range(nb):
+        for n in range(nn):
+            if gv(bi[b], b, h[b][n], n) != one_n:
+                return "3", (b, n)
+    return None
+
+
 def ring_sdp_tables(K, S, lam, rho):
     """(k1,s1)+(k2,s2) componentwise and
     (k1,s1)(k2,s2) = (k1k2 + lam_s1(k2) + rho_s2(k1), s1s2), encoded k*|S| + s."""

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from ualgebra.algebras import (
+    FiniteAlgebra,
     Homomorphism,
     all_subalgebras,
     emit_algebra,
@@ -16,6 +19,8 @@ from ualgebra.algebras import (
 from ualgebra.catalog import (
     chain_lattice,
     cyclic_group,
+    cyclic_heap,
+    groups_up_to_8,
     klein_group,
     mult_semigroup,
     symmetric_group_s3,
@@ -30,6 +35,7 @@ from ualgebra.errors import (
     SizeMismatch,
     TableRangeError,
 )
+from ualgebra.outer import PointedFamily
 from ualgebra.partitions import Partition
 from ualgebra.varieties import REGISTRY, check_identities
 
@@ -63,6 +69,28 @@ def test_generated_subalgebra():
     for seed in ({-1}, {6}, {0, 7}):
         with pytest.raises(SizeMismatch, match="subset outside the carrier"):
             generated_subalgebra(z6, seed)
+
+
+@pytest.mark.parametrize(
+    "check, subset",
+    [
+        (is_subalgebra, [0, 1.0]),
+        (is_subalgebra, [None]),
+        (generated_subalgebra, ["a"]),
+        (generated_subalgebra, [1.5]),
+        (subalgebra_as_algebra, [0, "a"]),
+        (subalgebra_as_algebra, [2.0]),
+    ],
+)
+def test_subset_entry_points_refuse_elements_that_are_not_ints(check, subset):
+    with pytest.raises(SizeMismatch, match="subset outside the carrier"):
+        check(cyclic_group(4), subset)
+
+
+def test_bool_members_read_as_0_and_1():
+    z4 = cyclic_group(4)
+    assert is_subalgebra(z4, [False]) and not is_subalgebra(z4, [True])
+    assert generated_subalgebra(z4, [True]) == frozenset(range(4))
 
 
 def test_generated_subalgebra_is_a_closure_operator():
@@ -217,3 +245,29 @@ def test_parse_multiple_algebras_and_comments():
     algebras = parse_algebras(text)
     assert set(algebras) == {"a", "b"}
     assert algebras["a"].size == 2
+
+
+def _fresh_copy(x):
+    """An equal object built anew from x's fields, an algebra field anew too."""
+    values = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    return type(x)(*[_fresh_copy(v) if isinstance(v, FiniteAlgebra) else v for v in values])
+
+
+@pytest.mark.parametrize(
+    "x",
+    groups_up_to_8()
+    + [chain_lattice(12), cyclic_heap(12)]
+    + [
+        PointedFamily.constant(cyclic_group(3), 2, 1),
+        PointedFamily(chain_lattice(3), ((1, 0), (3, 2), (2, 1))),
+        PointedFamily(cyclic_heap(12), tuple((k % 3 + 1, 0) for k in range(12))),
+    ],
+    ids=lambda x: getattr(x, "name", None) or f"family-{x.base.name}",
+)
+def test_the_cached_hash_is_the_generated_one(x):
+    assert hash(x) == hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x)))
+    assert "_hash" in x.__dict__ and "_hash" not in repr(x)
+    copy = _fresh_copy(x)
+    assert copy is not x and "_hash" not in copy.__dict__
+    assert copy == x and hash(copy) == hash(x)
+    assert "_hash" in copy.__dict__ and repr(copy) == repr(x)

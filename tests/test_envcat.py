@@ -394,12 +394,27 @@ def test_a_union_past_a_byte_gets_tuple_columns():
     assert type(envcat._fiber_block(_constant_product(3).family, (1, 0))[2][0]) is bytes
 
 
-def test_a_functoriality_check_reads_the_memo(s3_product):
+def _block_reads():
+    info = envcat._fiber_block.cache_info()
+    return info.hits + info.misses, info.hits, info.misses
+
+
+def test_each_call_reads_each_object_block_once(s3_product):
     base = s3_product.family.base
     src, mid, dst = TupleObject(base, (0, 1)), TupleObject(base, (1, 1)), TupleObject(base, (0,))
     p = TermTupleMorphism(src, mid, (term("m(x0,x1)"), term("x1")))
     q = TermTupleMorphism(mid, dst, (term("m(x0,x1)"),))
-    hits = envcat._fiber_block.cache_info().hits
+    reads, _, _ = _block_reads()
     assert check_functoriality(s3_product, p, q)
-    # G(q o p) and G(p) over the source, G(q) over the middle, and both sizes
-    assert envcat._fiber_block.cache_info().hits >= hits + 4
+    # the source block for G(q o p) and G(p), the middle block for G(q)
+    assert _block_reads()[0] == reads + 2
+    _, hits, misses = _block_reads()
+    assert check_functoriality(s3_product, p, q)
+    assert _block_reads()[1:] == (hits + 2, misses)
+    reads = _block_reads()[0]
+    functor_morphism(s3_product, p)
+    assert _block_reads()[0] == reads + 1
+    assert check_identity_law(s3_product, src)
+    assert _block_reads()[0] == reads + 2
+    assert basepoint_preserved(s3_product, p)
+    assert _block_reads()[0] == reads + 4

@@ -1,7 +1,10 @@
 import re
+from itertools import product as iproduct
 
 import pytest
 
+from oracles import first_group_condition_failure
+from ualgebra import groups
 from ualgebra.algebras import find_isomorphism
 from ualgebra.catalog import (
     cyclic_group,
@@ -21,6 +24,7 @@ from ualgebra.errors import (
     SizeMismatch,
 )
 from ualgebra.groups import (
+    GroupSDPData,
     RingActionPair,
     automorphism_group,
     conjugation_action,
@@ -301,3 +305,63 @@ def test_zero_ring_actions():
     pair = RingActionPair(z4, z2, (zero4, zero4), (zero4, zero4))
     R = ring_semidirect(pair)
     assert check_identities(R, REGISTRY["ring"]).passes
+
+
+def _last_action(N, B):
+    """The last homomorphism B -> Aut(N), choices in lexicographic order:
+    a nontrivial action where one exists."""
+    auts = automorphism_group(N)
+    mul = B.table("m")
+    last = None
+    for choice in iproduct(range(len(auts)), repeat=B.size):
+        if all(
+            tuple(auts[choice[a]][x] for x in auts[choice[b]]) == auts[choice[mul[a * B.size + b]]]
+            for a in range(B.size)
+            for b in range(B.size)
+        ):
+            last = tuple(auts[i] for i in choice)
+    return last
+
+
+def _condition_failure(data):
+    try:
+        groups._check_51_conditions(data)
+    except ConditionViolation as error:
+        return error.condition, error.witness
+    return None
+
+
+CATALOG_PAIRS = [
+    (cyclic_group(4), cyclic_group(2)),
+    (klein_group(), cyclic_group(2)),
+    (cyclic_group(3), cyclic_group(2)),
+    (cyclic_group(2), cyclic_group(2)),
+    (cyclic_group(4), cyclic_group(4)),
+    (klein_group(), cyclic_group(3)),
+]
+
+
+@pytest.mark.parametrize("N, B", CATALOG_PAIRS, ids=lambda G: G.name)
+def test_condition_witnesses_match_the_lookup_loop_under_every_one_entry_change(N, B):
+    data = group_data_from_action(N, B, _last_action(N, B))
+    assert _condition_failure(data) is None
+    assert first_group_condition_failure(N, B, data._g_lookup, data.h) is None
+    one, top = N.table("e")[0], B.size - 1
+    g, h = dict(data.g), list(data.h)
+    seen = set()
+    for i, v in iproduct(range(N.size**2), range(N.size)):
+        if i == one * N.size + one or v == g[(top, top)][i]:
+            continue  # the pointed entry stays, or GroupSDPData refuses the data
+        changed = dict(g)
+        changed[(top, top)] = g[(top, top)][:i] + (v,) + g[(top, top)][i + 1 :]
+        failure = first_group_condition_failure(N, B, changed, h)
+        assert _condition_failure(GroupSDPData.build(N, B, changed, h)) == failure
+        seen.add(failure and failure[0])
+    for i, v in iproduct(range(N.size), range(N.size)):
+        if i == one or v == h[top][i]:
+            continue
+        changed = h[:top] + [h[top][:i] + (v,) + h[top][i + 1 :]]
+        failure = first_group_condition_failure(N, B, g, changed)
+        assert _condition_failure(GroupSDPData.build(N, B, g, changed)) == failure
+        seen.add(failure and failure[0])
+    assert None not in seen and "1" in seen and "3" in seen
