@@ -158,6 +158,20 @@ class FiniteAlgebra:
         use."""
         return translation_tables(self.tables, self.size)
 
+    @cached_property
+    def table_bytes(self) -> tuple[bytes, ...]:
+        """Each table as `bytes`, built once and read by `is_homomorphism` on
+        carriers of at most `terms.BYTE_CARRIER` elements. Derived from
+        `tables`, like `byte_tables`."""
+        return tuple(map(bytes, self.tables))
+
+    @cached_property
+    def byte_places(self) -> tuple[tuple[bytes, ...], ...]:
+        """The `byte_projections` of each symbol's arity: the place columns
+        at which `is_homomorphism` reads `table_bytes`, on carriers of at
+        most `terms.BYTE_CARRIER` elements."""
+        return tuple(byte_projections(self.size, k) for _, k in self.signature.symbols)
+
     def table(self, symbol: str) -> tuple[int, ...]:
         return self.tables[self.signature.position(symbol)]
 
@@ -177,11 +191,11 @@ def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
 
     One column per operation, in A's row-major order. When both carriers
     have at most `terms.BYTE_CARRIER` elements, `terms.maps_tables` maps A's
-    place columns (`byte_projections`) and A's table as `bytes` and reads
-    B's table at the mapped columns with `eval_block`'s table read. On a
-    larger carrier the B-indices of the mapped argument tuples are built one
-    place at a time by `pack_product`. A map entry that is not an int in
-    B's carrier raises SizeMismatch."""
+    place columns (`byte_places`) and A's `table_bytes`, both built once
+    per algebra, and reads B's table at the mapped columns with
+    `eval_block`'s table read. On a larger carrier the B-indices of the
+    mapped argument tuples are built one place at a time by `pack_product`.
+    A map entry that is not an int in B's carrier raises SizeMismatch."""
     if A.signature != B.signature:
         raise SignatureMismatch("homomorphisms need a shared signature")
     n = B.size
@@ -190,8 +204,7 @@ def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
         raise SizeMismatch("map must send A's carrier into B's")
     m = mapping
     if A.size <= BYTE_CARRIER and n <= BYTE_CARRIER:
-        places = [byte_projections(A.size, k) for _, k in A.signature.symbols]
-        return maps_tables(m, A.tables, places, B)
+        return maps_tables(m, A.table_bytes, A.byte_places, B)
     return all(
         [m[v] for v in ta] == [tb[i] for i in pack_product([m] * arity, n)]
         for (_, arity), ta, tb in zip(A.signature.symbols, A.tables, B.tables)
@@ -271,32 +284,72 @@ def generated_subalgebra(A: FiniteAlgebra, seed) -> frozenset[int]:
     return frozenset(current)
 
 
+def _closed(ops, n: int, mask: int, members) -> bool:
+    """Does every operation send each tuple of `members` into `mask`, the
+    same subset as a bitmask over {0..n-1}? `ops` holds (arity, table) per
+    symbol. A constant and a unary table are read directly, a binary table
+    at a*n + b; a table of arity k >= 3 row by row, a row per tuple of the
+    first k - 1 places, at each member in the last place. Stops at the
+    first value outside."""
+    for arity, table in ops:
+        if arity == 2:
+            for a in members:
+                row = a * n
+                for b in members:
+                    if not mask >> table[row + b] & 1:
+                        return False
+        elif arity == 1:
+            for a in members:
+                if not mask >> table[a] & 1:
+                    return False
+        elif not arity:
+            if not mask >> table[0] & 1:
+                return False
+        else:
+            for head in pack_product([members] * (arity - 1), n):
+                row = head * n
+                for b in members:
+                    if not mask >> table[row + b] & 1:
+                        return False
+    return True
+
+
+def _ops(A: FiniteAlgebra) -> list[tuple[int, tuple[int, ...]]]:
+    return [(arity, table) for (_, arity), table in zip(A.signature.symbols, A.tables)]
+
+
 def is_subalgebra(A: FiniteAlgebra, subset) -> bool:
-    """Is `subset` nonempty and closed? Reads each operation at every tuple of
-    members, stopping at the first value outside; constants are the 0-ary case.
-    A member that is not an int in the carrier raises SizeMismatch."""
+    """Is `subset` nonempty and closed? `_closed` reads each operation at
+    every tuple of members against the subset's bitmask, stopping at the
+    first value outside; constants are the 0-ary case. A member that is not
+    an int in the carrier raises SizeMismatch."""
     members = frozenset(subset)
     if not members:
         return False
     _require_members(A, members)
-    for (_, arity), table in zip(A.signature.symbols, A.tables):
-        for args in iproduct(members, repeat=arity):
-            if table[pack(args, A.size)] not in members:
-                return False
-    return True
+    mask = sum(1 << x for x in members)
+    return _closed(_ops(A), A.size, mask, members)
 
 
 def all_subalgebras(A: FiniteAlgebra) -> list[frozenset[int]]:
     """All nonempty closed subsets, by testing every subset (carrier at most
-    CARRIER_CAP), ordered by size, then by sorted members."""
-    if A.size > CARRIER_CAP:
+    CARRIER_CAP) with `_closed`, ordered by size, then by sorted members.
+    Subset `mask` lists its members as those of `mask` without its top
+    element, then the top; only a closed subset becomes a frozenset."""
+    n = A.size
+    if n > CARRIER_CAP:
         raise SizeLimitExceeded(f"subalgebra enumeration capped at {CARRIER_CAP}")
+    ops = _ops(A)
+    members_of = [()]
     found = []
-    for mask in range(1, 2**A.size):
-        subset = frozenset(i for i in range(A.size) if mask >> i & 1)
-        if is_subalgebra(A, subset):
-            found.append(subset)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    for mask in range(1, 2**n):
+        top = mask.bit_length() - 1
+        members = members_of[mask ^ 1 << top] + (top,)
+        members_of.append(members)
+        if _closed(ops, n, mask, members):
+            found.append(members)
+    found.sort(key=lambda s: (len(s), s))
+    return [frozenset(s) for s in found]
 
 
 def subalgebra_as_algebra(A: FiniteAlgebra, subset, name: str | None = None):
@@ -328,17 +381,22 @@ def subalgebra_as_algebra(A: FiniteAlgebra, subset, name: str | None = None):
 def quotient(A: FiniteAlgebra, omega: Partition):
     """Quotient by a congruence; returns (algebra on blocks, projection).
 
-    Blocks are ordered by least element. Well-definedness of every induced
-    table entry is verified directly; a conflict raises NotACongruence.
-    Memoized on (A, omega), IDEMPOTENT_CACHE_SIZE entries: both values are
-    frozen, so a caller cannot change what the next one gets. Errors are
-    raised again on every call.
+    Blocks are ordered by least element. `omega` must be canonical: each
+    rep[a] an int with 0 <= rep[a] <= a and rep[rep[a]] == rep[a], else
+    SizeMismatch. Well-definedness of every induced table entry is verified
+    directly; a conflict raises NotACongruence. Memoized on (A, omega),
+    IDEMPOTENT_CACHE_SIZE entries: both values are frozen, so a caller
+    cannot change what the next one gets. Errors are raised again on every
+    call.
     """
     if omega.n != A.size:
         raise SizeMismatch("partition size differs from carrier size")
+    rep = omega.rep
+    if not all(isinstance(r, int) and 0 <= r <= a and rep[r] == r for a, r in enumerate(rep)):
+        raise SizeMismatch("partition is not canonical: rep[a] must be the least of a's block")
     blocks = omega.blocks()
     index = {b[0]: i for i, b in enumerate(blocks)}
-    proj = tuple(index[omega.rep[a]] for a in range(A.size))
+    proj = tuple(index[r] for r in rep)
     k = len(blocks)
     tables = []
     for (sym, arity), table in zip(A.signature.symbols, A.tables):
@@ -376,7 +434,8 @@ def isomorphisms(A: FiniteAlgebra, B: FiniteAlgebra):
     Elements 0, 1, ... are mapped in carrier order, each to the unused images
     in ascending order. Each operation instance f(args) = out is filed under
     the step max(args + (out,)), where it becomes decidable, and is checked
-    once there; constants are the 0-ary case. At the call, in this order: a
+    once there, at the row-major index of its mapped arguments, packed in
+    place; constants are the 0-ary case. At the call, in this order: a
     signature mismatch raises SignatureMismatch, unequal sizes give no maps,
     and carriers above CARRIER_CAP raise SizeLimitExceeded.
     """
@@ -402,7 +461,13 @@ def isomorphisms(A: FiniteAlgebra, B: FiniteAlgebra):
             if used[v]:
                 continue
             mapping[i] = v
-            if all(tb[pack([mapping[a] for a in xs], n)] == mapping[y] for tb, xs, y in due[i]):
+            for tb, xs, y in due[i]:
+                idx = 0
+                for a in xs:
+                    idx = idx * n + mapping[a]
+                if tb[idx] != mapping[y]:
+                    break
+            else:
                 used[v] = True
                 yield from extend(i + 1)
                 used[v] = False

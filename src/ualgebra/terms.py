@@ -277,16 +277,16 @@ def read_table(algebra: "FiniteAlgebra", p: int, cols, length: int):
 
 def maps_tables(mapping, tables, places, B: "FiniteAlgebra") -> bool:
     """Does `mapping` carry each table of `tables` to B's table at its
-    position? Table p lists its values at the rows of the place columns
-    `places[p]`, as `bytes`; it is mapped through `mapping` as one `bytes`
-    column, and B's table is read by `read_table` at the place columns
-    mapped the same way. Every value of a column indexes `mapping`, and
-    every entry of `mapping` is an element of B, which has at most
+    position? Table p is `bytes` and lists its values at the rows of the
+    place columns `places[p]`, also `bytes`; it is mapped through `mapping`
+    as one column, and B's table is read by `read_table` at the place
+    columns mapped the same way. Every value of a column indexes `mapping`,
+    and every entry of `mapping` is an element of B, which has at most
     BYTE_CARRIER."""
     byte_map = bytes(mapping).ljust(256, bytes((TABLE_PAD,)))
     for p, (table, columns) in enumerate(zip(tables, places)):
         mapped = [col.translate(byte_map) for col in columns]
-        if read_table(B, p, mapped, len(table)) != bytes(table).translate(byte_map):
+        if read_table(B, p, mapped, len(table)) != table.translate(byte_map):
             return False
     return True
 

@@ -271,3 +271,18 @@ def test_the_cached_hash_is_the_generated_one(x):
     assert copy is not x and "_hash" not in copy.__dict__
     assert copy == x and hash(copy) == hash(x)
     assert "_hash" in copy.__dict__ and repr(copy) == repr(x)
+
+
+@pytest.mark.parametrize(
+    "A", [cyclic_group(5), symmetric_group_s3(), cyclic_heap(8), chain_lattice(12)], ids=lambda A: A.name
+)
+def test_the_homomorphism_byte_views_leave_equality_hash_and_repr_alone(A):
+    # `table_bytes` and `byte_places` are built once, by the first map tested
+    copy = _fresh_copy(A)
+    shown, hashed = repr(A), hash(A)
+    assert is_homomorphism(tuple(range(A.size)), A, A)
+    assert A.table_bytes == tuple(map(bytes, A.tables))
+    assert [len(places) for places in A.byte_places] == [k for _, k in A.signature.symbols]
+    assert "table_bytes" not in repr(A) and "byte_places" not in repr(A)
+    assert "table_bytes" not in copy.__dict__ and "byte_places" not in copy.__dict__
+    assert repr(A) == shown == repr(copy) and hash(A) == hashed == hash(copy) and A == copy

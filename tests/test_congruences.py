@@ -333,3 +333,22 @@ def test_a_refused_quotient_is_refused_on_every_call():
         with pytest.raises(NotACongruence):
             quotient(z4, bad)
     assert quotient.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [(0, 0, 1.5, 3), (0, 0, True, 3), (0, 0, -1, 3), (0, 0, 99, 3), (1, 0, 2, 3), (0, 1, 2, -1), (0, 1, 1, 2)],
+    ids=str,
+)
+def test_quotient_refuses_a_partition_that_is_not_canonical(rep):
+    # rep[a] must be an int, the least element of a's block, and its own
+    # representative: a non-int or an element out of place is refused on
+    # every call, before any block is read
+    z4 = cyclic_group(4)
+    quotient.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SizeMismatch, match="partition is not canonical"):
+            quotient(z4, Partition(rep))
+    assert quotient.cache_info().currsize == 0
+    q, proj = quotient(z4, Partition((0, 1, 0, 1)))
+    assert q.size == 2 and proj.map == (0, 1, 0, 1)

@@ -70,6 +70,20 @@ LATTICE_FAMILY = (
     + [heap_from_group(G) for G in GROUPS if G.size <= 7]
 )
 
+# the whole census: its members with 8 elements added
+EIGHT = [G for G in GROUPS if G.size == 8]
+LATTICE_MEMBERS = (
+    LATTICE_FAMILY
+    + [m(8), product(c(2), c(4)), product(m(2), m(4))]
+    + EIGHT
+    + [heap_from_group(G) for G in EIGHT]
+)
+
+
+def relabelled(A):
+    """A's copy under a permutation seeded by its name and size."""
+    return relabel(A, tuple(Random(f"{A.name}/{A.size}").sample(range(A.size), A.size)))
+
 
 @pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.name)
 def test_group_isomorphisms_match_the_permutation_scan(G):
@@ -104,6 +118,15 @@ def test_family_relabellings_match_the_permutation_scan(A):
         copy = relabel(A, tuple(rng.sample(range(A.size), A.size)))
         assert_pinned(A, copy)
         assert_pinned(copy, A)
+
+
+@pytest.mark.parametrize(
+    "A", LATTICE_MEMBERS[len(LATTICE_FAMILY) :], ids=lambda A: f"{A.name}_{A.size}"
+)
+def test_eight_element_census_members_match_the_permutation_scan(A):
+    copy = relabelled(A)
+    assert_pinned(A, copy)
+    assert_pinned(copy, A)
 
 
 @st.composite

@@ -11,7 +11,8 @@ from oracles import (
     closed_subsets,
     fixpoint_closure,
 )
-from ualgebra.algebras import FiniteAlgebra, all_subalgebras, emit_algebra, is_subalgebra
+from test_isomorphisms import LATTICE_MEMBERS, relabelled
+from ualgebra.algebras import FiniteAlgebra, all_subalgebras, emit_algebra, is_subalgebra, product
 from ualgebra.catalog import (
     chain_lattice,
     cyclic_group,
@@ -35,6 +36,15 @@ SEMILATTICES_AND_SEMIGROUPS = (
 GROUPS = groups_up_to_8()
 HEAPS = [heap_from_group(G) for G in GROUPS]
 DIGROUPS = [D for n in range(1, 6) for D in all_digroups(n)]
+# 9-12 elements, up to the cap: 512-4,096 subsets, each tested by the kernel
+LARGE = [
+    chain_lattice(12),
+    left_zero_semigroup(10),
+    mult_semigroup(11),
+    cyclic_group(9),
+    cyclic_heap(9),
+    product(chain_lattice(3), chain_lattice(4)),
+]
 
 
 def subsets(n):
@@ -48,7 +58,9 @@ def assert_subalgebras_match(A):
 
 
 @pytest.mark.parametrize(
-    "A", SEMILATTICES_AND_SEMIGROUPS + GROUPS + HEAPS, ids=lambda A: A.name
+    "A",
+    SEMILATTICES_AND_SEMIGROUPS + GROUPS + HEAPS + LARGE + [relabelled(A) for A in LATTICE_MEMBERS],
+    ids=lambda A: A.name,
 )
 def test_subalgebras_match_closing_every_subset(A):
     assert_subalgebras_match(A)
@@ -80,10 +92,12 @@ def test_subdigroups_and_ideals_match_the_scans(D):
 
 @st.composite
 def random_algebras(draw):
-    """An algebra of order <= 5 with one or two operations of arity 0-3;
-    small value ranges leave many subsets closed."""
+    """An algebra of order <= 5 with one to three operations of arity 0-3,
+    and 4 below order 5, constants alone included; small value ranges leave
+    many subsets closed."""
     n = draw(st.integers(1, 5))
-    arities = draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=2))
+    kinds = [0, 1, 2, 3, 4] if n < 5 else [0, 1, 2, 3]
+    arities = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
     top = draw(st.integers(0, n - 1))
     tables = tuple(
         tuple(draw(st.lists(st.integers(0, top), min_size=n**k, max_size=n**k)))
@@ -97,6 +111,65 @@ def random_algebras(draw):
 @given(A=random_algebras())
 def test_subalgebras_of_random_tables_match_closing_every_subset(A):
     assert_subalgebras_match(A)
+
+
+def test_mixed_and_constant_only_signatures():
+    # one operation of each arity 0-4 on 3 elements: the constant pins 1, and
+    # the unary 2 -> 0 leaves {1, 2} open
+    mixed = Signature((("c", 0), ("u", 1), ("b", 2), ("t", 3), ("q", 4)))
+    tables = (
+        (1,),
+        (0, 1, 0),
+        tuple(max(a, b) for a in range(3) for b in range(3)),
+        tuple(min(a, b, c) for a in range(3) for b in range(3) for c in range(3)),
+        tuple(1 for _ in range(81)),
+    )
+    A = FiniteAlgebra("mixed", mixed, 3, tables)
+    assert_subalgebras_match(A)
+    assert all_subalgebras(A) == [{1}, {0, 1}, {0, 1, 2}]
+    # constants alone: the closed subsets are those holding both
+    K = FiniteAlgebra("constants", Signature((("a", 0), ("b", 0))), 4, ((1,), (3,)))
+    assert_subalgebras_match(K)
+    assert all_subalgebras(K) == [{1, 3}, {0, 1, 3}, {1, 2, 3}, {0, 1, 2, 3}]
+
+
+class CountedTable(tuple):
+    """A table that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountedTable.reads += 1
+        return super().__getitem__(i)
+
+
+def test_the_closure_test_stops_at_the_first_value_outside():
+    # every product of {0, 1} is 3, so the first read settles it
+    A = FiniteAlgebra("const3", Signature((("m", 2),)), 4, (CountedTable((3,) * 16),))
+    CountedTable.reads = 0
+    assert not is_subalgebra(A, {0, 1})
+    assert CountedTable.reads == 1
+    assert all_subalgebras(A) == [{3}, {0, 3}, {1, 3}, {2, 3}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}, {0, 1, 2, 3}]
+
+
+def test_the_closure_test_takes_members_by_the_carrier_rule():
+    z4 = cyclic_group(4)
+    # the empty set is never a subalgebra, not even without constants
+    assert not is_subalgebra(z4, set())
+    assert not is_subalgebra(heap_from_group(z4), ())
+    # a bool reads as 0 or 1
+    assert is_subalgebra(z4, {False}) and is_subalgebra(z4, {False, 2})
+    assert not is_subalgebra(z4, {True}) and not is_subalgebra(z4, {False, True})
+    assert is_subalgebra(mult_semigroup(4), {True}) == is_subalgebra(mult_semigroup(4), {1}) is True
+    for bad in (1.0, 0.5, "1", None):
+        with pytest.raises(SizeMismatch, match="subset outside the carrier"):
+            is_subalgebra(z4, {0, bad})
+    # one test has no cap, the scan of every subset does
+    z16 = cyclic_group(16)
+    assert is_subalgebra(z16, {0, 4, 8, 12}) and not is_subalgebra(z16, {0, 4, 8})
+    assert fixpoint_closure(z16, {0, 4, 8}) == {0, 4, 8, 12}
+    with pytest.raises(SizeLimitExceeded, match="subalgebra enumeration capped at 12"):
+        all_subalgebras(chain_lattice(13))
 
 
 def test_substructure_tests_reject_elements_outside_the_carrier():
