@@ -4,6 +4,9 @@ ideals, commutators, center, and the brace reflection of a digroup.
 
 `_digroup_data` translates an action triple into a family (K over every y,
 marked at K's unit) and the star, circ and inverse action tables.
+It validates the triple first and is memoized per triple, so the calls on
+one triple (`digroup_outer`, `digroup_direct_criterion`,
+`skew_brace_outer_condition`) check and translate it once.
 `digroup_outer` fills them with `outer.union_algebra`, the assembly behind
 `outer.assemble_union_algebra`, in the union's encoding y*|K| + k, unchecked
 for pointedness: a Lambda that moves K's unit leaves the family unpointed,
@@ -282,10 +285,18 @@ def _validate_triple(t: DigroupActionTriple):
         raise HypothesisViolation("Lambda at the identity of Y must be id")
 
 
+# Checked triples kept, least recently used dropped first: a job asks for the
+# outer digroup and then for the direct-product criterion of one triple.
+TRIPLE_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=TRIPLE_CACHE_SIZE)
 def _digroup_data(triple: DigroupActionTriple) -> tuple[PointedFamily, ActionFamily]:
     """The family of the outer digroup, K over every y marked at K's unit,
     and its star, circ and inverse action tables (formulas at
-    `digroup_outer`)."""
+    `digroup_outer`), of a triple that `_validate_triple` passes first.
+    Errors are not memoized, so a malformed triple raises on every call."""
+    _validate_triple(triple)
     Y, K = triple.Y, triple.K
     lam, phi_s, phi_c = triple.Lambda, triple.phi_star, triple.phi_circ
     lam_inv = [inverse_permutation(p) for p in lam]
@@ -320,10 +331,10 @@ def digroup_outer(triple: DigroupActionTriple, name: str = "outer_digroup") -> D
     cross-checked against the digroup axioms (a failure would contradict the
     construction theorem, so it raises InternalInconsistency).
     """
-    _validate_triple(triple)
+    data = _digroup_data(triple)
     # not `assemble_union_algebra`: pointedness is no digroup hypothesis, and a
     # Lambda that moves K's unit breaks the section y -> (y, 1)
-    D = Digroup(union_algebra(*_digroup_data(triple), name))
+    D = Digroup(union_algebra(*data, name))
     crosscheck(satisfies(D.algebra, REGISTRY["digroup"]), "the outer product must be a digroup")
     # the tables' own check of the unit (1_Y, 1_K): two-sided for star and circ
     e = D.one
@@ -418,10 +429,10 @@ def digroup_direct_criterion(triple: DigroupActionTriple) -> bool:
     Lambda = id and phi_circ = id: the answer is cross-checked against all
     three families being constantly the identity of K.
     """
-    _validate_triple(triple)  # a malformed triple fails here, not in the unit test
+    data = _digroup_data(triple)  # a malformed triple fails here, not in the unit test
     if not triple.lambda_fixes_unit():
         raise HypothesisViolation("the direct-product criterion needs Lambda to fix K's unit")
-    direct = direct_product_check(*_digroup_data(triple), triple.K.algebra)
+    direct = direct_product_check(*data, triple.K.algebra)
     crosscheck(
         direct == (triple == trivial_triple(triple.Y, triple.K)),
         "the action tables must be K's own exactly when all three families are the identity",
@@ -470,7 +481,7 @@ def skew_brace_outer_condition(triple: DigroupActionTriple) -> bool:
     Y, K = triple.Y, triple.K
     if not skew_brace_check(Y).lsb or not skew_brace_check(K).lsb:
         raise HypothesisViolation("Y and K must be left skew braces")
-    _validate_triple(triple)
+    _digroup_data(triple)  # validates the triple; digroup_outer below reads the memo
     star_k = star_reduct(K)
     for y, table in enumerate(triple.Lambda):
         if not is_automorphism(table, star_k):

@@ -10,10 +10,17 @@ is a homomorphism. Tables list the fiber product in row-major order.
 
 Tables read a memoized fiber block: the rows of a tuple object's fiber
 product, as union elements, are built once per pointed family and object,
-and every table over that object evaluates its term over them at once. A
-call reads each object's block once: `functor_morphism` its source, and a
-functor-law check its source and middle, whose sizes and row count it takes
-from the blocks it holds.
+and every table over that object evaluates its term over them at once.
+
+G(p) is memoized per morphism p, keyed on the union algebra, the family and
+p's source elements, terms and target elements: its source block, its tables
+and their row-major index into the middle product. `functor_morphism` and
+`basepoint_preserved` read G(p) there, so a morphism's tables have one code
+path. A functor-law check reads G(p)'s index from the memo and the middle
+block once, and evaluates only G(q o p) over the source block and G(q) over
+the middle; so a run of checks of many q against one p builds G(p) once.
+Every call checks that p's objects live over F's base before it reads the
+memo, whose key holds their elements only.
 """
 
 from __future__ import annotations
@@ -137,9 +144,13 @@ def _fiber_block(family: PointedFamily, elements: tuple[int, ...]):
 
 def _block(F: OuterProduct, obj: TupleObject):
     """The fiber block of `obj`, which must live over F's base."""
+    _check_base(F, obj)
+    return _fiber_block(F.family, obj.elements)
+
+
+def _check_base(F: OuterProduct, obj: TupleObject) -> None:
     if obj.algebra is not F.family.base and obj.algebra != F.family.base:
         raise ShapeMismatch("the object must live over the product's base")
-    return _fiber_block(F.family, obj.elements)
 
 
 def functor_object(F: OuterProduct, obj: TupleObject) -> ProductPointedSet:
@@ -148,34 +159,70 @@ def functor_object(F: OuterProduct, obj: TupleObject) -> ProductPointedSet:
     return _block(F, obj)[0]
 
 
-def _tables_over(F: OuterProduct, block, terms, values) -> tuple[tuple[int, ...], ...]:
+def _tables_over(
+    algebra: FiniteAlgebra, offsets, block, terms, values
+) -> tuple[tuple[int, ...], ...]:
     """The maps F(t): product of fibers over a block's object -> fiber over
     t's base value at that object, which the caller passes in `values`, one
-    per term.
+    per term, for the product with union `algebra` and fiber `offsets`.
 
     The rows of the fiber product are one block of assignments in the union
     algebra; each term's values are shifted back into the fiber over its
     value.
     """
     _, length, columns = block
-    offsets = F.family.offsets
     tables = []
     for t, b in zip(terms, values):
         shift = offsets[b]
-        tables.append(tuple([x - shift for x in eval_block(t, F.algebra, columns, length)]))
+        tables.append(tuple([x - shift for x in eval_block(t, algebra, columns, length)]))
     return tuple(tables)
 
 
 def _term_table(F: OuterProduct, obj: TupleObject, t: Term, value: int) -> tuple[int, ...]:
     """The map F(t) over obj into the fiber over `value`."""
-    return _tables_over(F, _block(F, obj), (t,), (value,))[0]
+    return _tables_over(F.algebra, F.family.offsets, _block(F, obj), (t,), (value,))[0]
+
+
+# G(p)s kept, least recently used dropped first: a functor-law run checks
+# many q against one p.
+FUNCTOR_P_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=FUNCTOR_P_CACHE_SIZE)
+def _p_side(algebra: FiniteAlgebra, family: PointedFamily, source, terms, target):
+    """(the source block, G(p)'s tables over it, and the row-major index of
+    their values in the middle product, one per source row) of a morphism p
+    with these source elements, terms and target elements.
+
+    The key holds the union algebra beside the family: equal families can
+    carry different actions, so different unions and tables. Only the
+    middle's fiber sizes are read, never its block, so a G(p) raises nothing
+    that p's source block does not. Errors are not memoized. An entry holds
+    |terms| + 1 ints per source row besides the block.
+    """
+    block = _fiber_block(family, source)
+    tables = _tables_over(algebra, family.offsets, block, terms, target)
+    mid_sizes = tuple(family.fibers[b][0] for b in target)
+    return block, tables, pack_columns(tables, mid_sizes, block[1])
+
+
+def _p_memo(F: OuterProduct, p: TermTupleMorphism):
+    """`_p_side` of p in F, after checking, on every call, that p's source
+    lives over F's base; p's target lives over the same algebra."""
+    _check_base(F, p.source)
+    return _p_side(F.algebra, F.family, p.source.elements, tuple(p.terms), p.target.elements)
 
 
 def functor_morphism(F: OuterProduct, p: TermTupleMorphism) -> tuple[tuple[int, ...], ...]:
     """One flat table per target coordinate, each over the source product;
     p's construction already checked that each term sends the source to its
     target entry."""
-    return _tables_over(F, _block(F, p.source), p.terms, p.target.elements)
+    return _p_memo(F, p)[1]
+
+
+def _through(tables, packed) -> tuple[tuple[int, ...], ...]:
+    """Each table read at the middle-row index of each source row."""
+    return tuple(tuple([table[i] for i in packed]) for table in tables)
 
 
 def tables_compose(
@@ -186,24 +233,21 @@ def tables_compose(
 ) -> tuple[tuple[int, ...], ...]:
     """Componentwise composition through the middle product, over a source
     product of `length` points; an empty middle repeats each point value."""
-    packed = pack_columns(inner, mid_sizes, length)
-    return tuple(tuple([table[i] for i in packed]) for table in outer)
+    return _through(outer, pack_columns(inner, mid_sizes, length))
 
 
 def check_functoriality(
     F: OuterProduct, p: TermTupleMorphism, q: TermTupleMorphism
 ) -> bool:
-    """G(q o p) == G(q) o G(p) as exact tables, over one read of the source
-    block and one of the middle block."""
+    """G(q o p) == G(q) o G(p) as exact tables: G(p) and its middle-row index
+    come from the memo, and G(q o p) and G(q) are evaluated over one read
+    of the source block and one of the middle block."""
     composite = compose_morphisms(q, p)
-    source, middle = _block(F, p.source), _block(F, p.target)
-    direct = _tables_over(F, source, composite.terms, composite.target.elements)
-    staged = tables_compose(
-        _tables_over(F, middle, q.terms, q.target.elements),
-        _tables_over(F, source, p.terms, p.target.elements),
-        middle[0].sizes,
-        source[1],
-    )
+    source, _, packed = _p_memo(F, p)
+    middle = _block(F, p.target)
+    offsets = F.family.offsets
+    direct = _tables_over(F.algebra, offsets, source, composite.terms, composite.target.elements)
+    staged = _through(_tables_over(F.algebra, offsets, middle, q.terms, q.target.elements), packed)
     return direct == staged
 
 
@@ -211,13 +255,12 @@ def check_identity_law(F: OuterProduct, obj: TupleObject) -> bool:
     """G(id) must reassemble to the identity on the fiber product."""
     identity = identity_morphism(obj)
     block = _block(F, obj)
-    tables = _tables_over(F, block, identity.terms, obj.elements)
+    tables = _tables_over(F.algebra, F.family.offsets, block, identity.terms, obj.elements)
     return tables == tuple(map(tuple, row_major_columns(block[0].sizes)))
 
 
 def basepoint_preserved(F: OuterProduct, p: TermTupleMorphism) -> bool:
-    src = _block(F, p.source)
+    src, tables, _ = _p_memo(F, p)
     dst = functor_object(F, p.target)
-    tables = _tables_over(F, src, p.terms, p.target.elements)
     flat = src[0].flat_basepoint()
     return tuple(t[flat] for t in tables) == dst.basepoint

@@ -277,14 +277,17 @@ def count_transversal_pairs(A: FiniteAlgebra, subalgebras, congruences) -> int:
     """|{(B, omega) : B meets every omega-class exactly once}| by direct scan.
 
     B meets each of the k classes of omega once iff |B| = k and the members
-    of B lie in k different classes, so each omega is read once as its class
-    labels `rep` and k, and each pair costs one set of |B| labels. Nothing
-    is memoized here; the congruences usually come from the memoized
-    `all_congruences`, as a fresh list.
+    of B lie in k different classes. So the congruences' class labels `rep`
+    are grouped by their class count k once per call, each B is read only
+    against the omegas of k = |B|, and each such pair costs one set of |B|
+    labels. Nothing is memoized here; the congruences usually come from the
+    memoized `all_congruences`, as a fresh list.
     """
-    labels = [(omega.rep, omega.block_count()) for omega in congruences]
+    by_count: dict[int, list] = {}
+    for omega in congruences:
+        by_count.setdefault(omega.block_count(), []).append(omega.rep)
     return sum(
-        len(B) == k and len({rep[x] for x in B}) == k
+        len({rep[x] for x in B}) == len(B)
         for B in map(frozenset, subalgebras)
-        for rep, k in labels
+        for rep in by_count.get(len(B), ())
     )

@@ -87,11 +87,15 @@ Term = Union[Var, App]
 
 
 def term_variables(t: Term) -> set[int]:
-    if isinstance(t, Var):
-        return {t.index}
+    """The variable indices of `t`, collected into one set by one walk."""
     out: set[int] = set()
-    for a in t.args:
-        out |= term_variables(a)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is Var:
+            out.add(u.index)
+        else:
+            stack.extend(u.args)
     return out
 
 
@@ -300,8 +304,8 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
     application reads its table at its argument columns through
     `read_table`. Symbol and arity are checked once per node, before its
     arguments are evaluated, so the errors are those of a tree walk. A block
-    of one row indexes the tables directly, with the same checks in the same
-    order. On a carrier of at most BYTE_CARRIER elements a constant or an
+    of one row is walked as one row of ints by `_eval_row`, which indexes
+    the tables directly with the same checks in the same order. On a carrier of at most BYTE_CARRIER elements a constant or an
     application returns `bytes`, and a list beyond.
 
     The columns hold elements of the carrier, and `eval_block` trusts them:
@@ -313,6 +317,10 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
         if t.index >= len(columns):
             raise MissingAssignment(f"no value for variable x{t.index}")
         return columns[t.index]
+    n = algebra.size
+    if length == 1:
+        v = _eval_row(t, algebra, [column[0] for column in columns])
+        return _ONE_BYTE[v] if n <= BYTE_CARRIER else [v]
     sig = algebra.signature
     p = sig._index.get(t.symbol)
     if p is None:
@@ -320,13 +328,6 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
     args = t.args
     if sig.symbols[p][1] != len(args):
         raise SignatureMismatch(f"arity mismatch for {t.symbol!r}")
-    n = algebra.size
-    if length == 1:
-        idx = 0
-        for arg in args:
-            idx = idx * n + eval_block(arg, algebra, columns, 1)[0]
-        v = algebra.tables[p][idx]
-        return _ONE_BYTE[v] if n <= BYTE_CARRIER else [v]
     if not args:
         v = algebra.tables[p][0]
         return _ONE_BYTE[v] * length if n <= BYTE_CARRIER else [v] * length
@@ -336,14 +337,36 @@ def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):
     return read_table(algebra, p, cols, length)
 
 
-def eval_term(t: Term, algebra: "FiniteAlgebra", assignment) -> int:
-    """The value of `t` under one assignment: a block of length 1. A value
-    not an int in the carrier raises SizeMismatch, whatever `t` reads."""
+def _eval_row(t: Term, algebra: "FiniteAlgebra", row) -> int:
+    """The value of `t` at one assignment `row` of carrier elements, as an
+    int: `eval_block` on one row, with its checks in its order."""
+    if type(t) is Var:
+        if t.index >= len(row):
+            raise MissingAssignment(f"no value for variable x{t.index}")
+        return row[t.index]
+    sig = algebra.signature
+    p = sig._index.get(t.symbol)
+    if p is None:
+        raise SignatureMismatch(f"symbol {t.symbol!r} not in the algebra's signature")
+    args = t.args
+    if sig.symbols[p][1] != len(args):
+        raise SignatureMismatch(f"arity mismatch for {t.symbol!r}")
     n = algebra.size
-    columns = [(a,) for a in assignment if isinstance(a, int) and 0 <= a < n]
-    if len(columns) != len(assignment):
+    idx = 0
+    for arg in args:
+        idx = idx * n + _eval_row(arg, algebra, row)
+    return algebra.tables[p][idx]
+
+
+def eval_term(t: Term, algebra: "FiniteAlgebra", assignment) -> int:
+    """The value of `t` under one assignment, by `eval_block`'s one-row path.
+    A value not an int in the carrier raises SizeMismatch, whatever `t`
+    reads."""
+    n = algebra.size
+    row = [a for a in assignment if isinstance(a, int) and 0 <= a < n]
+    if len(row) != len(assignment):
         raise SizeMismatch("assignment values must lie in the carrier")
-    return eval_block(t, algebra, columns, 1)[0]
+    return _eval_row(t, algebra, row)
 
 
 def substitute(t: Term, replacements: tuple[Term, ...]) -> Term:

@@ -289,6 +289,46 @@ def test_outer_rejects_out_of_range_lambda_entries():
         digroup_outer(DigroupActionTriple(Y, K, (ident, ident), (ident, ident), (ident, (0, 1, 5))))
 
 
+def test_a_malformed_triple_is_refused_on_every_call():
+    # errors are not memoized: each call validates the triple again
+    Y = trivial_digroup(cyclic_group(2))
+    K = trivial_digroup(cyclic_group(3))
+    ident, neg = (0, 1, 2), (0, 2, 1)
+    malformed = [
+        (DigroupActionTriple(Y, K, (ident, ident), (ident, ident), (ident,)), "one table per element"),
+        (
+            DigroupActionTriple(Y, K, (ident, (0, 0, 0)), (ident, ident), (ident, ident)),
+            r"phi_star\[1\] is not an automorphism",
+        ),
+        (DigroupActionTriple(Y, K, (ident, ident), (ident, ident), (neg, ident)), "Lambda at the identity"),
+    ]
+    for triple, message in malformed:
+        for _ in range(2):
+            for call in (digroup_outer, digroup_direct_criterion, skew_brace_outer_condition):
+                with pytest.raises(HypothesisViolation, match=message):
+                    call(triple)
+
+
+def test_the_calls_on_one_triple_check_and_translate_it_once(monkeypatch):
+    Y = trivial_digroup(cyclic_group(2))
+    K = trivial_digroup(cyclic_group(3))
+    ident, neg = (0, 1, 2), (0, 2, 1)
+    triple = DigroupActionTriple(Y, K, (ident, neg), (ident, neg), (ident, neg))
+    checked = []
+    validate = digroups._validate_triple
+    monkeypatch.setattr(digroups, "_validate_triple", lambda t: checked.append(t) or validate(t))
+    digroups._digroup_data.cache_clear()
+    D = digroup_outer(triple)
+    assert not digroup_direct_criterion(triple)
+    # its own check, and digroup_outer's inside: both read the memo
+    assert skew_brace_outer_condition(triple) == skew_brace_check(D).lsb
+    assert checked == [triple]
+    assert digroups._digroup_data.cache_info()[:2] == (3, 1)
+    # an equal triple, built anew, is the same key
+    again = DigroupActionTriple(Y, K, (ident, neg), (ident, neg), (ident, neg))
+    assert digroup_outer(again).algebra == D.algebra and checked == [triple]
+
+
 def test_extract_actions_s3_sign_decomposition():
     D = trivial_digroup(symmetric_group_s3())
     triple, alpha = digroup_extract_actions(D, {0, 1}, {0, 3, 4})

@@ -7,6 +7,7 @@ from ualgebra.catalog import (
     chain_lattice,
     cyclic_group,
     diamond_lattice,
+    klein_group,
     left_zero_semigroup,
     mult_semigroup,
 )
@@ -14,6 +15,7 @@ from ualgebra import envcat
 from ualgebra.envcat import (
     FIBER_BLOCK_CACHE_SIZE,
     FIBER_BLOCK_LIMIT,
+    FUNCTOR_P_CACHE_SIZE,
     ProductPointedSet,
     TermTupleMorphism,
     TupleObject,
@@ -58,6 +60,18 @@ def test_is_cat_morphism_examples():
     assert is_cat_morphism(z4, src, TupleObject(z4, (0,)), (term("m(x0,x1)"),))
     assert is_cat_morphism(z4, src, TupleObject(z4, (3,)), (term("x1"),))
     assert not is_cat_morphism(z4, src, TupleObject(z4, (1,)), (term("m(x0,x1)"),))
+
+
+def test_a_later_term_past_the_source_is_refused_before_any_term_is_evaluated():
+    # x0 sends (1, 3) to 1, not 0; the second term still reads a third place
+    z4 = cyclic_group(4)
+    src, dst = TupleObject(z4, (1, 3)), TupleObject(z4, (0, 0))
+    terms = (term("x0"), term("m(x1,i(x2))"))
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch, match="only use source coordinates"):
+            is_cat_morphism(z4, src, dst, terms)
+        with pytest.raises(ShapeMismatch, match="only use source coordinates"):
+            TermTupleMorphism(src, dst, terms)
 
 
 def test_tuple_object_entries_are_ints_in_the_carrier():
@@ -236,6 +250,18 @@ def _oracle_tables(F, p):
     return tuple(functor_table(F, p.source.elements, t)[0] for t in p.terms)
 
 
+def _oracle_law(F, p, q):
+    """G(q o p) == G(q) o G(p), each side read point by point off the oracle."""
+    gp, gq = _oracle_tables(F, p), _oracle_tables(F, q)
+    points = fiber_points(F, p.source.elements)
+    mid_points = fiber_points(F, p.target.elements)
+    staged = tuple(
+        tuple(table[mid_points.index(tuple(g[j] for g in gp))] for j in range(len(points)))
+        for table in gq
+    )
+    return _oracle_tables(F, compose_morphisms(q, p)) == staged
+
+
 @pytest.mark.parametrize(
     "products", [_twisted_group_products, _decomposed_products], ids=["twisted", "decomposed"]
 )
@@ -266,13 +292,7 @@ def test_functor_tables_match_the_pointwise_oracle(products):
             )
             assert basepoint_preserved(F, p) == preserved
 
-            mid_points = fiber_points(F, p.target.elements)
-            staged = tuple(
-                tuple(table[mid_points.index(tuple(g[j] for g in gp))] for j in range(len(points)))
-                for table in gq
-            )
-            direct = _oracle_tables(F, compose_morphisms(q, p))
-            assert check_functoriality(F, p, q) == (direct == staged)
+            assert check_functoriality(F, p, q) == _oracle_law(F, p, q)
     if products is _decomposed_products:
         assert len({size for size, _ in fibers_seen}) > 1
         assert any(basepoint != 0 for _, basepoint in fibers_seen)
@@ -335,9 +355,14 @@ def test_equal_families_share_a_block():
     first, second = (next(_twisted_group_products()) for _ in range(2))
     assert first.family == second.family and first.family is not second.family
     p, expected = _oracle_morphism(first, (1, 0), ["m(x0,x1)"])
+    other, other_expected = _oracle_morphism(first, (1, 0), ["m(x1,x0)"])
+    envcat._p_side.cache_clear()
     assert functor_morphism(first, p) == expected
-    hits = envcat._fiber_block.cache_info().hits
+    # equal products share p's G(p) entry, and another p over p's source its block
+    hits, g_hits = envcat._fiber_block.cache_info().hits, envcat._p_side.cache_info().hits
     assert functor_morphism(second, p) == expected
+    assert envcat._p_side.cache_info().hits == g_hits + 1
+    assert functor_morphism(second, other) == other_expected
     assert envcat._fiber_block.cache_info().hits == hits + 1
 
 
@@ -399,22 +424,100 @@ def _block_reads():
     return info.hits + info.misses, info.hits, info.misses
 
 
+def _g_reads():
+    info = envcat._p_side.cache_info()
+    return info.hits, info.misses
+
+
 def test_each_call_reads_each_object_block_once(s3_product):
     base = s3_product.family.base
     src, mid, dst = TupleObject(base, (0, 1)), TupleObject(base, (1, 1)), TupleObject(base, (0,))
     p = TermTupleMorphism(src, mid, (term("m(x0,x1)"), term("x1")))
     q = TermTupleMorphism(mid, dst, (term("m(x0,x1)"),))
+    envcat._p_side.cache_clear()
     reads, _, _ = _block_reads()
     assert check_functoriality(s3_product, p, q)
-    # the source block for G(q o p) and G(p), the middle block for G(q)
+    # a G(p) miss: the source block for G(p) and G(q o p), the middle for G(q)
     assert _block_reads()[0] == reads + 2
+    assert _g_reads() == (0, 1)
     _, hits, misses = _block_reads()
     assert check_functoriality(s3_product, p, q)
-    assert _block_reads()[1:] == (hits + 2, misses)
+    # a G(p) hit holds the source block: only the middle block is read
+    assert _block_reads()[1:] == (hits + 1, misses)
+    assert _g_reads() == (1, 1)
     reads = _block_reads()[0]
     functor_morphism(s3_product, p)
-    assert _block_reads()[0] == reads + 1
+    assert _block_reads()[0] == reads
+    assert _g_reads() == (2, 1)
     assert check_identity_law(s3_product, src)
-    assert _block_reads()[0] == reads + 2
+    assert _block_reads()[0] == reads + 1
+    # G(p) from the memo, and the target's block for its basepoint
     assert basepoint_preserved(s3_product, p)
-    assert _block_reads()[0] == reads + 4
+    assert _block_reads()[0] == reads + 2
+    assert _g_reads() == (3, 1)
+
+
+# -- the G(p) memo -------------------------------------------------------------
+
+
+def _twisted_over_z2():
+    """z4 x| z2 (negation) and klein x| z2 (a swap): equal pointed families,
+    fibers ((4, 0), (4, 0)) over z2, but different unions."""
+    z2 = cyclic_group(2)
+    products = []
+    for N, phi in [
+        (cyclic_group(4), ((0, 1, 2, 3), (0, 3, 2, 1))),
+        (klein_group(), ((0, 1, 2, 3), (0, 2, 1, 3))),
+    ]:
+        family, actions = group_data_to_family(group_data_from_action(N, z2, phi))
+        products.append(build_outer_product(family, actions, REGISTRY["group"]))
+    return products
+
+
+def test_equal_families_with_other_unions_get_their_own_functor_tables():
+    products = _twisted_over_z2()
+    assert products[0].family == products[1].family
+    assert products[0].algebra != products[1].algebra
+    rng = random.Random(11)
+    for elements, texts in [((1, 1), ["m(x0,x1)", "i(x1)"]), ((1,), ["m(x0,x0)"]), ((0, 1), ["m(x1,x0)"])]:
+        tables = []
+        for F in products:
+            # the same p over the same base, one product after the other
+            p, expected = _oracle_morphism(F, elements, texts)
+            assert functor_morphism(F, p) == expected
+            for _ in range(4):
+                q = _random_morphism(rng, F, p.target)
+                assert check_functoriality(F, p, q) == _oracle_law(F, p, q)
+            tables.append(expected)
+        assert tables[0] != tables[1]
+
+
+def test_a_morphism_over_another_algebra_is_refused_on_every_call(s3_product):
+    base, z4 = s3_product.family.base, cyclic_group(4)
+    terms = (term("m(x0,x1)"), term("x1"))
+    # equal elements and terms: only the objects' algebra tells them apart
+    p = TermTupleMorphism(TupleObject(base, (0, 1)), TupleObject(base, (1, 1)), terms)
+    foreign = TermTupleMorphism(TupleObject(z4, (0, 1)), TupleObject(z4, (1, 1)), terms)
+    foreign_q = TermTupleMorphism(foreign.target, TupleObject(z4, (2,)), (term("m(x0,x1)"),))
+    for _ in range(2):
+        assert functor_morphism(s3_product, p) == _oracle_tables(s3_product, p)
+        hits = envcat._p_side.cache_info().hits
+        for call in (
+            lambda: functor_morphism(s3_product, foreign),
+            lambda: basepoint_preserved(s3_product, foreign),
+            lambda: check_functoriality(s3_product, foreign, foreign_q),
+        ):
+            with pytest.raises(ShapeMismatch, match="must live over the product's base"):
+                call()
+        assert envcat._p_side.cache_info().hits == hits
+    assert envcat._p_side.cache_info().currsize <= FUNCTOR_P_CACHE_SIZE
+
+
+def test_a_target_too_wide_for_a_block_still_has_functor_tables():
+    # G(p) reads only the middle's fiber sizes: 17 places of a two-point
+    # fiber pass the block limit, yet p's tables are over one place
+    F = _constant_product(2)
+    p, expected = _oracle_morphism(F, (1,), ["x0"] * 17)
+    assert functor_morphism(F, p) == expected
+    with pytest.raises(SizeLimitExceeded):
+        functor_object(F, p.target)

@@ -287,8 +287,39 @@ def test_eval_block_raises_the_first_fault_of_the_tree_walk(n):
             except (MissingAssignment, SignatureMismatch) as exc:
                 got = _fault(exc)
             assert got == expected, (n, term_to_str(t))
+        try:
+            got = eval_term(t, A, row)
+        except (MissingAssignment, SignatureMismatch) as exc:
+            got = _fault(exc)
+        assert got == expected, (n, term_to_str(t))
         faults.add(expected)
     assert {"missing", "symbol", "arity"} <= faults
+
+
+def _variables_by_definition(t):
+    """vars(x_j) = {j}, and vars(f(t1, ..., tk)) is the union of the vars(t_i)."""
+    if isinstance(t, Var):
+        return {t.index}
+    return set().union(*map(_variables_by_definition, t.args))
+
+
+# carriers of two, of five and of more than BYTE_CARRIER elements
+DEFINITION_ALGEBRAS = {n: _kernel_algebra(n) for n in (2, 5, BYTE_CARRIER + 1)}
+
+
+@given(data=st.data())
+def test_term_variables_and_eval_term_agree_with_the_definitions(data):
+    # rows of 3 or 4 values, so that x3 may have none
+    n = data.draw(st.sampled_from(sorted(DEFINITION_ALGEBRAS)))
+    A = DEFINITION_ALGEBRAS[n]
+    t = data.draw(_terms(A.signature, max_vars=4))
+    assert term_variables(t) == _variables_by_definition(t)
+    row = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=4)))
+    try:
+        got = eval_term(t, A, row)
+    except MissingAssignment as exc:
+        got = _fault(exc)
+    assert got == _walk(t, A, row), (n, term_to_str(t), row)
 
 
 # Values outside a carrier of n elements: below it, just past it, further
