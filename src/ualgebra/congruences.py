@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import chain, count
 
 from .algebras import CARRIER_CAP, IDEMPOTENT_CACHE_SIZE, FiniteAlgebra, Homomorphism
-from .errors import SizeLimitExceeded, SizeMismatch
+from .errors import SizeLimitExceeded
 from .partitions import Partition, UnionFind
 
 # Bell(8): Con(A) of an n-element algebra has at most Bell(n) members
@@ -60,10 +60,11 @@ def is_congruence(A: FiniteAlgebra, pi: Partition) -> bool:
     One place at a time: for every place and every element a off its class
     representative r, the section of a and the section of r must agree class
     by class. That covers every pair of related argument tuples, changing
-    one place at a time and going through the representatives.
+    one place at a time and going through the representatives. A partition
+    not over A's carrier in canonical form raises SizeMismatch
+    (`Partition.check_canonical`).
     """
-    if pi.n != A.size:
-        raise SizeMismatch("partition size differs from carrier size")
+    pi.check_canonical(A.size)
     n, rep = A.size, pi.rep
     moved = [a for a in range(n) if rep[a] != a]
     if not moved:
@@ -153,17 +154,32 @@ def _congruence_closure(A: FiniteAlgebra) -> tuple[Partition, ...]:
 
 
 def _principal_components(A: FiniteAlgebra) -> list[tuple[list[tuple[int, int]], Partition]]:
-    """Each strongly connected component of the pair graph, sinks first, with its Cg."""
+    """Each strongly connected component of the pair graph, sinks first, with its Cg.
+
+    The edges are read as byte codes. At each table place every element's
+    section is one int, a byte per entry, and (lanes[a] * n + lanes[b]) is
+    the codes x * n + y of the pairs that (a, b) reaches there, one byte
+    each: the carrier is at most CARRIER_CAP = 12 elements, so every code
+    is at most 143 and no lane carries into the next. A set takes those
+    bytes in one `update`, and its distinct codes are mapped to pair ids
+    once, off the diagonal. Each Cg is one `Partition.merged` pass over the
+    component's own pairs and the links of its successors' Cg."""
     n = A.size
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    node = {(x, y): i for i, (a, b) in enumerate(pairs) for x, y in ((a, b), (b, a))}
-    succ = [set() for _ in pairs]
+    node: list[int] = [-1] * (n * n)
+    for i, (a, b) in enumerate(pairs):
+        node[a * n + b] = node[b * n + a] = i
+    codes: list[set[int]] = [set() for _ in pairs]
     for (_, arity), table in zip(A.signature.symbols, A.tables):
         for j in range(arity):
-            sections = [_section(table, n, n ** (arity - 1 - j), a) for a in range(n)]
-            for (a, b), reached in zip(pairs, succ):
-                reached.update(map(node.get, zip(sections[a], sections[b])))
-    succ = [reached - {None} for reached in succ]
+            stride = n ** (arity - 1 - j)
+            lanes = [int.from_bytes(bytes(_section(table, n, stride, a)), "little") for a in range(n)]
+            high = [lane * n for lane in lanes]
+            length = len(table) // n
+            for (a, b), reached in zip(pairs, codes):
+                reached.update((high[a] + lanes[b]).to_bytes(length, "little"))
+    diagonal = set(range(0, n * n, n + 1))
+    succ = [set(map(node.__getitem__, reached - diagonal)) for reached in codes]
     order, low, comp = [-1] * len(pairs), [0] * len(pairs), [-1] * len(pairs)
     clock, stack, out = count(), [], []
     for root in range(len(pairs)):
@@ -182,14 +198,16 @@ def _principal_components(A: FiniteAlgebra) -> list[tuple[list[tuple[int, int]],
                 if low[v] == order[v]:
                     i = stack.index(v)
                     members, stack[i:] = stack[i:], []
-                    uf = UnionFind(n)
                     for w in members:
                         comp[w], low[w] = len(out), len(pairs)  # above every order
-                        uf.union(*pairs[w])
-                    for d in {comp[x] for w in members for x in succ[w]} - {len(out)}:
-                        for x, r in enumerate(out[d][1].rep):
-                            uf.union(x, r)
-                    out.append(([pairs[w] for w in members], uf.partition()))
+                    own = [pairs[w] for w in members]
+                    links = [
+                        (x, r)
+                        for d in {comp[x] for w in members for x in succ[w]} - {len(out)}
+                        for x, r in enumerate(out[d][1].rep)
+                        if x != r
+                    ]
+                    out.append((own, Partition.merged(list(range(n)), own + links)))
     return out
 
 

@@ -33,7 +33,7 @@ from .algebras import (
     subalgebra_as_algebra,
 )
 from .congruences import all_congruences, is_congruence, kernel
-from .errors import NotAHomomorphism, NotIdempotent, SizeLimitExceeded, crosscheck
+from .errors import NotIdempotent, SizeLimitExceeded, crosscheck
 from .partitions import Partition
 
 # The idempotent self-maps of an 8-set: no algebra of at most 8 elements
@@ -49,8 +49,9 @@ def idempotent_endomorphisms(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     congruence and B a subalgebra meeting every omega-class once, and e sends
     x to the element of B in x's class. So for each congruence omega in
     `all_congruences(A)` and each choice of one representative per block,
-    the retraction onto the chosen set is kept when the `Homomorphism`
-    constructor accepts it. Each of these candidates is tested once.
+    the retraction onto the chosen set is kept when `Homomorphism.or_none`
+    accepts it: each of these candidates is tested once, by one
+    `is_homomorphism`, and a rejected one raises nothing.
 
     The candidates number the sum over omega of the product of its block
     sizes; above CANDIDATE_LIMIT, SizeLimitExceeded is raised before any is
@@ -65,10 +66,9 @@ def idempotent_endomorphisms(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
         index = {block[0]: i for i, block in enumerate(blocks)}
         where = [index[r] for r in rep]  # reps[where[x]] represents x's block
         for reps in product(*blocks):
-            try:
-                found.append(Homomorphism(A, A, tuple([reps[i] for i in where])))
-            except NotAHomomorphism:
-                pass
+            e = Homomorphism.or_none(A, A, tuple([reps[i] for i in where]))
+            if e is not None:
+                found.append(e)
     return tuple(sorted(found, key=attrgetter("map")))
 
 

@@ -27,13 +27,50 @@ class Partition:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Partition":
-        uf = UnionFind(n)
+        links = []
         for pair in pairs:
             a, b = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
             if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
                 raise SizeMismatch(f"partition entries must be integers in range({n}), in pairs")
-            uf.union(a, b)
-        return uf.partition()
+            links.append((a, b))
+        return cls.merged(list(range(n)), links)
+
+    @classmethod
+    def merged(cls, parent: list[int], links) -> "Partition":
+        """The partition of the forest `parent` with each link (a, b) merged
+        in. `parent` must have parent[x] <= x, each root the least element
+        of its tree, as the identity and every canonical `rep` do; it is
+        changed in place. A link finds both roots inline, halving the paths
+        as `UnionFind.find` does, and hangs the larger root under the
+        smaller. Both keep parent[x] <= x, so one ascending pass
+        parent[x] = parent[parent[x]] then names each element's root: its
+        parent's root is already in place. Every join and every component's
+        Cg in `congruences` is one such pass."""
+        for a, b in links:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+        for x in range(len(parent)):
+            parent[x] = parent[parent[x]]
+        return cls(tuple(parent))
+
+    def check_canonical(self, n: int) -> None:
+        """Raise SizeMismatch unless this partition is over {0..n-1} in the
+        canonical form: each rep[a] an int with 0 <= rep[a] <= a and
+        rep[rep[a]] == rep[a]. The boundary check of `is_congruence` and
+        `quotient`, which read `rep` as class labels."""
+        rep = self.rep
+        if len(rep) != n:
+            raise SizeMismatch("partition size differs from carrier size")
+        if not all(isinstance(r, int) and 0 <= r <= a and rep[r] == r for a, r in enumerate(rep)):
+            raise SizeMismatch("partition is not canonical: rep[a] must be the least of a's block")
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Partition":
@@ -77,13 +114,8 @@ class Partition:
     def join(self, other: "Partition") -> "Partition":
         if self.n != other.n:
             raise SizeMismatch("partitions over different carriers")
-        # self.rep is a union-find forest; only other's non-representatives merge
-        uf = UnionFind(self.n)
-        uf.parent = list(self.rep)
-        for i, r in enumerate(other.rep):
-            if i != r:
-                uf.union(i, r)
-        return uf.partition()
+        # self.rep is a forest of depth one; only other's non-representatives merge
+        return Partition.merged(list(self.rep), [(i, r) for i, r in enumerate(other.rep) if i != r])
 
     def meet(self, other: "Partition") -> "Partition":
         if self.n != other.n:
@@ -122,7 +154,8 @@ class UnionFind:
         return True
 
     def partition(self) -> Partition:
-        return Partition(tuple(self.find(x) for x in range(len(self.parent))))
+        # every union keeps parent[x] <= x, the forest `Partition.merged` takes
+        return Partition.merged(self.parent, ())
 
 
 def parse_partition(text: str, n: int, source: str = "<input>") -> Partition:

@@ -283,14 +283,27 @@ def maps_tables(mapping, tables, places, B: "FiniteAlgebra") -> bool:
     """Does `mapping` carry each table of `tables` to B's table at its
     position? Table p is `bytes` and lists its values at the rows of the
     place columns `places[p]`, also `bytes`; it is mapped through `mapping`
-    as one column, and B's table is read by `read_table` at the place
-    columns mapped the same way. Every value of a column indexes `mapping`,
-    and every entry of `mapping` is an element of B, which has at most
-    BYTE_CARRIER."""
+    as one column, and B's table is read at the place columns mapped the
+    same way. Every value of a column indexes `mapping`, and every entry of
+    `mapping` is an element of B, which has at most BYTE_CARRIER.
+
+    Where B's table has at most 256 entries, each column is packed into
+    8-bit lanes as it is mapped and the lanes are read through B's
+    translation map: `read_table`'s lane pack, inlined, since the call and
+    the list of mapped columns cost more than the read. B's windowed
+    tables, and those with no map, are read by `read_table`."""
     byte_map = bytes(mapping).ljust(256, bytes((TABLE_PAD,)))
+    n, maps = B.size, B.byte_tables
     for p, (table, columns) in enumerate(zip(tables, places)):
-        mapped = [col.translate(byte_map) for col in columns]
-        if read_table(B, p, mapped, len(table)) != table.translate(byte_map):
+        target = maps.get(p)
+        if type(target) is bytes:
+            idx = 0
+            for col in columns:
+                idx = idx * n + int.from_bytes(col.translate(byte_map), "little")
+            got = idx.to_bytes(len(table), "little").translate(target)
+        else:
+            got = read_table(B, p, [col.translate(byte_map) for col in columns], len(table))
+        if got != table.translate(byte_map):
             return False
     return True
 

@@ -23,7 +23,7 @@ from ualgebra.congruences import (
 )
 from ualgebra.errors import NotACongruence, SizeLimitExceeded, SizeMismatch
 from ualgebra.heaps import heap_from_group
-from ualgebra.inner import idempotent_endomorphisms
+from ualgebra.inner import idempotent_endomorphisms, verify_inner_sdp
 from ualgebra.partitions import Partition
 from ualgebra.terms import Signature
 
@@ -352,3 +352,17 @@ def test_quotient_refuses_a_partition_that_is_not_canonical(rep):
     assert quotient.cache_info().currsize == 0
     q, proj = quotient(z4, Partition((0, 1, 0, 1)))
     assert q.size == 2 and proj.map == (0, 1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "rep", [(0, None, 2, 3), (0, 0.0, 2, 3), (1, 0, 2, 3), (0, 0, 2, -1), (0, 1, 2, 99)], ids=str
+)
+def test_is_congruence_refuses_a_partition_that_is_not_canonical(rep):
+    # the test `quotient` applies: a None or a float once ended in a bare
+    # TypeError, and an element out of place or outside the carrier in a
+    # computed False; `verify_inner_sdp` reaches it through `is_congruence`
+    z4 = cyclic_group(4)
+    with pytest.raises(SizeMismatch, match="partition is not canonical"):
+        is_congruence(z4, Partition(rep))
+    with pytest.raises(SizeMismatch, match="partition is not canonical"):
+        verify_inner_sdp(z4, {0}, Partition(rep))

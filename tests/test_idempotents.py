@@ -124,6 +124,28 @@ def test_each_candidate_is_tested_once(A, monkeypatch):
     assert len(calls) == candidates > len(maps)
 
 
+def test_the_search_raises_nothing_per_candidate(monkeypatch):
+    # mult_semigroup(8) has 193 candidates and keeps 19: a rejected one is
+    # told apart by `Homomorphism.or_none` returning None, not by a raised
+    # NotAHomomorphism, and a kept one equals the constructor's
+    A = mult_semigroup(8)
+    assert candidates(A) == 193
+    raised = []
+
+    class Counted(algebras.NotAHomomorphism):
+        def __init__(self, *args):
+            raised.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(algebras, "NotAHomomorphism", Counted)
+    idempotent_endomorphisms.cache_clear()
+    found = idempotent_endomorphisms(A)
+    assert len(found) == 19 and raised == []
+    for e in found:
+        built = Homomorphism(A, A, e.map)
+        assert e == built and hash(e) == hash(built) and repr(e) == repr(built)
+
+
 # 9-12 elements: below the carrier cap, with answers inside both limits
 LARGE = (
     [mult_semigroup(n) for n in range(9, 13)]
@@ -187,6 +209,8 @@ def test_is_homomorphism_checks_the_signature_then_the_map():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     with pytest.raises(SignatureMismatch):
         is_homomorphism((0, 1, 2), z4, chain_lattice(2))
+    with pytest.raises(SignatureMismatch):
+        Homomorphism.or_none(z4, chain_lattice(2), (0, 1, 0, 1))
     for bad in [(0, 1, 0), (0, 1, 0, 1, 0), (0, 1, 2, 3), (0, -1, 0, 1)]:
         with pytest.raises(SizeMismatch, match="map must send A's carrier into B's"):
             is_homomorphism(bad, z4, z2)
@@ -209,6 +233,8 @@ def test_a_map_entry_outside_b_is_refused_on_both_paths():
                 is_homomorphism(bad_map, A, B)
             with pytest.raises(SizeMismatch, match="map must send A's carrier into B's"):
                 Homomorphism(A, B, bad_map)
+            with pytest.raises(SizeMismatch, match="map must send A's carrier into B's"):
+                Homomorphism.or_none(A, B, bad_map)
 
 
 def test_a_bool_map_entry_reads_as_its_int():
@@ -358,7 +384,7 @@ def test_the_idempotent_search_reads_no_table_entry_by_index(A):
 
 OPTIMIZED_RUN = """
 import sys
-from oracles import backtracking_idempotents
+from oracles import backtracking_idempotents, principal_join_bfs
 from ualgebra.algebras import all_subalgebras
 from ualgebra.catalog import groups_up_to_8, left_zero_semigroup, standard_corpus
 from ualgebra.congruences import all_congruences
@@ -371,9 +397,12 @@ corpus = [A for A, _ in standard_corpus() if A.size <= 5] + [left_zero_semigroup
 corpus += [heap_from_group(G) for G in groups_up_to_8() if G.size <= 4]
 for A in corpus:
     maps = [e.map for e in idempotent_endomorphisms(A)]
-    pairs = count_transversal_pairs(A, all_subalgebras(A), all_congruences(A))
+    congruences = all_congruences(A)
+    pairs = count_transversal_pairs(A, all_subalgebras(A), congruences)
     if maps != backtracking_idempotents(A) or len(maps) != pairs:
         sys.exit(f"mismatch on {A.name}")
+    if [omega.rep for omega in congruences] != principal_join_bfs(A):
+        sys.exit(f"congruence mismatch on {A.name}")
 print("agree", len(corpus))
 """
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import set_partitions, transitive_closure_classes
+from ualgebra.algebras import CARRIER_CAP
 from ualgebra.errors import SizeMismatch
 from ualgebra.partitions import Partition, parse_partition
 
@@ -100,8 +101,8 @@ def test_set_partitions_oracle_counts_are_bell_numbers():
         assert all(Partition.from_pairs(n, enumerate(rep)).rep == rep for rep in parts)
 
 
-def _pair_lists(n):
-    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)
+def _pair_lists(n, max_size=10):
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=max_size)
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,11 +114,12 @@ def test_from_pairs_matches_brute_force_closure(data):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    data=st.integers(1, 8).flatmap(
-        lambda n: st.tuples(st.just(n), _pair_lists(n), _pair_lists(n))
+    data=st.integers(1, CARRIER_CAP).flatmap(
+        lambda n: st.tuples(st.just(n), _pair_lists(n, 24), _pair_lists(n, 24))
     )
 )
 def test_join_matches_brute_force_closure_of_both_sides(data):
+    # up to CARRIER_CAP elements, where the congruence lattice joins
     n, left, right = data
     joined = Partition.from_pairs(n, left).join(Partition.from_pairs(n, right))
     assert joined.rep == transitive_closure_classes(n, left + right)
