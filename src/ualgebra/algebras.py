@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, permutations, product as iproduct
+from itertools import accumulate, chain, islice, permutations, product as iproduct
 from operator import mul
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     TableRangeError,
 )
 from .partitions import Partition
-from .terms import BYTE_CARRIER, Signature, maps_tables, translation_tables
+from .terms import BYTE_CARRIER, Signature, batch_tables, maps_tables, translation_tables
 
 # The largest carrier that the isomorphism search, the subalgebra scan and
 # the congruence lattice take.
@@ -187,24 +187,71 @@ def tuples(n: int, k: int):
 
 
 def is_homomorphism(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
-    """True iff f(map a1,..,map ak) = map f(a1,..,ak) for every symbol and tuple.
+    """True iff f(map a1,..,map ak) = map f(a1,..,ak) for every symbol and tuple:
+    `_homomorphic_maps` of the one map, a batch of one over A's cached
+    `table_bytes` and `byte_places` on byte carriers."""
+    return bool(_homomorphic_maps((mapping,), A, B))
 
-    One column per operation, in A's row-major order. When both carriers
-    have at most `terms.BYTE_CARRIER` elements, `terms.maps_tables` maps A's
-    place columns (`byte_places`) and A's `table_bytes`, both built once
-    per algebra, and reads B's table at the mapped columns with
-    `eval_block`'s table read. On a larger carrier the B-indices of the
-    mapped argument tuples are built one place at a time by `pack_product`.
-    A map entry that is not an int in B's carrier raises SizeMismatch."""
+
+def _homomorphic_maps(maps, A: FiniteAlgebra, B: FiniteAlgebra) -> list:
+    """The maps among `maps`, drawn lazily, that are homomorphisms A -> B,
+    in their order. Each is tested once, one column per operation in A's
+    row-major order.
+
+    The signature is checked once. When both carriers have at most
+    `terms.BYTE_CARRIER` elements the maps are tested in batches of up to
+    256 // |A|: the entries of a batch are checked together, and
+    `terms.maps_tables` tests the whole batch in one pass per table. It
+    reads as many copies of A's `table_bytes` and `byte_places`, built by
+    `terms.batch_tables` once per call and sliced for a shorter last
+    batch; a batch of one reads those cached bytes themselves. On a larger
+    carrier each map builds the B-indices of its mapped argument tuples one
+    place at a time with `pack_product`. A map that is not |A| ints in B's
+    carrier raises SizeMismatch before its batch is tested."""
     if A.signature != B.signature:
         raise SignatureMismatch("homomorphisms need a shared signature")
+    n = A.size
+    if n > BYTE_CARRIER or B.size > BYTE_CARRIER:
+        return [mp for mp in maps if _maps_by_index(mp, A, B)]
+    maps = iter(maps)
+    tables, places, size = A.table_bytes, A.byte_places, 1
+    out = []
+    while batch := list(islice(maps, 256 // n)):
+        count = len(batch)
+        codes = _entry_codes(batch, n, B.size)
+        if count > size:  # the first batch: every later one is as long or shorter
+            tables, places = batch_tables(tables, places, n, count)
+            size = count
+        elif count < size:
+            tables = [t[: len(t) // size * count] for t in tables]
+            places = [[c[: len(c) // size * count] for c in cols] for cols in places]
+        out += [batch[c] for c in maps_tables(codes, count, tables, places, B)]
+    return out
+
+
+def _entry_codes(batch, n: int, m: int) -> bytes:
+    """The maps of `batch` one after another as `bytes`, each of n ints in
+    range(m), else SizeMismatch: a bool reads as its int, and a float,
+    str or None is refused."""
+    flat = list(chain.from_iterable(batch))
+    codes = b""
+    if set(map(len, batch)) == {n} and all(issubclass(t, int) for t in set(map(type, flat))):
+        try:
+            codes = bytes(flat)
+        except ValueError:  # an int past 0..255
+            pass
+    if len(codes) != len(batch) * n or max(codes) >= m:
+        raise SizeMismatch("map must send A's carrier into B's")
+    return codes
+
+
+def _maps_by_index(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
+    """`_homomorphic_maps`' test of one map past the byte carriers."""
     n = B.size
     kept = [v for v in mapping if isinstance(v, int) and 0 <= v < n]
     if len(kept) != len(mapping) or len(mapping) != A.size:
         raise SizeMismatch("map must send A's carrier into B's")
     m = mapping
-    if A.size <= BYTE_CARRIER and n <= BYTE_CARRIER:
-        return maps_tables(m, A.table_bytes, A.byte_places, B)
     return all(
         [m[v] for v in ta] == [tb[i] for i in pack_product([m] * arity, n)]
         for (_, arity), ta, tb in zip(A.signature.symbols, A.tables, B.tables)
@@ -246,23 +293,31 @@ class Homomorphism:
             raise NotAHomomorphism("map does not preserve the operations")
 
     @classmethod
+    def among(cls, source: FiniteAlgebra, target: FiniteAlgebra, maps) -> list["Homomorphism"]:
+        """`Homomorphism(source, target, m)` for each m among `maps` that is
+        one, in order, and no exception for one that is not: one
+        `_homomorphic_maps` pass, with its signature and entry checks. A kept
+        map is built without a second test, and is ==, hash- and repr-equal
+        to the constructor's."""
+        out = []
+        for mapping in _homomorphic_maps(maps, source, target):
+            # set as the frozen constructor sets them: a `vars(h).update`
+            # would build a per-instance dict, 248 against 105 bytes per map
+            h = object.__new__(cls)
+            object.__setattr__(h, "source", source)
+            object.__setattr__(h, "target", target)
+            object.__setattr__(h, "map", mapping)
+            out.append(h)
+        return out
+
+    @classmethod
     def or_none(
         cls, source: FiniteAlgebra, target: FiniteAlgebra, mapping: tuple[int, ...]
     ) -> "Homomorphism | None":
         """`Homomorphism(source, target, mapping)`, or None where the
-        constructor would raise NotAHomomorphism: one `is_homomorphism`,
-        with its signature and entry checks, and no exception for a map
-        that fails it. A kept map is built without a second test, and is
-        ==, hash- and repr-equal to the constructor's."""
-        if not is_homomorphism(mapping, source, target):
-            return None
-        # set as the frozen constructor sets them: a `vars(h).update` would
-        # build a per-instance dict, 248 against 105 bytes per kept map
-        h = object.__new__(cls)
-        object.__setattr__(h, "source", source)
-        object.__setattr__(h, "target", target)
-        object.__setattr__(h, "map", mapping)
-        return h
+        constructor would raise NotAHomomorphism: `among` the one map."""
+        kept = cls.among(source, target, (mapping,))
+        return kept[0] if kept else None
 
     def __call__(self, a: int) -> int:
         return self.map[a]

@@ -145,7 +145,9 @@ def _congruence_closure(A: FiniteAlgebra) -> tuple[Partition, ...]:
     found = {Partition.identity(n)}
     for ((a, b), *_), p in _principal_components(A):
         if p not in found:
-            found.update([c.join(p) for c in found if c.rep[a] != c.rep[b]])
+            # `Partition.join` without its operand checks: every member is canonical
+            links = [(x, r) for x, r in enumerate(p.rep) if x != r]
+            found.update([Partition.merged(list(c.rep), links) for c in found if c.rep[a] != c.rep[b]])
             if len(found) > CONGRUENCE_LIMIT:
                 raise SizeLimitExceeded(
                     f"congruence enumeration capped at {CONGRUENCE_LIMIT} congruences"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .algebras import (
     IDEMPOTENT_CACHE_SIZE,
@@ -49,9 +49,12 @@ def idempotent_endomorphisms(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     congruence and B a subalgebra meeting every omega-class once, and e sends
     x to the element of B in x's class. So for each congruence omega in
     `all_congruences(A)` and each choice of one representative per block,
-    the retraction onto the chosen set is kept when `Homomorphism.or_none`
-    accepts it: each of these candidates is tested once, by one
-    `is_homomorphism`, and a rejected one raises nothing.
+    the retraction onto the chosen set is kept when it is a homomorphism.
+    The retractions are drawn lazily, congruence by congruence, and
+    `Homomorphism.among` tests them in batches of up to 256 // |A|, one
+    byte-kernel pass per table and batch: each candidate is tested once,
+    against every table row, a rejected one raises nothing and a kept one
+    is not tested again.
 
     The candidates number the sum over omega of the product of its block
     sizes; above CANDIDATE_LIMIT, SizeLimitExceeded is raised before any is
@@ -61,15 +64,18 @@ def idempotent_endomorphisms(A: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     congruences = [(omega.rep, omega.blocks()) for omega in all_congruences(A)]
     if sum(prod(map(len, blocks)) for _, blocks in congruences) > CANDIDATE_LIMIT:
         raise SizeLimitExceeded(f"idempotent search capped at {CANDIDATE_LIMIT} candidates")
-    found = []
+    found = Homomorphism.among(A, A, _retractions(congruences))
+    return tuple(sorted(found, key=attrgetter("map")))
+
+
+def _retractions(congruences):
+    """For each (rep, blocks) of a congruence in turn, the retraction onto
+    each choice of one representative per block, drawn lazily."""
     for rep, blocks in congruences:
         index = {block[0]: i for i, block in enumerate(blocks)}
-        where = [index[r] for r in rep]  # reps[where[x]] represents x's block
-        for reps in product(*blocks):
-            e = Homomorphism.or_none(A, A, tuple([reps[i] for i in where]))
-            if e is not None:
-                found.append(e)
-    return tuple(sorted(found, key=attrgetter("map")))
+        # reps[where[x]] represents x's block; one element is its own block
+        where = [index[r] for r in rep]
+        yield from map(itemgetter(*where) if len(where) > 1 else tuple, product(*blocks))
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,30 @@ def is_transversal(B: frozenset[int], omega: Partition) -> bool:
 
 
 def endo_witness(A: FiniteAlgebra, B: frozenset[int], omega: Partition) -> bool:
-    """(b): some idempotent endomorphism has image B and kernel omega."""
-    return any(e.image() == B and kernel(e) == omega for e in idempotent_endomorphisms(A))
+    """(b): some idempotent endomorphism has image B and kernel omega: one
+    lookup of B's bitmask among the image masks that `_image_masks(A)`
+    keeps for omega. A B holding anything but carrier elements is no
+    image."""
+    B = set(B)
+    if not all(isinstance(x, int) and 0 <= x < A.size for x in B):
+        return False
+    return sum(1 << x for x in B) in _image_masks(A).get(tuple(omega.rep), ())
+
+
+@lru_cache(maxsize=IDEMPOTENT_CACHE_SIZE)
+def _image_masks(A: FiniteAlgebra) -> dict[tuple[int, ...], frozenset[int]]:
+    """For each kernel of an idempotent endomorphism of A, by its `rep`, the
+    bitmasks of the images of those with that kernel; read by `endo_witness`
+    alone.
+    Built from `idempotent_endomorphisms` by the first (b) query on A and
+    memoized on A (IDEMPOTENT_CACHE_SIZE algebras) apart from the
+    idempotent list, so a caller that never asks (b) holds none. Masks,
+    not sets of elements: (image, kernel) pairs of sets held about twice
+    the memory of the idempotent list itself."""
+    masks: dict[tuple[int, ...], set[int]] = {}
+    for e in idempotent_endomorphisms(A):
+        masks.setdefault(kernel(e).rep, set()).add(sum(1 << x for x in set(e.map)))
+    return {k: frozenset(v) for k, v in masks.items()}
 
 
 def _retraction(A: FiniteAlgebra, B: frozenset[int], omega: Partition) -> tuple[int, ...] | None:

@@ -112,8 +112,14 @@ class Partition:
         return all(other.rep[i] == other.rep[self.rep[i]] for i in range(self.n))
 
     def join(self, other: "Partition") -> "Partition":
+        """The least partition above both. Each operand must be canonical
+        (`check_canonical`), else SizeMismatch; the congruence lattice, whose
+        partitions are canonical by construction, merges through
+        `Partition.merged` itself."""
         if self.n != other.n:
             raise SizeMismatch("partitions over different carriers")
+        self.check_canonical(self.n)
+        other.check_canonical(self.n)
         # self.rep is a forest of depth one; only other's non-representatives merge
         return Partition.merged(list(self.rep), [(i, r) for i, r in enumerate(other.rep) if i != r])
 

@@ -279,33 +279,90 @@ def read_table(algebra: "FiniteAlgebra", p: int, cols, length: int):
     return bytes(out) if n <= BYTE_CARRIER else out
 
 
-def maps_tables(mapping, tables, places, B: "FiniteAlgebra") -> bool:
-    """Does `mapping` carry each table of `tables` to B's table at its
-    position? Table p is `bytes` and lists its values at the rows of the
-    place columns `places[p]`, also `bytes`; it is mapped through `mapping`
-    as one column, and B's table is read at the place columns mapped the
-    same way. Every value of a column indexes `mapping`, and every entry of
-    `mapping` is an element of B, which has at most BYTE_CARRIER.
+def batch_tables(tables, places, n: int, count: int):
+    """`count` copies of each table and of each of its place columns, all
+    `bytes` over an n-element carrier, for `maps_tables`: copy c adds c * n
+    to every byte, so code c * n + x reads map c at x. count * n is at most
+    256. The copies are made by doubling, the copies so far followed by
+    themselves shifted by their number times n through one `translate`, so
+    a column costs about log2(count) `bytes` operations and no loop per
+    copy. A shift carries codes past 255 into TABLE_PAD only in copies that
+    the final slice drops."""
+    shifts = []
+    have = 1
+    while have < count:
+        shifts.append(bytes(range(have * n, 256)).ljust(256, bytes((TABLE_PAD,))))
+        have *= 2
 
-    Where B's table has at most 256 entries, each column is packed into
-    8-bit lanes as it is mapped and the lanes are read through B's
-    translation map: `read_table`'s lane pack, inlined, since the call and
-    the list of mapped columns cost more than the read. B's windowed
-    tables, and those with no map, are read by `read_table`."""
-    byte_map = bytes(mapping).ljust(256, bytes((TABLE_PAD,)))
+    made: dict[bytes, bytes] = {}  # tables of one arity share their place columns
+
+    def copies(column: bytes) -> bytes:
+        if column not in made:
+            out = column
+            for shift in shifts:
+                out += out.translate(shift)
+            made[column] = out[: count * len(column)]
+        return made[column]
+
+    return tuple(map(copies, tables)), tuple(tuple(map(copies, cols)) for cols in places)
+
+
+def maps_tables(codes: bytes, count: int, tables, places, B: "FiniteAlgebra") -> list[int]:
+    """The indices c, ascending, of the maps among a batch of `count` that
+    carry each table of `tables` to B's table at its position.
+
+    `codes` is the batch's maps one after another, map c at c * m up to
+    (c + 1) * m for m = len(codes) // count, at most 256 bytes, each entry
+    an element of B, which has at most BYTE_CARRIER. Table p and its place
+    columns `places[p]` are `bytes` holding `count` copies of one table over
+    an m-element carrier and of its row-major place columns, copy c coded
+    c * m + x (`batch_tables`; a batch of one is the table itself). So one
+    `translate` through `codes` maps every copy through its own map, and
+    B's table is read at the place columns mapped the same way:
+
+    - a table of B with at most 256 entries: each column is packed into
+      8-bit lanes as it is mapped, and the lanes are read by one
+      `translate` through B's map (`read_table`'s lane pack, inlined);
+    - a windowed table (ternary on 7-16 elements, 4-ary on 5-6): the
+      columns are row-major, so every run of m^(k-1) rows with one first
+      code holds the same trailing rows as its copy's first run. Those
+      first runs are packed the same way, and each run is read through the
+      one window of its mapped first value, one `translate` per run;
+    - a table with no map: `read_table`'s list path.
+
+    Only a table whose mapped bytes differ from B's read is split into one
+    slice per map, and the search stops once no map is left."""
+    byte_map = codes.ljust(256, bytes((TABLE_PAD,)))
     n, maps = B.size, B.byte_tables
+    m = len(codes) // count
+    kept = range(count)
     for p, (table, columns) in enumerate(zip(tables, places)):
+        length = len(table)
+        step = length // count  # one copy
         target = maps.get(p)
         if type(target) is bytes:
             idx = 0
             for col in columns:
                 idx = idx * n + int.from_bytes(col.translate(byte_map), "little")
-            got = idx.to_bytes(len(table), "little").translate(target)
+            got = idx.to_bytes(length, "little").translate(target)
+        elif target is None:
+            got = read_table(B, p, [col.translate(byte_map) for col in columns], length)
         else:
-            got = read_table(B, p, [col.translate(byte_map) for col in columns], len(table))
-        if got != table.translate(byte_map):
-            return False
-    return True
+            run = step // m
+            idx = 0
+            for col in columns[1:]:
+                head = b"".join([col[s : s + run] for s in range(0, length, step)])
+                idx = idx * n + int.from_bytes(head.translate(byte_map), "little")
+            lanes = idx.to_bytes(count * run, "little")
+            heads = [lanes[s : s + run] for s in range(0, count * run, run)]
+            firsts = columns[0][::run].translate(byte_map)
+            got = b"".join([heads[i // m].translate(target[v]) for i, v in enumerate(firsts)])
+        want = table.translate(byte_map)
+        if got != want:
+            kept = [c for c in kept if got[c * step : (c + 1) * step] == want[c * step : (c + 1) * step]]
+            if not kept:
+                break
+    return list(kept)
 
 
 def eval_block(t: Term, algebra: "FiniteAlgebra", columns, length: int):

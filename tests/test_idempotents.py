@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import UnreadTable, _is_hom, backtracking_idempotents
+from oracles import UnreadTable, _is_hom, backtracking_idempotents, brute_force_idempotent_endos
 from ualgebra import algebras
 from ualgebra.algebras import FiniteAlgebra, Homomorphism, is_homomorphism, product, quotient
 from ualgebra.catalog import (
@@ -107,26 +107,30 @@ def test_left_zero_semigroups_keep_every_candidate():
     ids=lambda A: A.name,
 )
 def test_each_candidate_is_tested_once(A, monkeypatch):
-    # one retraction per congruence and choice of representatives, and one
-    # homomorphism test per retraction: a kept map is never checked again
+    # one retraction per congruence and choice of representatives, and each
+    # retraction reaches the kernel once, in some batch: a kept map is never
+    # checked again
     congruences = all_congruences(A)
     candidates = sum(prod(len(block) for block in omega.blocks()) for omega in congruences)
-    calls = []
-    real = algebras.is_homomorphism
+    received = []
+    real = algebras.maps_tables
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(codes, count, *args):
+        step = len(codes) // count
+        received.extend(tuple(codes[c * step : (c + 1) * step]) for c in range(count))
+        return real(codes, count, *args)
 
-    monkeypatch.setattr(algebras, "is_homomorphism", counted)
+    monkeypatch.setattr(algebras, "maps_tables", counted)
     idempotent_endomorphisms.cache_clear()
     maps = idempotent_maps(A)
-    assert len(calls) == candidates > len(maps)
+    assert len(received) == len(set(received)) == candidates > len(maps)
+    assert set(maps) <= set(received)
+    assert all(m[x] == x for m in received for x in m)
 
 
 def test_the_search_raises_nothing_per_candidate(monkeypatch):
     # mult_semigroup(8) has 193 candidates and keeps 19: a rejected one is
-    # told apart by `Homomorphism.or_none` returning None, not by a raised
+    # left out by `Homomorphism.among`, not told apart by a raised
     # NotAHomomorphism, and a kept one equals the constructor's
     A = mult_semigroup(8)
     assert candidates(A) == 193
@@ -171,7 +175,8 @@ def test_the_candidate_limit_is_checked_before_any_candidate(monkeypatch):
     A = chain_lattice(12)
     assert candidates(A) == 46368 > CANDIDATE_LIMIT
     calls = []
-    monkeypatch.setattr(algebras, "is_homomorphism", lambda *args: calls.append(args))
+    for name in ("is_homomorphism", "_homomorphic_maps", "maps_tables"):
+        monkeypatch.setattr(algebras, name, lambda *args: calls.append(args))
     idempotent_endomorphisms.cache_clear()
     for _ in range(2):
         with pytest.raises(SizeLimitExceeded, match="^idempotent search capped at 41393 candidates$"):
@@ -382,11 +387,124 @@ def test_the_idempotent_search_reads_no_table_entry_by_index(A):
         idempotent_endomorphisms.cache_clear()
 
 
+def _kernel_batches(monkeypatch):
+    """The batch sizes that `terms.maps_tables` receives, recorded in order."""
+    sizes = []
+    real = algebras.maps_tables
+
+    def recorded(codes, count, *args):
+        sizes.append(count)
+        return real(codes, count, *args)
+
+    monkeypatch.setattr(algebras, "maps_tables", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("A", [mult_semigroup(5), chain_lattice(7), cyclic_heap(8)], ids=lambda A: A.name)
+def test_batches_around_multiples_of_the_batch_size(A, monkeypatch):
+    # 256 // n maps fill a batch; k full batches and one map fewer or more
+    # each keep exactly the maps that the tuple check accepts, in order
+    full = 256 // A.size
+    rng = random.Random(A.size)
+    pool = [tuple(rng.randrange(A.size) for _ in range(A.size)) for _ in range(3 * full + 1)]
+    endos = [e.map for e in idempotent_endomorphisms(A)]
+    for i in range(0, len(pool), 3):
+        pool[i] = endos[i // 3 % len(endos)]
+    sizes = _kernel_batches(monkeypatch)
+    for k in (1, 2, 3):
+        for total in (k * full - 1, k * full, k * full + 1):
+            maps = pool[:total]
+            sizes.clear()
+            kept = Homomorphism.among(A, A, iter(maps))
+            assert [e.map for e in kept] == [m for m in maps if _is_hom(A, m)]
+            assert sizes == [full] * (total // full) + ([total % full] if total % full else [])
+    assert 0 < len(kept) < len(maps)
+
+
+def test_a_rejected_map_first_in_the_middle_and_last_of_a_full_batch(monkeypatch):
+    # 32 maps of 8 elements fill the 256 codes, the last one 31 * 8 + 7 =
+    # 255 = TABLE_PAD; each monotone retraction is a lattice endomorphism
+    A = chain_lattice(8)
+    good = [e.map for e in idempotent_endomorphisms(A)][:32]
+    # differs from the identity only at 7, the last entry of its map
+    bad = (0, 1, 2, 3, 4, 5, 6, 5)
+    assert all(_is_hom(A, m) for m in good) and not _is_hom(A, bad)
+    sizes = _kernel_batches(monkeypatch)
+    for slots in [(), (0,), (15,), (31,), (0, 15, 31), tuple(range(32))]:
+        maps = [bad if c in slots else m for c, m in enumerate(good)]
+        kept = Homomorphism.among(A, A, maps)
+        assert [e.map for e in kept] == [m for c, m in enumerate(good) if c not in slots]
+    assert set(sizes) == {32}
+    # the last map alone decides on the last code
+    maps = [tuple(range(8))] * 31 + [bad]
+    assert [e.map for e in Homomorphism.among(A, A, maps)] == maps[:31]
+
+
+def test_batches_over_constants_keep_the_maps_that_fix_them():
+    # constants are read once per batch as one entry per map
+    rng = random.Random(0)
+    for n in (3, 8):
+        A = algebra(n, [0, 0, 2], [[1], [2], [rng.randrange(n) for _ in range(n * n)]])
+        maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(300)]
+        maps += [tuple(range(n))] * 5 + [tuple(x if x in (1, 2) else 1 for x in range(n))] * 5
+        rng.shuffle(maps)
+        kept = [e.map for e in Homomorphism.among(A, A, maps)]
+        assert kept == [m for m in maps if _is_hom(A, m)]
+        assert kept and all(m[1] == 1 and m[2] == 2 for m in kept)
+        C = algebra(n, [0], [[n - 1]])
+        assert [e.map for e in Homomorphism.among(C, C, maps)] == [m for m in maps if m[n - 1] == n - 1]
+
+
+@pytest.mark.parametrize("n", range(7, BYTE_CARRIER + 1))
+def test_windowed_heaps_of_7_to_16_elements_match_the_tuple_check(n):
+    # t on n elements has n^3 <= 256 * n entries, read one window per run of
+    # its first argument: by `is_homomorphism` one map at a time and by a
+    # batch of 256 // n maps
+    X = cyclic_heap(n)
+    assert type(X.byte_tables[0]) is tuple
+    rng = random.Random(n)
+    affine = [tuple((a * x + c) % n for x in range(n)) for a in range(n) for c in range(n)]
+    other = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(30)]
+    maps = affine + other
+    rng.shuffle(maps)
+    expected = [m for m in maps if _is_hom(X, m)]
+    assert set(affine) <= set(expected) and len(expected) < len(maps)
+    assert [m for m in maps if is_homomorphism(m, X, X)] == expected
+    assert [e.map for e in Homomorphism.among(X, X, maps)] == expected
+
+
+def test_a_batch_refuses_a_bad_entry_in_any_map_before_testing():
+    A, B = cyclic_group(4), cyclic_group(2)
+    good = [(0, 1, 0, 1), (0, 0, 0, 0), (0, 1, 1, 0)]
+    for bad in [(0, 1, 0), (0, 1, 0, 1, 0), (0, 1, 2, 1), (0, -1, 0, 1), (0, 1.0, 0, 1), (0, None, 0, 1)]:
+        for slot in (0, 2, 40, 63):
+            maps = good * 22
+            maps[slot] = bad
+            with pytest.raises(SizeMismatch, match="map must send A's carrier into B's"):
+                Homomorphism.among(A, B, maps)
+    assert [e.map for e in Homomorphism.among(A, B, good * 30)] == [good[0], good[1]] * 30
+    with pytest.raises(SignatureMismatch):
+        Homomorphism.among(A, chain_lattice(2), [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=random_algebras())
+def test_the_batched_search_matches_both_oracles(A):
+    found = idempotent_maps(A)
+    assert found == backtracking_idempotents(A) == sorted(brute_force_idempotent_endos(A))
+
+
 OPTIMIZED_RUN = """
 import sys
 from oracles import backtracking_idempotents, principal_join_bfs
 from ualgebra.algebras import all_subalgebras
-from ualgebra.catalog import groups_up_to_8, left_zero_semigroup, standard_corpus
+from ualgebra.catalog import (
+    chain_lattice,
+    cyclic_heap,
+    groups_up_to_8,
+    left_zero_semigroup,
+    standard_corpus,
+)
 from ualgebra.congruences import all_congruences
 from ualgebra.heaps import heap_from_group
 from ualgebra.inner import count_transversal_pairs, idempotent_endomorphisms
@@ -395,6 +513,8 @@ if not sys.flags.optimize:
     sys.exit("not run under -O")
 corpus = [A for A, _ in standard_corpus() if A.size <= 5] + [left_zero_semigroup(4)]
 corpus += [heap_from_group(G) for G in groups_up_to_8() if G.size <= 4]
+# windowed tables, and a full batch of 32 maps on 8 elements
+corpus += [cyclic_heap(7), cyclic_heap(8), chain_lattice(8)]
 for A in corpus:
     maps = [e.map for e in idempotent_endomorphisms(A)]
     congruences = all_congruences(A)

@@ -21,14 +21,16 @@ from ualgebra.catalog import (
     swap_semigroup,
     symmetric_group_s3,
 )
-from ualgebra.congruences import all_congruences
+from ualgebra.congruences import all_congruences, kernel
 from ualgebra.errors import NotIdempotent, SizeLimitExceeded
 from ualgebra.heaps import heap_from_group, heap_inner_report
 from ualgebra.inner import (
     IDEMPOTENT_CACHE_SIZE,
+    _image_masks,
     constant_endomorphisms,
     count_transversal_pairs,
     decomposition_from_idempotent,
+    endo_witness,
     idempotent_endomorphisms,
     idempotent_poset,
     totally_idempotent_elements,
@@ -247,11 +249,52 @@ def test_idempotent_cache_is_bounded_and_serves_a_whole_heap_census():
     X = heap_from_group(klein_group())
     pairs = [(Y, omega) for Y in all_subalgebras(X) for omega in all_congruences(X)]
     idempotent_endomorphisms.cache_clear()
+    _image_masks.cache_clear()
     holds = sum(heap_inner_report(X, Y, omega).holds for Y, omega in pairs)
     info = idempotent_endomorphisms.cache_info()
-    # one enumeration for the whole census, every later pair a hit
-    assert (info.misses, info.hits) == (1, len(pairs) - 1)
+    index = _image_masks.cache_info()
+    # one enumeration for the whole census, read once into the (image,
+    # kernel) index of condition (b), and every later pair a hit there
+    assert (info.misses, info.hits) == (1, 0)
+    assert (index.misses, index.hits) == (1, len(pairs) - 1)
     assert holds == len(idempotent_endomorphisms(X))
+
+
+@pytest.mark.parametrize(
+    "A",
+    [cyclic_group(6), chain_lattice(4), mult_semigroup(5), left_zero_semigroup(3)]
+    + [heap_from_group(G) for G in groups_up_to_8() if G.size in (4, 6)],
+    ids=lambda A: A.name,
+)
+def test_endo_witness_agrees_with_the_scan_of_the_idempotent_list(A):
+    # condition (b) read from the (image, kernel) index is the list scan it
+    # replaced, on every pair of a subalgebra and a congruence
+    endos = idempotent_endomorphisms(A)
+    hits = 0
+    for B in all_subalgebras(A):
+        for omega in all_congruences(A):
+            scan = any(e.image() == B and kernel(e) == omega for e in endos)
+            assert endo_witness(A, B, omega) == scan
+            assert endo_witness(A, set(B), omega) == scan
+            hits += scan
+    assert hits == len(endos)
+    # the identity has image A and the identity kernel; no image holds an
+    # element outside the carrier
+    identity = Partition.identity(A.size)
+    assert endo_witness(A, range(A.size), identity)
+    for extra in (A.size, -1, 0.5, "0"):
+        assert not endo_witness(A, [*range(A.size), extra], identity)
+
+
+def test_the_endo_index_is_built_only_by_a_condition_b_query():
+    assert _image_masks.cache_info().maxsize == IDEMPOTENT_CACHE_SIZE
+    A = chain_lattice(5)
+    _image_masks.cache_clear()
+    idempotent_endomorphisms(A)
+    all_congruences(A)
+    assert _image_masks.cache_info().currsize == 0
+    assert endo_witness(A, frozenset(range(5)), Partition.identity(5))
+    assert _image_masks.cache_info().currsize == 1
 
 
 def test_quotient_memo_builds_each_congruence_once_in_a_heap_census():

@@ -35,6 +35,21 @@ def test_join_meet_refines():
     assert a.refines(Partition.total(4))
 
 
+@pytest.mark.parametrize(
+    "rep",
+    [(0, 1, 2, 99), (0, None, 2, 3), (1, 0, 2, 3)],
+    ids=["outside-the-carrier", "not-an-int", "not-least"],
+)
+def test_join_refuses_an_operand_not_in_canonical_form(rep):
+    # an IndexError, a TypeError and a silent {{0,1},{2},{3}} before
+    hostile, identity = Partition(rep), Partition.identity(4)
+    message = "^partition is not canonical"
+    with pytest.raises(SizeMismatch, match=message):
+        hostile.join(identity)
+    with pytest.raises(SizeMismatch, match=message):
+        identity.join(hostile)
+
+
 def test_print_parse_roundtrip():
     p = Partition.from_blocks(4, [[0, 2], [1, 3]])
     assert str(p) == "{{0,2},{1,3}}"
