@@ -310,15 +310,6 @@ class Homomorphism:
             out.append(h)
         return out
 
-    @classmethod
-    def or_none(
-        cls, source: FiniteAlgebra, target: FiniteAlgebra, mapping: tuple[int, ...]
-    ) -> "Homomorphism | None":
-        """`Homomorphism(source, target, mapping)`, or None where the
-        constructor would raise NotAHomomorphism: `among` the one map."""
-        kept = cls.among(source, target, (mapping,))
-        return kept[0] if kept else None
-
     def __call__(self, a: int) -> int:
         return self.map[a]
 
@@ -455,20 +446,19 @@ def subalgebra_as_algebra(A: FiniteAlgebra, subset, name: str | None = None):
 def quotient(A: FiniteAlgebra, omega: Partition):
     """Quotient by a congruence; returns (algebra on blocks, projection).
 
-    Blocks are ordered by least element. `omega` must be canonical: each
-    rep[a] an int with 0 <= rep[a] <= a and rep[rep[a]] == rep[a], else
-    SizeMismatch (`Partition.check_canonical`). Well-definedness of every
-    induced table entry is verified directly; a conflict raises
-    NotACongruence. Memoized on (A, omega), IDEMPOTENT_CACHE_SIZE entries:
-    both values are frozen, so a caller cannot change what the next one
-    gets. Errors are raised again on every call.
+    Blocks are ordered by least element: `omega` is canonical, so block i
+    is the i-th rep to appear in `omega.rep`. An `omega` not over A's
+    carrier raises SizeMismatch. Well-definedness of every induced table
+    entry is verified directly; a conflict raises NotACongruence. Memoized
+    on (A, omega), IDEMPOTENT_CACHE_SIZE entries: both values are frozen,
+    so a caller cannot change what the next one gets. Errors are raised
+    again on every call.
     """
-    omega.check_canonical(A.size)
-    rep = omega.rep
-    blocks = omega.blocks()
-    index = {b[0]: i for i, b in enumerate(blocks)}
-    proj = tuple(index[r] for r in rep)
-    k = len(blocks)
+    if omega.n != A.size:
+        raise SizeMismatch("partition size differs from carrier size")
+    index: dict[int, int] = {}
+    proj = tuple([index.setdefault(r, len(index)) for r in omega.rep])
+    k = len(index)
     tables = []
     for (sym, arity), table in zip(A.signature.symbols, A.tables):
         # every block tuple is hit, so one value per slot leaves k**arity cells

@@ -11,7 +11,9 @@ of the table; the sections of two values line up entry by entry.
 - `congruence_generated` is the worklist method of R. Freese, "Computing
   congruences efficiently", Algebra Universalis 59 (2008): every pair that
   merges two classes is pushed once, and each popped pair is propagated once
-  through every one-place translation.
+  through every one-place translation. A pair merges two classes when
+  their canonical reps differ, one comparison, and each merge is one
+  `Partition.merged` pass.
 - `all_congruences` is the join-closure of the principal congruences, one
   per strongly connected component of the pair graph: by Mal'cev's
   description (Burris and Sankappanavar, *A Course in Universal Algebra*,
@@ -30,8 +32,8 @@ from functools import lru_cache
 from itertools import chain, count
 
 from .algebras import CARRIER_CAP, IDEMPOTENT_CACHE_SIZE, FiniteAlgebra, Homomorphism
-from .errors import SizeLimitExceeded
-from .partitions import Partition, UnionFind
+from .errors import SizeLimitExceeded, SizeMismatch
+from .partitions import Partition
 
 # Bell(8): Con(A) of an n-element algebra has at most Bell(n) members
 CONGRUENCE_LIMIT = 4140
@@ -60,11 +62,11 @@ def is_congruence(A: FiniteAlgebra, pi: Partition) -> bool:
     One place at a time: for every place and every element a off its class
     representative r, the section of a and the section of r must agree class
     by class. That covers every pair of related argument tuples, changing
-    one place at a time and going through the representatives. A partition
-    not over A's carrier in canonical form raises SizeMismatch
-    (`Partition.check_canonical`).
+    one place at a time and going through the representatives. Every
+    `Partition` is canonical; one not over A's carrier raises SizeMismatch.
     """
-    pi.check_canonical(A.size)
+    if pi.n != A.size:
+        raise SizeMismatch("partition size differs from carrier size")
     n, rep = A.size, pi.rep
     moved = [a for a in range(n) if rep[a] != a]
     if not moved:
@@ -82,19 +84,18 @@ def is_congruence(A: FiniteAlgebra, pi: Partition) -> bool:
 def congruence_generated(A: FiniteAlgebra, pairs) -> Partition:
     """Least congruence containing `pairs`, by a worklist of merged pairs.
 
-    Each pair whose union merges two classes is pushed once. A popped pair
-    (a, b) is propagated through every one-place translation: the sections
-    of a and b at every place are paired up entry by entry, each distinct
-    pair is merged, and the merging ones are pushed in turn. The pushed
+    Each pair (x, y) with rep[x] != rep[y] at that moment merges two
+    classes, and is pushed once and merged in by `Partition.merged`: at most
+    n - 1 merges. A popped pair (a, b) is propagated through every one-place
+    translation: the sections of a and b at every place are paired up entry
+    by entry, and each distinct merging pair is pushed in turn. The pushed
     pairs connect every class and each is respected by every translation,
     so the result is compatible; every merge is forced, so it is least.
     """
     n = A.size
-    uf = UnionFind(n)
     # from_pairs refuses an entry outside the carrier; each (x, rep x) joins a class
-    uf.parent = list(Partition.from_pairs(n, pairs).rep)
-    union = uf.union
-    pending = [(x, r) for x, r in enumerate(uf.parent) if x != r]
+    cg = Partition.from_pairs(n, pairs)
+    pending = [(x, r) for x, r in enumerate(cg.rep) if x != r]
     places = [
         (table, n ** (arity - 1 - j))
         for (_, arity), table in zip(A.signature.symbols, A.tables)
@@ -106,9 +107,10 @@ def congruence_generated(A: FiniteAlgebra, pairs) -> Partition:
         for table, stride in places:
             images.update(zip(_section(table, n, stride, a), _section(table, n, stride, b)))
         for x, y in images:
-            if x != y and union(x, y):
+            if cg.rep[x] != cg.rep[y]:
                 pending.append((x, y))
-    return uf.partition()
+                cg = Partition.merged(list(cg.rep), [(x, y)])
+    return cg
 
 
 def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Partition:
@@ -145,7 +147,7 @@ def _congruence_closure(A: FiniteAlgebra) -> tuple[Partition, ...]:
     found = {Partition.identity(n)}
     for ((a, b), *_), p in _principal_components(A):
         if p not in found:
-            # `Partition.join` without its operand checks: every member is canonical
+            # `Partition.join` of c and p, with p's links listed once for all c
             links = [(x, r) for x, r in enumerate(p.rep) if x != r]
             found.update([Partition.merged(list(c.rep), links) for c in found if c.rep[a] != c.rep[b]])
             if len(found) > CONGRUENCE_LIMIT:
@@ -219,4 +221,4 @@ def kernel(h: Homomorphism) -> Partition:
     rep = []
     for a, v in enumerate(h.map):
         rep.append(first.setdefault(v, a))
-    return Partition(tuple(rep))
+    return Partition._trusted(tuple(rep))

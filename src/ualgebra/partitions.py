@@ -9,9 +9,26 @@ from .errors import ParseError, SizeMismatch
 
 @dataclass(frozen=True)
 class Partition:
-    """Equivalence relation; `rep[i]` is the least element of i's block."""
+    """Equivalence relation; `rep[i]` is the least element of i's block.
+
+    The constructor refuses any other `rep` with SizeMismatch: each rep[a]
+    must be an int with 0 <= rep[a] <= a and rep[rep[a]] == rep[a]. The
+    builders below make partitions canonical by construction, and skip
+    that check through `_trusted`."""
 
     rep: tuple[int, ...]
+
+    def __post_init__(self):
+        rep = self.rep
+        if not all(isinstance(r, int) and 0 <= r <= a and rep[r] == r for a, r in enumerate(rep)):
+            raise SizeMismatch("partition is not canonical: rep[a] must be the least of a's block")
+
+    @classmethod
+    def _trusted(cls, rep: tuple[int, ...]) -> "Partition":
+        """The partition of a `rep` canonical by construction, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "rep", rep)
+        return p
 
     @property
     def n(self) -> int:
@@ -19,11 +36,11 @@ class Partition:
 
     @classmethod
     def identity(cls, n: int) -> "Partition":
-        return cls(tuple(range(n)))
+        return cls._trusted(tuple(range(n)))
 
     @classmethod
     def total(cls, n: int) -> "Partition":
-        return cls((0,) * n) if n else cls(())
+        return cls._trusted((0,) * n)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Partition":
@@ -40,12 +57,12 @@ class Partition:
         """The partition of the forest `parent` with each link (a, b) merged
         in. `parent` must have parent[x] <= x, each root the least element
         of its tree, as the identity and every canonical `rep` do; it is
-        changed in place. A link finds both roots inline, halving the paths
-        as `UnionFind.find` does, and hangs the larger root under the
-        smaller. Both keep parent[x] <= x, so one ascending pass
+        trusted, and changed in place. A link finds both roots inline,
+        halving the paths, and hangs the larger root under the smaller.
+        Both keep parent[x] <= x, so one ascending pass
         parent[x] = parent[parent[x]] then names each element's root: its
-        parent's root is already in place. Every join and every component's
-        Cg in `congruences` is one such pass."""
+        parent's root is already in place. Every join, every Cg and every
+        merge of `congruence_generated`'s worklist is one such pass."""
         for a, b in links:
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
@@ -59,18 +76,7 @@ class Partition:
                 parent[a] = b
         for x in range(len(parent)):
             parent[x] = parent[parent[x]]
-        return cls(tuple(parent))
-
-    def check_canonical(self, n: int) -> None:
-        """Raise SizeMismatch unless this partition is over {0..n-1} in the
-        canonical form: each rep[a] an int with 0 <= rep[a] <= a and
-        rep[rep[a]] == rep[a]. The boundary check of `is_congruence` and
-        `quotient`, which read `rep` as class labels."""
-        rep = self.rep
-        if len(rep) != n:
-            raise SizeMismatch("partition size differs from carrier size")
-        if not all(isinstance(r, int) and 0 <= r <= a and rep[r] == r for a, r in enumerate(rep)):
-            raise SizeMismatch("partition is not canonical: rep[a] must be the least of a's block")
+        return cls._trusted(tuple(parent))
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Partition":
@@ -87,20 +93,29 @@ class Partition:
                 rep[x] = least
         if any(r == -1 for r in rep):
             raise SizeMismatch("blocks do not cover the carrier")
-        return cls(tuple(rep))
+        return cls._trusted(tuple(rep))
+
+    def _require_elements(self, *elements) -> None:
+        n = self.n
+        if not all(isinstance(x, int) and 0 <= x < n for x in elements):
+            raise SizeMismatch(f"partition elements must be integers in range({n})")
 
     def same(self, a: int, b: int) -> bool:
+        self._require_elements(a, b)
         return self.rep[a] == self.rep[b]
 
     def block_of(self, a: int) -> tuple[int, ...]:
+        self._require_elements(a)
         r = self.rep[a]
         return tuple(i for i in range(self.n) if self.rep[i] == r)
 
     def blocks(self) -> list[tuple[int, ...]]:
+        """The blocks by least element: in canonical form, the order in
+        which their reps first appear."""
         by_rep: dict[int, list[int]] = {}
         for i, r in enumerate(self.rep):
             by_rep.setdefault(r, []).append(i)
-        return [tuple(by_rep[r]) for r in sorted(by_rep)]
+        return [tuple(block) for block in by_rep.values()]
 
     def block_count(self) -> int:
         return len(set(self.rep))
@@ -112,15 +127,10 @@ class Partition:
         return all(other.rep[i] == other.rep[self.rep[i]] for i in range(self.n))
 
     def join(self, other: "Partition") -> "Partition":
-        """The least partition above both. Each operand must be canonical
-        (`check_canonical`), else SizeMismatch; the congruence lattice, whose
-        partitions are canonical by construction, merges through
-        `Partition.merged` itself."""
+        """The least partition above both: `Partition.merged` of self's
+        rep, a forest of depth one, with other's non-representatives."""
         if self.n != other.n:
             raise SizeMismatch("partitions over different carriers")
-        self.check_canonical(self.n)
-        other.check_canonical(self.n)
-        # self.rep is a forest of depth one; only other's non-representatives merge
         return Partition.merged(list(self.rep), [(i, r) for i, r in enumerate(other.rep) if i != r])
 
     def meet(self, other: "Partition") -> "Partition":
@@ -131,37 +141,10 @@ class Partition:
         for i in range(self.n):
             key = (self.rep[i], other.rep[i])
             rep.append(keys.setdefault(key, i))
-        return Partition(tuple(rep))
+        return Partition._trusted(tuple(rep))
 
     def __str__(self) -> str:
         return "{" + ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks()) + "}"
-
-
-class UnionFind:
-    """Disjoint sets on {0..n-1}; a union hangs the larger root under the
-    smaller, so every root is the least element of its class."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the classes of a and b; False when they were already one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-    def partition(self) -> Partition:
-        # every union keeps parent[x] <= x, the forest `Partition.merged` takes
-        return Partition.merged(self.parent, ())
 
 
 def parse_partition(text: str, n: int, source: str = "<input>") -> Partition:

@@ -95,7 +95,15 @@ def test_all_congruences_counts():
 def test_all_congruences_matches_partition_scan():
     # independent oracle: the exhaustive pairwise check over every partition
     for A in [cyclic_group(4), chain_lattice(3), mult_semigroup(4), cyclic_heap(4)] + ORACLE_CORPUS:
-        assert [p.rep for p in all_congruences(A)] == brute_force_congruences(A), A.name
+        found = all_congruences(A)
+        assert [p.rep for p in found] == brute_force_congruences(A), A.name
+        assert_rebuilds(*found, *map(kernel, idempotent_endomorphisms(A)))
+
+
+def assert_rebuilds(*partitions):
+    # a trusted builder's output passes the constructor's canonical check
+    for p in partitions:
+        assert Partition(p.rep) == p
 
 
 # above the Bell-number scan's reach: up to 12 elements and up to 4,140
@@ -146,8 +154,9 @@ def test_congruence_generated_matches_fixpoint_oracle():
     for A in ORACLE_CORPUS:
         for a in range(A.size):
             for b in range(a + 1, A.size):
-                got = congruence_generated(A, [(a, b)]).rep
-                assert got == fixpoint_congruence_generated(A, [(a, b)]), (A.name, a, b)
+                got = congruence_generated(A, [(a, b)])
+                assert got.rep == fixpoint_congruence_generated(A, [(a, b)]), (A.name, a, b)
+                assert_rebuilds(got)
 
 
 def component_principals(A):
@@ -221,12 +230,15 @@ def test_the_carrier_cap_is_checked_before_any_section(n, monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(A=random_tables(), data=st.data())
 def test_congruence_kernel_matches_oracles_on_random_tables(A, data):
-    assert [p.rep for p in all_congruences(A)] == brute_force_congruences(A)
+    found = all_congruences(A)
+    assert [p.rep for p in found] == brute_force_congruences(A)
     for rep in set_partitions(A.size):
         assert is_congruence(A, Partition(rep)) == brute_force_is_congruence(A, rep)
     element = st.integers(0, A.size - 1)
     pairs = data.draw(st.lists(st.tuples(element, element), max_size=3))
-    assert congruence_generated(A, pairs).rep == fixpoint_congruence_generated(A, pairs)
+    generated = congruence_generated(A, pairs)
+    assert generated.rep == fixpoint_congruence_generated(A, pairs)
+    assert_rebuilds(generated, *found, *map(kernel, idempotent_endomorphisms(A)))
 
 
 def test_all_congruences_closed_under_join_and_meet():
@@ -366,3 +378,16 @@ def test_is_congruence_refuses_a_partition_that_is_not_canonical(rep):
         is_congruence(z4, Partition(rep))
     with pytest.raises(SizeMismatch, match="partition is not canonical"):
         verify_inner_sdp(z4, {0}, Partition(rep))
+
+
+@pytest.mark.parametrize("n", [0, 3, 5])
+def test_a_partition_over_another_carrier_is_refused(n):
+    # every Partition is canonical, so its size is all these entry points test
+    z4 = cyclic_group(4)
+    message = "^partition size differs from carrier size$"
+    with pytest.raises(SizeMismatch, match=message):
+        is_congruence(z4, Partition.identity(n))
+    with pytest.raises(SizeMismatch, match=message):
+        quotient(z4, Partition.total(n))
+    with pytest.raises(SizeMismatch, match="^partitions over different carriers$"):
+        Partition.identity(4).join(Partition.total(n))

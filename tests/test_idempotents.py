@@ -215,7 +215,7 @@ def test_is_homomorphism_checks_the_signature_then_the_map():
     with pytest.raises(SignatureMismatch):
         is_homomorphism((0, 1, 2), z4, chain_lattice(2))
     with pytest.raises(SignatureMismatch):
-        Homomorphism.or_none(z4, chain_lattice(2), (0, 1, 0, 1))
+        Homomorphism.among(z4, chain_lattice(2), ((0, 1, 0, 1),))
     for bad in [(0, 1, 0), (0, 1, 0, 1, 0), (0, 1, 2, 3), (0, -1, 0, 1)]:
         with pytest.raises(SizeMismatch, match="map must send A's carrier into B's"):
             is_homomorphism(bad, z4, z2)
@@ -239,7 +239,7 @@ def test_a_map_entry_outside_b_is_refused_on_both_paths():
             with pytest.raises(SizeMismatch, match="map must send A's carrier into B's"):
                 Homomorphism(A, B, bad_map)
             with pytest.raises(SizeMismatch, match="map must send A's carrier into B's"):
-                Homomorphism.or_none(A, B, bad_map)
+                Homomorphism.among(A, B, (bad_map,))
 
 
 def test_a_bool_map_entry_reads_as_its_int():
@@ -506,11 +506,19 @@ from ualgebra.catalog import (
     standard_corpus,
 )
 from ualgebra.congruences import all_congruences
+from ualgebra.errors import SizeMismatch
 from ualgebra.heaps import heap_from_group
 from ualgebra.inner import count_transversal_pairs, idempotent_endomorphisms
+from ualgebra.partitions import Partition
 
 if not sys.flags.optimize:
     sys.exit("not run under -O")
+try:
+    Partition((1, 0, 2, 3))
+except SizeMismatch:
+    pass
+else:
+    sys.exit("a partition not in canonical form was accepted")
 corpus = [A for A, _ in standard_corpus() if A.size <= 5] + [left_zero_semigroup(4)]
 corpus += [heap_from_group(G) for G in groups_up_to_8() if G.size <= 4]
 # windowed tables, and a full batch of 32 maps on 8 elements

@@ -7,6 +7,12 @@ from ualgebra.errors import SizeMismatch
 from ualgebra.partitions import Partition, parse_partition
 
 
+def assert_rebuilds(*partitions):
+    # a trusted builder's output passes the constructor's canonical check
+    for p in partitions:
+        assert Partition(p.rep) == p
+
+
 def test_canonical_form_and_equality():
     p = Partition.from_pairs(4, [(0, 2), (3, 1)])
     q = Partition.from_blocks(4, [[2, 0], [1, 3]])
@@ -17,11 +23,14 @@ def test_canonical_form_and_equality():
 def test_blocks_sorted_by_least_element():
     p = Partition.from_blocks(5, [[3, 4], [0], [1, 2]])
     assert p.blocks() == [(0,), (1, 2), (3, 4)]
+    assert Partition((0, 1, 0, 3, 1)).blocks() == [(0, 2), (1, 4), (3,)]
 
 
 def test_identity_and_total():
     assert Partition.identity(3).blocks() == [(0,), (1,), (2,)]
     assert Partition.total(3).blocks() == [(0, 1, 2)]
+    for n in range(CARRIER_CAP + 1):
+        assert_rebuilds(Partition.identity(n), Partition.total(n))
 
 
 def test_join_meet_refines():
@@ -40,14 +49,25 @@ def test_join_meet_refines():
     [(0, 1, 2, 99), (0, None, 2, 3), (1, 0, 2, 3)],
     ids=["outside-the-carrier", "not-an-int", "not-least"],
 )
-def test_join_refuses_an_operand_not_in_canonical_form(rep):
-    # an IndexError, a TypeError and a silent {{0,1},{2},{3}} before
-    hostile, identity = Partition(rep), Partition.identity(4)
-    message = "^partition is not canonical"
+def test_the_constructor_refuses_a_rep_not_in_canonical_form(rep):
+    # once `join` met these as an IndexError, a TypeError and a silent
+    # {{0,1},{2},{3}}; no Partition holds them now
+    with pytest.raises(SizeMismatch, match="^partition is not canonical"):
+        Partition(rep)
+
+
+@pytest.mark.parametrize("a", [-1, -4, 4, 9, 1.0, "1", None], ids=repr)
+def test_block_of_and_same_refuse_a_non_element(a):
+    # -1 once gave the block of 3, and same(-4, 1) True; 4 an IndexError
+    p = Partition.from_blocks(4, [[0, 1], [2, 3]])
+    message = "^partition elements must be integers in range\\(4\\)$"
     with pytest.raises(SizeMismatch, match=message):
-        hostile.join(identity)
+        p.block_of(a)
     with pytest.raises(SizeMismatch, match=message):
-        identity.join(hostile)
+        p.same(a, 1)
+    with pytest.raises(SizeMismatch, match=message):
+        p.same(1, a)
+    assert p.block_of(3) == (2, 3) and p.same(0, 1) and not p.same(1, 2)
 
 
 def test_print_parse_roundtrip():
@@ -124,7 +144,12 @@ def _pair_lists(n, max_size=10):
 @given(data=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), _pair_lists(n))))
 def test_from_pairs_matches_brute_force_closure(data):
     n, pairs = data
-    assert Partition.from_pairs(n, pairs).rep == transitive_closure_classes(n, pairs)
+    p = Partition.from_pairs(n, pairs)
+    assert p.rep == transitive_closure_classes(n, pairs)
+    blocks = [block[::-1] for block in reversed(p.blocks())]
+    rebuilt = Partition.from_blocks(n, blocks)
+    assert rebuilt == p
+    assert_rebuilds(p, rebuilt)
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,5 +161,8 @@ def test_from_pairs_matches_brute_force_closure(data):
 def test_join_matches_brute_force_closure_of_both_sides(data):
     # up to CARRIER_CAP elements, where the congruence lattice joins
     n, left, right = data
-    joined = Partition.from_pairs(n, left).join(Partition.from_pairs(n, right))
+    p, q = Partition.from_pairs(n, left), Partition.from_pairs(n, right)
+    joined = p.join(q)
     assert joined.rep == transitive_closure_classes(n, left + right)
+    assert p.meet(q).refines(p) and p.meet(q).refines(q)
+    assert_rebuilds(joined, q.join(p), p.meet(q), q.meet(p))
