@@ -22,6 +22,7 @@ from .errors import (
     SizeLimitExceeded,
     SizeMismatch,
     TableRangeError,
+    in_carrier,
 )
 from .partitions import Partition
 from .terms import BYTE_CARRIER, Signature, batch_tables, maps_tables, translation_tables
@@ -110,8 +111,8 @@ def relabel_table(table: tuple[int, ...], p, arity: int) -> tuple[int, ...]:
 class FiniteAlgebra:
     """Carrier {0..size-1} with one flat table per signature symbol.
 
-    `tables[p]` belongs to `signature.symbols[p]` and has length size**arity,
-    in row-major mixed-radix order.
+    `tables[p]`, a tuple, belongs to `signature.symbols[p]` and has length
+    size**arity, in row-major mixed-radix order, of `errors.in_carrier` entries.
 
     The hash is computed once and cached: it equals the generated dataclass
     hash, hash((name, signature, size, tables)), so set and dict orders stay
@@ -125,6 +126,10 @@ class FiniteAlgebra:
     tables: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        tables = tuple([t if isinstance(t, tuple) else tuple(t) for t in self.tables])
+        object.__setattr__(self, "tables", tables)
+        if not isinstance(self.size, int):
+            raise SizeMismatch(f"carrier size {self.size!r} is not an int")
         if self.size < 1:
             raise SizeMismatch("carrier must be nonempty")
         if len(self.tables) != len(self.signature.symbols):
@@ -132,9 +137,9 @@ class FiniteAlgebra:
         for (sym, arity), table in zip(self.signature.symbols, self.tables):
             if len(table) != self.size**arity:
                 raise SizeMismatch(f"table for {sym!r} has wrong length")
-            for v in table:
-                if not 0 <= v < self.size:
-                    raise TableRangeError(f"table entry {v} for {sym!r} out of range")
+            if not in_carrier(table, self.size):
+                v = next(v for v in table if not in_carrier((v,), self.size))
+                raise TableRangeError(f"table entry {v} for {sym!r} out of range")
 
     @cached_property
     def _hash(self) -> int:
@@ -230,9 +235,9 @@ def _homomorphic_maps(maps, A: FiniteAlgebra, B: FiniteAlgebra) -> list:
 
 
 def _entry_codes(batch, n: int, m: int) -> bytes:
-    """The maps of `batch` one after another as `bytes`, each of n ints in
-    range(m), else SizeMismatch: a bool reads as its int, and a float,
-    str or None is refused."""
+    """The maps of `batch` one after another as `bytes`, each of n elements
+    of range(m), else SizeMismatch: the rule of `errors.in_carrier`, checked
+    at C speed while the codes of the batch are built."""
     flat = list(chain.from_iterable(batch))
     codes = b""
     if set(map(len, batch)) == {n} and all(issubclass(t, int) for t in set(map(type, flat))):
@@ -248,8 +253,7 @@ def _entry_codes(batch, n: int, m: int) -> bytes:
 def _maps_by_index(mapping, A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
     """`_homomorphic_maps`' test of one map past the byte carriers."""
     n = B.size
-    kept = [v for v in mapping if isinstance(v, int) and 0 <= v < n]
-    if len(kept) != len(mapping) or len(mapping) != A.size:
+    if len(mapping) != A.size or not in_carrier(mapping, n):
         raise SizeMismatch("map must send A's carrier into B's")
     m = mapping
     return all(
@@ -282,13 +286,14 @@ def is_action(rows, Y: FiniteAlgebra, symbol: str, word) -> bool:
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """A structure-preserving map, validated on construction."""
+    """A structure-preserving map, validated on construction; kept as a tuple."""
 
     source: FiniteAlgebra
     target: FiniteAlgebra
     map: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "map", tuple(self.map))
         if not is_homomorphism(self.map, self.source, self.target):
             raise NotAHomomorphism("map does not preserve the operations")
 
@@ -306,7 +311,7 @@ class Homomorphism:
             h = object.__new__(cls)
             object.__setattr__(h, "source", source)
             object.__setattr__(h, "target", target)
-            object.__setattr__(h, "map", mapping)
+            object.__setattr__(h, "map", tuple(mapping))
             out.append(h)
         return out
 
@@ -326,11 +331,9 @@ class Homomorphism:
 
 
 def _require_members(A: FiniteAlgebra, members) -> None:
-    """Raise SizeMismatch unless every member is an int in A's carrier, by
-    `terms.eval_term`'s rule: a bool reads as 0 or 1, a float, str or None
-    is refused."""
-    n = A.size
-    if not all(isinstance(x, int) and 0 <= x < n for x in members):
+    """Raise SizeMismatch unless every member is in A's carrier, by
+    `errors.in_carrier`."""
+    if not in_carrier(members, A.size):
         raise SizeMismatch("subset outside the carrier")
 
 
@@ -466,7 +469,7 @@ def quotient(A: FiniteAlgebra, omega: Partition):
         if len(cells) != k**arity:
             raise NotACongruence(f"operation {sym!r} is not well defined on blocks")
         tables.append(tuple(v for _, v in sorted(cells)))
-    Q = FiniteAlgebra(f"{A.name}_q", A.signature, k, tuple(tables))
+    Q = FiniteAlgebra(f"{A.name}_q", A.signature, k, tables)
     return Q, Homomorphism(A, Q, proj)
 
 
@@ -651,7 +654,7 @@ def parse_algebras(text: str, source: str = "<input>") -> dict[str, FiniteAlgebr
             err("missing 'end'", len(text.splitlines()))
         if size is None:
             err("missing size", no)
-        out[name] = FiniteAlgebra(name, Signature(tuple(symbols)), size, tuple(map(tuple, tables)))
+        out[name] = FiniteAlgebra(name, Signature(tuple(symbols)), size, tables)
     return out
 
 

@@ -53,6 +53,7 @@ from .errors import (
     NotSubdigroup,
     SignatureMismatch,
     crosscheck,
+    in_carrier,
 )
 from .inner import endo_witness, unique_factorizations
 from .outer import ActionFamily, PointedFamily, direct_product_check, union_algebra
@@ -243,8 +244,9 @@ class DigroupActionTriple:
 
     phi_star[y] must be an automorphism table of (K, *), phi_circ[y] one of
     (K, o), with both families antimultiplicative; Lambda is any family of
-    permutations of K with Lambda[1_Y] the identity. Rows are stored as tuples.
-    """
+    permutations of K with Lambda[1_Y] the identity. Rows are stored as tuples,
+    each a table on K, else HypothesisViolation here: `_digroup_data` is
+    memoized on the triple, where a row holding 1.0 would find 1's entry."""
 
     Y: Digroup
     K: Digroup
@@ -255,6 +257,9 @@ class DigroupActionTriple:
     def __post_init__(self):
         for field in ("phi_star", "phi_circ", "Lambda"):
             object.__setattr__(self, field, tuple(map(tuple, getattr(self, field))))
+            for y, row in enumerate(getattr(self, field)):
+                if len(row) != self.K.n or not in_carrier(row, self.K.n):
+                    raise HypothesisViolation(f"{field}[{y}] is not a table on K")
 
     def lambda_fixes_unit(self) -> bool:
         return all(self.Lambda[y][self.K.one] == self.K.one for y in range(self.Y.n))
@@ -272,10 +277,6 @@ def _check_antihom(maps, Y: FiniteAlgebra, symbol: str, K_alg: FiniteAlgebra, wh
 def _validate_triple(t: DigroupActionTriple):
     if len(t.phi_star) != t.Y.n or len(t.phi_circ) != t.Y.n or len(t.Lambda) != t.Y.n:
         raise HypothesisViolation("one table per element of Y required")
-    for what, maps in (("phi_star", t.phi_star), ("phi_circ", t.phi_circ), ("Lambda", t.Lambda)):
-        for y, row in enumerate(maps):
-            if len(row) != t.K.n or any(not 0 <= k < t.K.n for k in row):
-                raise HypothesisViolation(f"{what}[{y}] is not a table on K")
     _check_antihom(t.phi_star, t.Y.algebra, "star", star_reduct(t.K), "phi_star")
     _check_antihom(t.phi_circ, t.Y.algebra, "circ", circ_reduct(t.K), "phi_circ")
     for y, table in enumerate(t.Lambda):

@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import prod
 
 from .algebras import FiniteAlgebra, pack_columns, row_major_columns
-from .errors import EndpointMismatch, ShapeMismatch, SizeLimitExceeded
+from .errors import EndpointMismatch, ShapeMismatch, SizeLimitExceeded, in_carrier
 from .outer import OuterProduct, PointedFamily
 from .terms import Term, Var, eval_block, eval_term, substitute, term_variables
 
@@ -41,7 +41,7 @@ class TupleObject:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(a, int) and 0 <= a < self.algebra.size for a in self.elements):
+        if not in_carrier(self.elements, self.algebra.size):
             raise ShapeMismatch("tuple entries must lie in the carrier")
 
     def __len__(self) -> int:
@@ -220,22 +220,6 @@ def functor_morphism(F: OuterProduct, p: TermTupleMorphism) -> tuple[tuple[int, 
     return _p_memo(F, p)[1]
 
 
-def _through(tables, packed) -> tuple[tuple[int, ...], ...]:
-    """Each table read at the middle-row index of each source row."""
-    return tuple(tuple([table[i] for i in packed]) for table in tables)
-
-
-def tables_compose(
-    outer: tuple[tuple[int, ...], ...],
-    inner: tuple[tuple[int, ...], ...],
-    mid_sizes: tuple[int, ...],
-    length: int,
-) -> tuple[tuple[int, ...], ...]:
-    """Componentwise composition through the middle product, over a source
-    product of `length` points; an empty middle repeats each point value."""
-    return _through(outer, pack_columns(inner, mid_sizes, length))
-
-
 def check_functoriality(
     F: OuterProduct, p: TermTupleMorphism, q: TermTupleMorphism
 ) -> bool:
@@ -247,8 +231,8 @@ def check_functoriality(
     middle = _block(F, p.target)
     offsets = F.family.offsets
     direct = _tables_over(F.algebra, offsets, source, composite.terms, composite.target.elements)
-    staged = _through(_tables_over(F.algebra, offsets, middle, q.terms, q.target.elements), packed)
-    return direct == staged
+    g_q = _tables_over(F.algebra, offsets, middle, q.terms, q.target.elements)
+    return direct == tuple(tuple([table[i] for i in packed]) for table in g_q)
 
 
 def check_identity_law(F: OuterProduct, obj: TupleObject) -> bool:

@@ -169,3 +169,13 @@ def crosscheck(holds: bool, message: str) -> None:
     it runs under `python -O` too, so that mode returns the same answers."""
     if not holds:
         raise InternalInconsistency(message)
+
+
+def in_carrier(values, n: int) -> bool:
+    """Is every value an element of an n-element carrier, an int in range(n)?
+    A bool reads as its int; a float, str or None is not. The one element
+    rule of the public entry points, each of which raises its own UAError."""
+    for v in values:
+        if not (isinstance(v, int) and 0 <= v < n):
+            return False
+    return True

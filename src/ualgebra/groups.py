@@ -40,6 +40,7 @@ from .errors import (
     PointednessViolation,
     SignatureMismatch,
     crosscheck,
+    in_carrier,
 )
 from .inner import (
     canonical_iso_witness,
@@ -109,7 +110,7 @@ def _require_phi_tables(N: FiniteAlgebra, B: FiniteAlgebra, phi) -> tuple[tuple[
     if len(phi) != B.size:
         raise NotAnAction("one automorphism per element of B required")
     for y, row in enumerate(phi):
-        if len(row) != N.size or any(not 0 <= k < N.size for k in row):
+        if len(row) != N.size or not in_carrier(row, N.size):
             raise NotAutomorphism(f"phi[{y}] is not a table on N")
     return phi
 
@@ -423,7 +424,7 @@ def ring_semidirect(pair: RingActionPair) -> FiniteAlgebra:
     if len(pair.lam) != S.size or len(pair.rho) != S.size:
         raise CompatibilityViolation("one table per element of S required", "shape", None)
     for row in pair.lam + pair.rho:
-        if len(row) != K.size or any(not 0 <= k < K.size for k in row):
+        if len(row) != K.size or not in_carrier(row, K.size):
             raise CompatibilityViolation("every action table must map K to K", "shape", None)
     _check_ring_pair(pair)
     kadd, kmul = K.table("add"), K.table("mul")

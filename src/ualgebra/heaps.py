@@ -46,6 +46,7 @@ from .errors import (
     NotASubheap,
     SignatureMismatch,
     crosscheck,
+    in_carrier,
 )
 from .inner import (
     canonical_iso_witness,
@@ -90,8 +91,9 @@ def heap_from_group(G: FiniteAlgebra) -> FiniteAlgebra:
 def group_from_heap(X: FiniteAlgebra, e: int) -> FiniteAlgebra:
     """Retract at basepoint e: product t(x, e, y), identity e, inverse t(e, x, e)."""
     n = X.size
-    if not 0 <= e < n:
+    if not in_carrier((e,), n):
         raise EmptySet("basepoint outside the carrier")
+    e = int(e)  # a bool basepoint names and builds what its int does
     mul = tuple(heap_op(X, x, e, y) for x in range(n) for y in range(n))
     inv = tuple(heap_op(X, e, x, e) for x in range(n))
     G = FiniteAlgebra(f"{X.name}_at{e}", GROUP_SIG, n, (mul, inv, (e,)))
@@ -305,10 +307,10 @@ def _validate_heap_action(action: HeapAction):
     Y, K = action.Y, action.K
     if not is_heap(Y) or not is_heap(K):
         raise HypothesisViolation("both carriers must be heaps")
-    if not 0 <= action.y0 < Y.size:
+    if not in_carrier((action.y0,), Y.size):
         raise HypothesisViolation("the distinguished element must lie in Y")
     for y, row in enumerate(action.alpha):
-        if len(row) != K.size or any(not 0 <= k < K.size for k in row):
+        if len(row) != K.size or not in_carrier(row, K.size):
             raise HypothesisViolation(f"alpha[{y}] is not a table on K")
     for y, row in enumerate(action.alpha):
         if not is_automorphism(row, K):

@@ -33,7 +33,7 @@ from .algebras import (
     subalgebra_as_algebra,
 )
 from .congruences import all_congruences, is_congruence, kernel
-from .errors import NotIdempotent, SizeLimitExceeded, crosscheck
+from .errors import NotIdempotent, SizeLimitExceeded, crosscheck, in_carrier
 from .partitions import Partition
 
 # The idempotent self-maps of an 8-set: no algebra of at most 8 elements
@@ -135,9 +135,7 @@ def endo_witness(A: FiniteAlgebra, B: frozenset[int], omega: Partition) -> bool:
     keeps for omega. A B holding anything but carrier elements is no
     image."""
     B = set(B)
-    if not all(isinstance(x, int) and 0 <= x < A.size for x in B):
-        return False
-    return sum(1 << x for x in B) in _image_masks(A).get(tuple(omega.rep), ())
+    return in_carrier(B, A.size) and sum(1 << x for x in B) in _image_masks(A).get(omega.rep, ())
 
 
 @lru_cache(maxsize=IDEMPOTENT_CACHE_SIZE)

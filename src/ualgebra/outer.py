@@ -40,6 +40,7 @@ from .errors import (
     ShapeMismatch,
     SignatureMismatch,
     crosscheck,
+    in_carrier,
 )
 from .inner import InnerDecomposition, totally_idempotent_elements
 from .varieties import VarietySpec, check_identities
@@ -60,7 +61,7 @@ class PointedFamily:
         if len(self.fibers) != self.base.size:
             raise ShapeMismatch("one fiber per base element required")
         for size, basepoint in self.fibers:
-            if size < 1 or not 0 <= basepoint < size:
+            if not isinstance(size, int) or not in_carrier((basepoint,), size):
                 raise ShapeMismatch("fiber must be nonempty with an internal basepoint")
 
     @cached_property
@@ -124,7 +125,7 @@ class OuterProduct:
 
     def decode(self, x: int) -> tuple[int, int]:
         """Global element -> (fiber index within its block, base element)."""
-        if not 0 <= x < self.algebra.size:
+        if not in_carrier((x,), self.algebra.size):
             raise ShapeMismatch(f"element {x} outside the disjoint union")
         b = bisect_right(self.family.offsets, x) - 1
         return x - self.family.offsets[b], b
@@ -148,7 +149,7 @@ def _validate_family(family: PointedFamily, actions: ActionFamily):
             if len(action) != prod(sizes):
                 raise ShapeMismatch(f"action table for {sym} at {bs} has wrong length")
             target_size, target_base = family.fibers[target]
-            if any(not 0 <= v < target_size for v in action):
+            if not in_carrier(action, target_size):
                 raise ShapeMismatch(f"action table for {sym} at {bs} leaves its fiber")
             basepoints = [(family.fibers[b][1],) for b in bs]
             if action[pack_columns(basepoints, sizes, 1)[0]] != target_base:
@@ -178,7 +179,7 @@ def union_algebra(family: PointedFamily, actions: ActionFamily, name: str) -> Fi
             for idx, value in zip(pack_product(fibers, n), action, strict=True):
                 table[idx] = offset + value
         tables.append(tuple(table))
-    return FiniteAlgebra(name, base.signature, n, tuple(tables))
+    return FiniteAlgebra(name, base.signature, n, tables)
 
 
 def assemble_union_algebra(
@@ -288,7 +289,7 @@ def sdp_morphism_check(F: OuterProduct, G: OuterProduct, maps) -> bool:
     for b in range(base.size):
         size_f, base_f = F.family.fibers[b]
         size_g, base_g = G.family.fibers[b]
-        if len(maps[b]) != size_f or any(not 0 <= v < size_g for v in maps[b]):
+        if len(maps[b]) != size_f or not in_carrier(maps[b], size_g):
             raise ShapeMismatch(f"map at base element {b} has the wrong shape")
         if maps[b][base_f] != base_g:
             return False
@@ -466,7 +467,7 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
     if base is None:
         raise ParseError("missing base", source, len(text.splitlines()))
     for b, (_, _, no) in fibers.items():
-        if not 0 <= b < base.size:
+        if not in_carrier((b,), base.size):
             raise ParseError(f"fiber for {b} outside the base", source, no)
     arities = dict(base.signature.symbols)
     for (sym, bs), (no, _) in maps.items():
@@ -474,7 +475,7 @@ def parse_action_file(text: str, resolve, source: str = "<input>"):
             raise ParseError(f"map for {sym!r}, which is not in the signature", source, no)
         if len(bs) != arities[sym]:
             raise ParseError(f"map for {sym} needs {arities[sym]} base elements", source, no)
-        if any(not 0 <= b < base.size for b in bs):
+        if not in_carrier(bs, base.size):
             raise ParseError(f"map for {sym} {bs} outside the base", source, no)
     fiber_list = []
     for b in range(base.size):

@@ -4,23 +4,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError, SizeMismatch
+from .errors import ParseError, SizeMismatch, in_carrier
 
 
 @dataclass(frozen=True)
 class Partition:
     """Equivalence relation; `rep[i]` is the least element of i's block.
 
-    The constructor refuses any other `rep` with SizeMismatch: each rep[a]
-    must be an int with 0 <= rep[a] <= a and rep[rep[a]] == rep[a]. The
-    builders below make partitions canonical by construction, and skip
-    that check through `_trusted`."""
+    The constructor keeps `rep` as a tuple and refuses a non-canonical one
+    with SizeMismatch: each rep[a] must be an element (`errors.in_carrier`)
+    with rep[a] <= a and rep[rep[a]] == rep[a]. The builders below make
+    partitions canonical by construction, and skip that check through `_trusted`."""
 
     rep: tuple[int, ...]
 
     def __post_init__(self):
-        rep = self.rep
-        if not all(isinstance(r, int) and 0 <= r <= a and rep[r] == r for a, r in enumerate(rep)):
+        rep = tuple(self.rep)
+        object.__setattr__(self, "rep", rep)
+        if not in_carrier(rep, len(rep)) or any(r > a or rep[r] != r for a, r in enumerate(rep)):
             raise SizeMismatch("partition is not canonical: rep[a] must be the least of a's block")
 
     @classmethod
@@ -47,7 +48,7 @@ class Partition:
         links = []
         for pair in pairs:
             a, b = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
-            if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
+            if not in_carrier((a, b), n):
                 raise SizeMismatch(f"partition entries must be integers in range({n}), in pairs")
             links.append((a, b))
         return cls.merged(list(range(n)), links)
@@ -84,7 +85,7 @@ class Partition:
         for block in blocks:
             if not block:
                 raise SizeMismatch("a partition block is empty")
-            if not all(isinstance(x, int) and 0 <= x < n for x in block):
+            if not in_carrier(block, n):
                 raise SizeMismatch(f"partition entries must be integers in range({n})")
             least = min(block)
             for x in block:
@@ -96,9 +97,8 @@ class Partition:
         return cls._trusted(tuple(rep))
 
     def _require_elements(self, *elements) -> None:
-        n = self.n
-        if not all(isinstance(x, int) and 0 <= x < n for x in elements):
-            raise SizeMismatch(f"partition elements must be integers in range({n})")
+        if not in_carrier(elements, self.n):
+            raise SizeMismatch(f"partition elements must be integers in range({self.n})")
 
     def same(self, a: int, b: int) -> bool:
         self._require_elements(a, b)

@@ -14,6 +14,7 @@ from .errors import (
     SizeMismatch,
     TermSyntaxError,
     UnknownSymbol,
+    in_carrier,
 )
 
 if TYPE_CHECKING:
@@ -430,13 +431,11 @@ def _eval_row(t: Term, algebra: "FiniteAlgebra", row) -> int:
 
 def eval_term(t: Term, algebra: "FiniteAlgebra", assignment) -> int:
     """The value of `t` under one assignment, by `eval_block`'s one-row path.
-    A value not an int in the carrier raises SizeMismatch, whatever `t`
-    reads."""
-    n = algebra.size
-    row = [a for a in assignment if isinstance(a, int) and 0 <= a < n]
-    if len(row) != len(assignment):
+    A value not in the carrier (`errors.in_carrier`) raises SizeMismatch,
+    whatever `t` reads."""
+    if not in_carrier(assignment, algebra.size):
         raise SizeMismatch("assignment values must lie in the carrier")
-    return _eval_row(t, algebra, row)
+    return _eval_row(t, algebra, assignment)
 
 
 def substitute(t: Term, replacements: tuple[Term, ...]) -> Term:

@@ -316,6 +316,38 @@ def test_only_cli_main_catches_every_exception(path):
     assert scopes == (["main"] if path.name == "cli.py" else [])
 
 
+def _carrier_ranges(node: ast.AST, scope: str = ""):
+    """(enclosing function or class, line) of each chained comparison
+    `0 <= x < y` or `0 <= x <= y`; the module level is the scope ''."""
+    for child in ast.iter_child_nodes(node):
+        if (
+            isinstance(child, ast.Compare)
+            and isinstance(child.left, ast.Constant)
+            and child.left.value == 0
+            and [type(op) for op in child.ops] in ([ast.LtE, ast.Lt], [ast.LtE, ast.LtE])
+        ):
+            yield scope, child.lineno
+        yield from _carrier_ranges(child, child.name if isinstance(child, DEFINITIONS) else scope)
+
+
+def test_the_carrier_range_lint_finds_each_form():
+    tree = ast.parse(
+        "ok = 0 <= x < n\n"
+        "def f(r, a):\n    return all(0 <= r <= a for r in a)\n"
+        "class K:\n    def g(self, b):\n        if not 0 <= b < self.size: pass\n"
+        "y = 0 < x < n\nz = 0 <= x\nw = 1 <= x < n\nv = 0 <= x < n < m\n"
+    )
+    assert list(_carrier_ranges(tree)) == [("", 1), ("f", 3), ("g", 6)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_in_carrier_tests_an_element_against_its_carrier(path):
+    # "v is an element of an n-element carrier" is decided once, by
+    # `errors.in_carrier`; a hand-written range test may forget the int test
+    scopes = [scope for scope, _ in _carrier_ranges(ast.parse(path.read_text()))]
+    assert scopes == (["in_carrier"] if path.name == "errors.py" else [])
+
+
 ERRORS = {
     node.name
     for node in ast.parse((MODULES[0].parent / "errors.py").read_text()).body
